@@ -39,6 +39,7 @@ from .synchro import (
     min_switch_count,
     optimal_sync_word,
     shortest_sync_length,
+    subset_images,
 )
 
 RANDOM_SEED = 20260809
@@ -330,17 +331,12 @@ def brute_force_optima(dfa: Dfa, max_len: int) -> tuple[int | None, int | None]:
 
     Depth-first over the word tree, tracking the current subset and switch
     count; a synchronizing prefix is recorded and not extended.  Independent
-    of the BFS engines: nothing here looks at distances or closures.
+    of the search engines, with which it shares only the subset images:
+    nothing here looks at distances or closures.
     """
-    n, k = dfa.n, dfa.k
-    full = full_set(n)
-    images = [[0] * (full + 1) for _ in range(k)]
-    for s in range(k):
-        bit = [1 << dfa.rows[q][s] for q in range(n)]
-        img = images[s]
-        for v in range(1, full + 1):
-            low = v & (v - 1)
-            img[v] = img[low] | bit[(v ^ low).bit_length() - 1]
+    k = dfa.k
+    full = full_set(dfa.n)
+    images = subset_images(dfa)(range(full + 1))
     best_len: int | None = None
     best_sw: int | None = None
     stack = [(full, 0, 0, -1)]  # subset, length, switches, last symbol

@@ -85,9 +85,10 @@ class ExtremalReport:
     """Maximum switch count over a scanned space plus the extremal automata.
 
     Extremal forms are kept canonically under both isomorphism conventions;
-    `convention` selects which one `extremal_forms` reports.  `complete` is
-    False when the per-scan collection cap was hit (never expected for the
-    published search sizes).
+    `convention` selects which one `extremal_forms` reports.  `elapsed` is
+    the sum of the shards' seconds, so with parallel workers it exceeds the
+    wall time.  `complete` is False when the per-scan collection cap was hit
+    (never expected for the published search sizes).
     """
 
     n: int
@@ -142,7 +143,7 @@ def format_report(report: ExtremalReport) -> str:
         f"n={report.n} k={report.k} scanned={report.scanned} "
         f"max_sw={report.max_sw if report.max_sw is not None else 'none'} "
         f"forms={report.form_count()} convention={report.convention.value} "
-        f"elapsed={report.elapsed:.1f}s"
+        f"worker_s={report.elapsed:.1f}"
     ]
     if report.convention is not IsoConvention.STATES_ONLY:
         lines[0] += f" forms_states_only={report.form_count(IsoConvention.STATES_ONLY)}"

@@ -1,20 +1,23 @@
 """Search engines over the power automaton: synchronization test, shortest
 length, minimal switch count, composite (switch, length) optimization, and
-optimal-word counting.
+optimal-word counting and enumeration.
 
-Switch counting is realized as a 0/1-weighted graph on (state set, last
-symbol) nodes: the edge labeled s out of (V, t) leads to (Vs, s) and costs
-0 if s == t, else 1.
+Every engine searches forward from the full state set and keeps state only
+for the subsets it reaches, computing their images from byte-sliced lookup
+tables (`subset_images`).  Switch counting is realized as a 0/1-weighted
+graph on (state set, last symbol) nodes: the edge labeled s out of (V, t)
+leads to (Vs, s) and costs 0 if s == t, else 1.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
+from itertools import compress, repeat
+from typing import Callable, Collection, Iterator
 
-from .automaton import Dfa, Word, full_set, switch_count
+from .automaton import Dfa, Word, full_set
 
 
 class NotSynchronizingError(Exception):
@@ -37,28 +40,43 @@ class SyncResult:
     witness_count: int | None = None
 
 
-# Subset tables hold 2**n entries per symbol; beyond this the search is
-# hopeless anyway and the allocation alone would be harmful.
+# The image tables cut a state set into at most three bytes; a subset search
+# past this size is hopeless anyway.
 _MAX_SEARCH_STATES = 24
 
 
-def _set_image_tables(dfa: Dfa) -> list[list[int]]:
-    """img[s][V] = image of subset V under symbol s, for every subset."""
-    n, k = dfa.n, dfa.k
+def subset_images(dfa: Dfa) -> Callable[[Collection[int]], list[list[int]]]:
+    """images(vs)[s][i] = the image under symbol s of the i-th state set in vs,
+    which is iterated once per symbol.
+
+    States are cut into slices of 8.  Per symbol and slice, a table of at
+    most 256 entries maps the slice's bits of a set to their image, and the
+    image of the set is the union of its three slices' images (a slice past
+    the last state has the one-entry table [0]).
+    """
+    n = dfa.n
     if n > _MAX_SEARCH_STATES:
         raise ValueError(
             f"subset search over {n} states needs 2**{n} nodes; refusing"
         )
-    size = 1 << n
     tables = []
-    for s in range(k):
-        bit = [1 << dfa.rows[q][s] for q in range(n)]
-        img = [0] * size
-        for v in range(1, size):
-            low = v & (v - 1)
-            img[v] = img[low] | bit[(v ^ low).bit_length() - 1]
-        tables.append(img)
-    return tables
+    for s in range(dfa.k):
+        sliced = []
+        for lo in range(0, _MAX_SEARCH_STATES, 8):
+            table = [0]
+            for row in dfa.rows[lo:lo + 8]:
+                bit = 1 << row[s]
+                table += [image | bit for image in table]
+            sliced.append(table)
+        tables.append(sliced)
+
+    def images(vs: Collection[int]) -> list[list[int]]:
+        return [
+            [t0[v & 255] | t1[v >> 8 & 255] | t2[v >> 16] for v in vs]
+            for t0, t1, t2 in tables
+        ]
+
+    return images
 
 
 def is_synchronizing(dfa: Dfa) -> bool:
@@ -99,173 +117,150 @@ def is_synchronizing(dfa: Dfa) -> bool:
     return seen == npairs
 
 
+# ---------------------------------------------------------------------------
+# Forward search and the tight-edge DAG
+#
+# Both objectives search one graph of (V, tag) nodes.  Under
+# SWITCH_THEN_LENGTH the tag is the last symbol applied (s + 1 after symbol
+# s, 0 before the first), and an edge costs (switches, length) = (0, 1) when
+# it repeats the last symbol and (1, 1) otherwise.  Under LENGTH the tag is
+# always 0 and every edge costs (1, 1), which orders nodes by length alone.
+# A cost (sw, len) is stored as the integer sw * big + len, where big exceeds
+# the length of every path the search keeps, so integer order is the
+# lexicographic order and `cost // big` is the optimal length or switch count.
+#
+# The search is Dial's algorithm: a bucket of candidate nodes per cost, taken
+# in increasing order without a heap.  A switch edge leads to the next level
+# of `cost // big` and a repeat edge to the next bucket of the same level, so
+# each level is scanned one length at a time.  A bucket is expanded as a
+# whole, with set operations, and the search stops at the first bucket that
+# holds a singleton: its cost is optimal.
+#
+# An edge u -> w is tight when cost(u) + c(u, w) = cost(w).  Every optimal
+# word follows tight edges only, and tight edges raise the cost, so the
+# expansion order is a topological order of the tight edges.  A reverse sweep
+# over it counts the tight paths from each node to an optimal singleton; the
+# nodes with a nonzero count and the tight edges between them form the DAG of
+# all optimal words.
+# ---------------------------------------------------------------------------
+
+
+class _Search:
+    """Forward search from the full state set over the reachable nodes only.
+
+    After construction `optimum` is the optimal length (LENGTH) or switch
+    count, `best` its encoded cost, `sinks` the optimal singletons by tag,
+    and `order` the expanded nodes grouped by cost and tag.
+    """
+
+    def __init__(self, dfa: Dfa, objective: Objective):
+        n, k = dfa.n, dfa.k
+        self.images = images = subset_images(dfa)
+        # Under LENGTH each subset is expanded once; under SWITCH_THEN_LENGTH
+        # it recurs with up to k + 1 tags, so its images are computed once and
+        # cached.
+        by_switch = objective is not Objective.LENGTH
+        cache: dict[int, tuple[int, ...]] = {}
+        big = (k + 1) << n
+        # tags[s]: the tag of the nodes symbol s leads to; steps[tag][s]: the
+        # cost of symbol s out of a node with that tag
+        self.tags = tags = [s + 1 if by_switch else 0 for s in range(k)]
+        self.steps = steps = [
+            [1 if by_switch and tag == s + 1 else big + 1 for s in range(k)]
+            for tag in range(k + 1)
+        ]
+        singletons = {1 << q for q in range(n)}
+        self.full = full_set(n)
+        dist: list[dict[int, int]] = [{} for _ in range(k + 1)]  # dist[tag][V] = cost
+        # (cost, tag, subsets, their images by symbol), in increasing cost
+        self.order: list[tuple[int, int, list[int], list]] = []
+        # cost -> tag -> candidate subsets, for the current and the next level
+        level = defaultdict(lambda: defaultdict(set))
+        level[0][0].add(self.full)
+        while level:
+            nxt = defaultdict(lambda: defaultdict(set))
+            cost = min(level)
+            while level:
+                groups = level.pop(cost, None)
+                if groups is None:
+                    cost += 1
+                    continue
+                found = []
+                synced = False
+                for tag, vs in groups.items():
+                    vs = vs.difference(dist[tag])
+                    if vs:
+                        dist[tag].update(dict.fromkeys(vs, cost))
+                        found.append((tag, vs))
+                        synced = synced or not singletons.isdisjoint(vs)
+                if synced:
+                    self.best = cost
+                    self.optimum = cost // big
+                    self.sinks = [(tag, vs & singletons) for tag, vs in found]
+                    return
+                if by_switch:
+                    fresh = set().union(*[vs for _, vs in found]).difference(cache)
+                    if fresh:
+                        cache.update(zip(fresh, zip(*images(fresh))))
+                for tag, vs in found:
+                    vs = list(vs)
+                    columns = list(zip(*map(cache.__getitem__, vs))) if by_switch else images(vs)
+                    self.order.append((cost, tag, vs, columns))
+                    for s, ws in enumerate(columns):
+                        step = steps[tag][s]
+                        (level if step == 1 else nxt)[cost + step][tags[s]].update(ws)
+                cost += 1
+            level = nxt
+        raise NotSynchronizingError("no singleton reachable from the full state set")
+
+    def tight_dag(self) -> dict[tuple[int, int], dict[int, int]]:
+        """ways[cost, tag][V]: the number of tight paths from node (V, tag),
+        reached at that cost, to an optimal singleton; only nonzero counts
+        are kept."""
+        ways = {(self.best, tag): dict.fromkeys(sinks, 1) for tag, sinks in self.sinks}
+        for cost, tag, vs, columns in reversed(self.order):
+            counts = [
+                list(map(ways.get((cost + step, t), {}).get, ws, repeat(0)))
+                for ws, step, t in zip(columns, self.steps[tag], self.tags)
+            ]
+            totals = list(map(sum, zip(*counts)))
+            if any(totals):
+                ways[cost, tag] = dict(compress(zip(vs, totals), totals))
+        return ways
+
+    def optimal_words(self) -> Iterator[Word]:
+        """Every optimal word, in lexicographic order: a depth-first walk of
+        the tight DAG taking the symbols in increasing order."""
+        ways = self.tight_dag()
+        stack: list[tuple[int, int, int, list[int]]] = [(0, 0, self.full, [])]
+        while stack:
+            cost, tag, v, prefix = stack.pop()
+            if v & (v - 1) == 0:
+                yield Word(prefix)
+                continue
+            targets = [column[0] for column in self.images([v])]
+            for s in reversed(range(len(targets))):
+                reach, t, w = cost + self.steps[tag][s], self.tags[s], targets[s]
+                if w in ways.get((reach, t), ()):
+                    stack.append((reach, t, w, prefix + [s]))
+
+
 def shortest_sync_length(dfa: Dfa) -> int:
     """Breadth-first distance from the full set to any singleton."""
     if dfa.n == 1:
         return 0
-    img = _set_image_tables(dfa)
-    k = dfa.k
-    full = full_set(dfa.n)
-    dist = [-1] * (full + 1)
-    dist[full] = 0
-    queue = deque([full])
-    while queue:
-        v = queue.popleft()
-        d = dist[v] + 1
-        for s in range(k):
-            w = img[s][v]
-            if dist[w] < 0:
-                if w & (w - 1) == 0:
-                    return d
-                dist[w] = d
-                queue.append(w)
-    raise NotSynchronizingError("no singleton reachable from the full state set")
+    return _Search(dfa, Objective.LENGTH).optimum
 
 
 def min_switch_count(dfa: Dfa) -> int:
     """Minimal switch count of a synchronizing word.
 
-    0/1 BFS with a deque over (subset, last symbol) nodes; equals the
-    shortest synchronizing word length of the power closure.
+    0/1 BFS over (subset, last symbol) nodes; equals the shortest
+    synchronizing word length of the power closure.
     """
-    n, k = dfa.n, dfa.k
-    if n == 1:
+    if dfa.n == 1:
         return 0
-    img = _set_image_tables(dfa)
-    width = k + 1
-    size = (1 << n) * width
-    start = full_set(n) * width  # last-symbol slot 0 means "none yet"
-    dist = [-1] * size
-    dist[start] = 0
-    dq: deque[tuple[int, int]] = deque([(0, start)])
-    while dq:
-        d, node = dq.popleft()
-        if d != dist[node]:
-            continue
-        v, last = divmod(node, width)
-        if v & (v - 1) == 0:
-            return d
-        for s in range(k):
-            nd = d if last == s + 1 else d + 1
-            t = img[s][v] * width + s + 1
-            if dist[t] < 0 or nd < dist[t]:
-                dist[t] = nd
-                if nd == d:
-                    dq.appendleft((nd, t))
-                else:
-                    dq.append((nd, t))
-    raise NotSynchronizingError("no singleton reachable from the full state set")
-
-
-# ---------------------------------------------------------------------------
-# Optimal words and counting
-#
-# For each objective we compute D[node] = optimal cost vector from `node` to
-# any singleton (backward Dijkstra / BFS).  Costs are additive vectors ordered
-# lexicographically, so an edge is on some optimal path iff it is "tight":
-# cost(edge) + D[target] == D[source].  The lexicographically smallest optimal
-# word falls out of a greedy forward walk over tight edges, and the number of
-# optimal words out of a tight-edge DP.
-# ---------------------------------------------------------------------------
-
-
-def _length_distances(dfa: Dfa, img: list[list[int]]) -> list[int]:
-    """D[V] = shortest word length taking subset V to a singleton."""
-    n, k = dfa.n, dfa.k
-    size = 1 << n
-    radj: list[list[int]] = [[] for _ in range(size)]
-    for v in range(1, size):
-        for s in range(k):
-            radj[img[s][v]].append(v)
-    dist = [-1] * size
-    queue: deque[int] = deque()
-    for q in range(n):
-        dist[1 << q] = 0
-        queue.append(1 << q)
-    while queue:
-        w = queue.popleft()
-        d = dist[w] + 1
-        for v in radj[w]:
-            if dist[v] < 0:
-                dist[v] = d
-                queue.append(v)
-    return dist
-
-
-def _swlen_distances(dfa: Dfa, img: list[list[int]]) -> list[tuple[int, int] | None]:
-    """D[node] = lexicographically minimal (switch, length) cost to a singleton.
-
-    Nodes are (subset, last) encoded as V * (k + 1) + last, with last = 0 for
-    "no symbol applied yet" and last = s + 1 after symbol s.
-    """
-    n, k = dfa.n, dfa.k
-    size = 1 << n
-    width = k + 1
-    radj: list[list[tuple[int, int]]] = [[] for _ in range(size * width)]
-    for v in range(1, size):
-        base = v * width
-        for last in range(width):
-            src = base + last
-            for s in range(k):
-                tgt = img[s][v] * width + s + 1
-                radj[tgt].append((src, 0 if last == s + 1 else 1))
-    dist: list[tuple[int, int] | None] = [None] * (size * width)
-    heap: list[tuple[tuple[int, int], int]] = []
-    for q in range(n):
-        for last in range(width):
-            node = (1 << q) * width + last
-            dist[node] = (0, 0)
-            heap.append(((0, 0), node))
-    while heap:
-        d, node = heappop(heap)
-        if dist[node] != d:
-            continue
-        for src, wsw in radj[node]:
-            nd = (d[0] + wsw, d[1] + 1)
-            if dist[src] is None or nd < dist[src]:
-                dist[src] = nd
-                heappush(heap, (nd, src))
-    return dist
-
-
-def _greedy_length_word(dfa: Dfa, img: list[list[int]], dist: list[int]) -> Word:
-    v = full_set(dfa.n)
-    word = []
-    while v & (v - 1):
-        d = dist[v]
-        for s in range(dfa.k):
-            w = img[s][v]
-            if dist[w] == d - 1:
-                word.append(s)
-                v = w
-                break
-        else:  # pragma: no cover - dist is consistent by construction
-            raise AssertionError("no tight edge found")
-    return Word(word)
-
-
-def _greedy_swlen_word(dfa: Dfa, img: list[list[int]], dist) -> Word:
-    k = dfa.k
-    width = k + 1
-    node = full_set(dfa.n) * width
-    word = []
-    while True:
-        v, last = divmod(node, width)
-        if v & (v - 1) == 0:
-            return Word(word)
-        d = dist[node]
-        for s in range(k):
-            tgt = img[s][v] * width + s + 1
-            dt = dist[tgt]
-            if dt is None:
-                continue
-            cost = 0 if last == s + 1 else 1
-            if (dt[0] + cost, dt[1] + 1) == d:
-                word.append(s)
-                node = tgt
-                break
-        else:  # pragma: no cover
-            raise AssertionError("no tight edge found")
+    return _Search(dfa, Objective.SWITCH_THEN_LENGTH).optimum
 
 
 def optimal_sync_word(dfa: Dfa, objective: Objective = Objective.SWITCH_THEN_LENGTH) -> SyncResult:
@@ -279,18 +274,8 @@ def optimal_sync_word(dfa: Dfa, objective: Objective = Objective.SWITCH_THEN_LEN
     """
     if dfa.n == 1:
         return SyncResult(Word(), 0, 0)
-    img = _set_image_tables(dfa)
-    if objective is Objective.LENGTH:
-        dist = _length_distances(dfa, img)
-        if dist[full_set(dfa.n)] < 0:
-            raise NotSynchronizingError("no singleton reachable from the full state set")
-        word = _greedy_length_word(dfa, img, dist)
-    else:
-        dist = _swlen_distances(dfa, img)
-        if dist[full_set(dfa.n) * (dfa.k + 1)] is None:
-            raise NotSynchronizingError("no singleton reachable from the full state set")
-        word = _greedy_swlen_word(dfa, img, dist)
-    return SyncResult(word, len(word), switch_count(word))
+    word = next(_Search(dfa, objective).optimal_words())
+    return SyncResult(word, len(word), word.switch_count)
 
 
 def count_optimal_words(dfa: Dfa, objective: Objective = Objective.LENGTH) -> int:
@@ -306,55 +291,8 @@ def count_optimal_words(dfa: Dfa, objective: Objective = Objective.LENGTH) -> in
         )
     if dfa.n == 1:
         return 1
-    img = _set_image_tables(dfa)
-    n, k = dfa.n, dfa.k
-    if objective is Objective.LENGTH:
-        dist = _length_distances(dfa, img)
-        full = full_set(n)
-        if dist[full] < 0:
-            raise NotSynchronizingError("no singleton reachable from the full state set")
-        order = sorted(
-            (v for v in range(1, full + 1) if dist[v] >= 0), key=lambda v: dist[v]
-        )
-        ways = [0] * (full + 1)
-        for v in order:
-            if v & (v - 1) == 0:
-                ways[v] = 1
-                continue
-            total = 0
-            d = dist[v]
-            for s in range(k):
-                w = img[s][v]
-                if dist[w] == d - 1:
-                    total += ways[w]
-            ways[v] = total
-        return ways[full]
-
-    dist = _swlen_distances(dfa, img)
-    width = k + 1
-    start = full_set(n) * width
-    if dist[start] is None:
-        raise NotSynchronizingError("no singleton reachable from the full state set")
-    nodes = [node for node, d in enumerate(dist) if d is not None]
-    nodes.sort(key=lambda node: dist[node])
-    ways = [0] * len(dist)
-    for node in nodes:
-        v, last = divmod(node, width)
-        if v & (v - 1) == 0:
-            ways[node] = 1
-            continue
-        d = dist[node]
-        total = 0
-        for s in range(k):
-            tgt = img[s][v] * width + s + 1
-            dt = dist[tgt]
-            if dt is None:
-                continue
-            cost = 0 if last == s + 1 else 1
-            if (dt[0] + cost, dt[1] + 1) == d:
-                total += ways[tgt]
-        ways[node] = total
-    return ways[start]
+    ways = _Search(dfa, objective).tight_dag()
+    return ways[0, 0][full_set(dfa.n)]  # the start node: cost 0, tag 0
 
 
 def optimal_words(dfa: Dfa, objective: Objective = Objective.LENGTH, limit: int | None = None) -> list[Word]:
@@ -366,51 +304,9 @@ def optimal_words(dfa: Dfa, objective: Objective = Objective.LENGTH, limit: int 
         raise ValueError("the set of minimal-switch words is infinite; use SWITCH_THEN_LENGTH")
     if dfa.n == 1:
         return [Word()]
-    img = _set_image_tables(dfa)
-    n, k = dfa.n, dfa.k
     out: list[Word] = []
-
-    if objective is Objective.LENGTH:
-        dist = _length_distances(dfa, img)
-        full = full_set(n)
-        if dist[full] < 0:
-            raise NotSynchronizingError("no singleton reachable from the full state set")
-        stack: list[tuple[int, list[int]]] = [(full, [])]
-        while stack:
-            v, prefix = stack.pop()
-            if v & (v - 1) == 0:
-                out.append(Word(prefix))
-                if limit is not None and len(out) >= limit:
-                    return out
-                continue
-            d = dist[v]
-            for s in reversed(range(k)):
-                w = img[s][v]
-                if dist[w] == d - 1:
-                    stack.append((w, prefix + [s]))
-        return out
-
-    dist = _swlen_distances(dfa, img)
-    width = k + 1
-    start = full_set(n) * width
-    if dist[start] is None:
-        raise NotSynchronizingError("no singleton reachable from the full state set")
-    stack2: list[tuple[int, list[int]]] = [(start, [])]
-    while stack2:
-        node, prefix = stack2.pop()
-        v, last = divmod(node, width)
-        if v & (v - 1) == 0:
-            out.append(Word(prefix))
-            if limit is not None and len(out) >= limit:
-                return out
-            continue
-        d = dist[node]
-        for s in reversed(range(k)):
-            tgt = img[s][v] * width + s + 1
-            dt = dist[tgt]
-            if dt is None:
-                continue
-            cost = 0 if last == s + 1 else 1
-            if (dt[0] + cost, dt[1] + 1) == d:
-                stack2.append((tgt, prefix + [s]))
+    for word in _Search(dfa, objective).optimal_words():
+        out.append(word)
+        if limit is not None and len(out) >= limit:
+            break
     return out

@@ -1,8 +1,8 @@
 """Brute-force reference computations for validating the search engines.
 
 Everything here works straight from definitions (word enumeration and
-elementwise image application); none of it shares code with the BFS or
-Dijkstra engines it is used to check.
+elementwise image application); none of it shares code with the search
+engines it is used to check.
 """
 
 from itertools import product
@@ -79,6 +79,15 @@ def brute_count_shortest(dfa, length):
     return sum(
         1 for word in product(range(dfa.k), repeat=length)
         if is_singleton(apply_set(dfa, full, word))
+    )
+
+
+def brute_count_switch_then_length(dfa, switch, length):
+    """Number of synchronizing words with exactly the given switch count and length."""
+    full = full_set(dfa.n)
+    return sum(
+        1 for word in product(range(dfa.k), repeat=length)
+        if switch_count(word) == switch and is_singleton(apply_set(dfa, full, word))
     )
 
 

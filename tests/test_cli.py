@@ -114,11 +114,14 @@ def test_search_command(capsys):
     assert code == 0
     assert "max_sw=3" in out
     assert "SHARD" in err
+    header = out.splitlines()[0]
+    assert " worker_s=" in header and " wall_s=" in header and "elapsed=" not in header
 
 
 def test_cyclic_search_command(capsys):
     code, out, _ = run_cli(capsys, "cyclic-search", "--n", "3", "--k", "3", "--jobs", "1")
     assert code == 0 and "max_sw=3" in out
+    assert " wall_s=" in out.splitlines()[0]
 
 
 def test_search_guard_exit(capsys):

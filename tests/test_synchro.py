@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from oracles import (
     brute_best_switch_then_length,
     brute_count_shortest,
+    brute_count_switch_then_length,
     brute_min_switch,
     brute_min_switch_by_runs,
     brute_shortest_length,
 )
+from syncswitch.analysis import canonical_word
 from syncswitch.automaton import Dfa, Word, apply_set, full_set, is_singleton
 from syncswitch.closure import power_closure
-from syncswitch.families import cerny, cyclic_counterexample, fixture, r_family
+from syncswitch.families import a_family, cerny, cyclic_counterexample, fixture, p_variant, r_family
 from syncswitch.synchro import (
     NotSynchronizingError,
     Objective,
@@ -23,6 +25,7 @@ from syncswitch.synchro import (
     optimal_sync_word,
     optimal_words,
     shortest_sync_length,
+    subset_images,
 )
 
 SINGLE = Dfa([[0]])
@@ -31,6 +34,17 @@ IDENTITY2 = Dfa([[0, 0], [1, 1]])
 
 def random_dfa(rng, n, k=2):
     return Dfa([[rng.randrange(n) for _ in range(k)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("k", [2, 3])
+def test_subset_images_match_apply_set(n, k):
+    rng = random.Random(1000 * n + k)
+    dfa = random_dfa(rng, n, k)
+    subsets = range(1 << n)
+    images = subset_images(dfa)(subsets)
+    for s in range(k):
+        assert images[s] == [apply_set(dfa, v, [s]) for v in subsets]
 
 
 def test_is_synchronizing():
@@ -150,6 +164,26 @@ def test_brute_force_count():
         checked += 1
         ssl = shortest_sync_length(dfa)
         assert count_optimal_words(dfa, Objective.LENGTH) == brute_count_shortest(dfa, ssl)
+
+
+def test_brute_force_count_switch_then_length():
+    rng = random.Random(19)
+    randoms = (random_dfa(rng, 4, k) for k in [2] * 60 + [3] * 60)
+    synchronizing = [dfa for dfa in randoms if is_synchronizing(dfa)]
+    # p_variant(4) has three optimal words over four symbols
+    for dfa in [cerny(4), p_variant(4), a_family(5), cyclic_counterexample()] + synchronizing:
+        best = optimal_sync_word(dfa, Objective.SWITCH_THEN_LENGTH)
+        assert (best.switch, best.length) == brute_best_switch_then_length(dfa, best.length)
+        assert count_optimal_words(dfa, Objective.SWITCH_THEN_LENGTH) == \
+            brute_count_switch_then_length(dfa, best.switch, best.length)
+    assert len(synchronizing) >= 40
+
+
+def test_canonical_word_is_unique_optimum_at_18():
+    dfa = a_family(18)
+    best = optimal_sync_word(dfa, Objective.SWITCH_THEN_LENGTH)
+    assert best.word == canonical_word(18)
+    assert count_optimal_words(dfa, Objective.SWITCH_THEN_LENGTH) == 1
 
 
 # ---------------------------------------------------------------------
