@@ -1,5 +1,5 @@
-"""Core DFA model: transition tables, words, state sets, canonical forms,
-and the plain-text interchange format.
+"""Core DFA model: transition tables, words, state sets, isomorphism
+conventions, and the plain-text interchange format.
 
 States are indexed 0..n-1 and symbols 0..k-1 (rendered 'a', 'b', ...).
 State sets are plain ints used as bit vectors: bit q is set iff state q
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from enum import Enum
-from itertools import permutations
 from operator import index as _as_int
 from typing import Iterable, Iterator, Sequence
 
@@ -57,7 +56,8 @@ class WordSymbolError(ValueError):
 
 
 class IsoConvention(Enum):
-    """Which relabelings count as isomorphisms for canonical forms."""
+    """Which relabelings count as isomorphisms for canonical forms
+    (`search.canonical_form`)."""
 
     STATES_ONLY = "states"
     STATES_AND_SYMBOLS = "states+symbols"
@@ -284,44 +284,6 @@ def preimage(dfa: Dfa, bits: int, s: int) -> int:
         if (bits >> dfa.rows[q][s]) & 1:
             pre |= 1 << q
     return pre
-
-
-# ---------------------------------------------------------------------------
-# Canonical forms
-# ---------------------------------------------------------------------------
-
-_CANONICAL_MAX_STATES = 9
-
-
-def canonical_form(dfa: Dfa, convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS) -> Dfa:
-    """Lexicographically minimal transition table over all relabelings.
-
-    Two automata are isomorphic under the convention iff their canonical
-    forms are equal.  Explicit minimization over n! (times k!) relabelings;
-    only intended for the small automata that come out of extremal searches.
-    """
-    n, k = dfa.n, dfa.k
-    if n > _CANONICAL_MAX_STATES:
-        raise ValueError(f"canonical_form supports at most {_CANONICAL_MAX_STATES} states")
-    if convention is IsoConvention.STATES_AND_SYMBOLS:
-        symbol_orders = list(permutations(range(k)))
-    else:
-        symbol_orders = [tuple(range(k))]
-    rows = dfa.rows
-    best = None
-    for order in permutations(range(n)):
-        # order[p] = old state placed at new index p
-        rank = [0] * n
-        for p, q in enumerate(order):
-            rank[q] = p
-        for sym_order in symbol_orders:
-            cand = tuple(
-                tuple(rank[rows[order[p]][sym_order[t]]] for t in range(k))
-                for p in range(n)
-            )
-            if best is None or cand < best:
-                best = cand
-    return Dfa(best)
 
 
 # ---------------------------------------------------------------------------

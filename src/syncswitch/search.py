@@ -2,15 +2,17 @@
 
 Enumeration is raw: every table in mixed-radix order, cheap rejection first
 (at least one symbol must be non-injective), synchronization and switch
-count after.  Two engines share that contract: a plain-Python reference
-scanner, kept simple enough to audit, and a numpy engine that runs the same
-breadth-first switch search on whole batches of automata at once.  Shards
-are independent index ranges; their reports merge associatively.
+count after.  One numpy scanner runs the breadth-first switch search on
+whole batches of automata at once, and one batch canonicalizer reduces the
+extremal tables to forms up to isomorphism; `canonical_form` is its
+one-table call.  Shards are independent index ranges; their reports merge
+associatively.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -19,8 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .automaton import Dfa, IsoConvention, canonical_form, serialize_dfa
-from .synchro import is_synchronizing, min_switch_count
+from .automaton import Dfa, IsoConvention, serialize_dfa
 
 
 class SearchSpaceError(ValueError):
@@ -40,28 +41,12 @@ def _max_power(n: int) -> int:
     return n - 1 + _LANDAU[n]
 
 
-@dataclass(frozen=True)
-class Shard:
-    """A half-open range of enumeration indices for one search space."""
-
-    n: int
-    k: int
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        total = self.n ** (self.n * self.k)
-        if not 0 <= self.lo <= self.hi <= total:
-            raise ValueError(f"shard range [{self.lo}, {self.hi}) outside [0, {total})")
-
-
-def shard_space(n: int, k: int, count: int) -> list[Shard]:
-    """Partition the full enumeration space [0, n**(n*k)) into `count` shards."""
+def shard_space(total: int, count: int) -> list[tuple[int, int]]:
+    """Partition the enumeration indices [0, total) into `count` half-open ranges."""
     if count < 1:
         raise ValueError("need at least one shard")
-    total = n ** (n * k)
     bounds = [total * i // count for i in range(count + 1)]
-    return [Shard(n, k, bounds[i], bounds[i + 1]) for i in range(count)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def decode_table(n: int, k: int, index: int) -> tuple[tuple[int, ...], ...]:
@@ -119,21 +104,23 @@ def empty_report(n: int, k: int, convention: IsoConvention = IsoConvention.STATE
 
 
 def merge_reports(r1: ExtremalReport, r2: ExtremalReport) -> ExtremalReport:
-    """Associative, commutative merge: larger max wins, ties union the forms."""
+    """Associative, commutative merge: larger max wins, ties union the forms.
+
+    A losing side's truncation does not matter: none of its tables attain
+    the winning maximum.
+    """
     if (r1.n, r1.k, r1.convention) != (r2.n, r2.k, r2.convention):
         raise ValueError("cannot merge reports over different search spaces")
-    if r2.max_sw is None or (r1.max_sw is not None and r1.max_sw > r2.max_sw):
-        max_sw, forms = r1.max_sw, dict(r1.forms)
-    elif r1.max_sw is None or r2.max_sw > r1.max_sw:
-        max_sw, forms = r2.max_sw, dict(r2.forms)
-    else:
-        max_sw = r1.max_sw
+    if r1.max_sw == r2.max_sw:
+        max_sw, complete = r1.max_sw, r1.complete and r2.complete
         forms = {c: r1.forms[c] | r2.forms[c] for c in IsoConvention}
+    else:
+        win = max(r1, r2, key=lambda r: -1 if r.max_sw is None else r.max_sw)
+        max_sw, forms, complete = win.max_sw, dict(win.forms), win.complete
     return ExtremalReport(
         n=r1.n, k=r1.k, convention=r1.convention, max_sw=max_sw,
         forms=forms, scanned=r1.scanned + r2.scanned,
-        elapsed=r1.elapsed + r2.elapsed,
-        complete=r1.complete and r2.complete,
+        elapsed=r1.elapsed + r2.elapsed, complete=complete,
     )
 
 
@@ -153,37 +140,6 @@ def format_report(report: ExtremalReport) -> str:
         lines.append(f"# extremal form {i + 1}")
         lines.append(serialize_dfa(dfa).rstrip("\n"))
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Reference scanner (plain Python, trivially auditable)
-# ---------------------------------------------------------------------------
-
-def _scan_reference(n: int, k: int, lo: int, hi: int, cyclic: bool = False):
-    """Scan an index range one table at a time; returns (max_sw, tables, scanned)."""
-    best = -1
-    tables: list[tuple[tuple[int, ...], ...]] = []
-    free_k = k - 1 if cyclic else k
-    cycle = tuple((q + 1) % n for q in range(n))
-    for index in range(lo, hi):
-        if cyclic:
-            free = decode_table(n, free_k, index)
-            rows = tuple((cycle[q],) + free[q] for q in range(n))
-        else:
-            rows = decode_table(n, k, index)
-        # cheap rejection: some symbol must merge two states
-        if all(len(set(col)) == n for col in zip(*rows)):
-            continue
-        dfa = Dfa(rows)
-        if not is_synchronizing(dfa):
-            continue
-        sw = min_switch_count(dfa)
-        if sw > best:
-            best = sw
-            tables = [rows]
-        elif sw == best:
-            tables.append(rows)
-    return (best if best >= 0 else None), tables, hi - lo
 
 
 # ---------------------------------------------------------------------------
@@ -277,113 +233,119 @@ def _switch_counts_batch(n: int, delta: "np.ndarray", cyclic: bool) -> "np.ndarr
 
 
 def _scan_numpy(n: int, k: int, lo: int, hi: int, cyclic: bool = False, chunk: int | None = None):
-    """Same contract as `_scan_reference`, vectorized over batches of tables."""
+    """Scan the index range [lo, hi) in batches of `chunk` tables.
+
+    Returns (max_sw, tables, scanned, truncated): the maximal switch count
+    (None if no table synchronizes), the tables attaining it as row tuples
+    in index order, and whether more than `_COLLECT_CAP` of them were found.
+    In cyclic mode an index encodes the k-1 free columns and the tables gain
+    the standard n-cycle as symbol 0.
+    """
     size = 1 << n
     if chunk is None:
         chunk = max(2048, min(32768, (1 << 21) // size))
     free_k = k - 1 if cyclic else k
     digit_count = n * free_k
     powers = [n ** (digit_count - 1 - pos) for pos in range(digit_count)]
+    cycle = np.roll(np.arange(n, dtype=np.int16), -1)[:, None]
 
     best = -1
     tables: list[tuple[tuple[int, ...], ...]] = []
     truncated = False
 
     for start in range(lo, hi, chunk):
-        stop = min(start + chunk, hi)
-        idx = np.arange(start, stop, dtype=np.int64)
+        idx = np.arange(start, min(start + chunk, hi), dtype=np.int64)
         b = idx.shape[0]
         digits = np.empty((b, digit_count), dtype=np.int16)
         for pos in range(digit_count):
             digits[:, pos] = (idx // powers[pos]) % n
-        sw = _switch_counts_batch(n, digits.reshape(b, n, free_k), cyclic)
+        free = digits.reshape(b, n, free_k)
+        sw = _switch_counts_batch(n, free, cyclic)
 
         batch_best = int(sw.max(initial=-1))
         if batch_best > best:
-            best = batch_best
-            tables = []
-        if batch_best == best and best >= 0:
-            cycle = tuple((q + 1) % n for q in range(n))
-            for i in np.nonzero(sw == best)[0]:
-                if len(tables) >= _COLLECT_CAP:
-                    truncated = True
-                    break
-                table_index = int(idx[i])
-                if cyclic:
-                    free = decode_table(n, free_k, table_index)
-                    tables.append(tuple((cycle[q],) + free[q] for q in range(n)))
-                else:
-                    tables.append(decode_table(n, k, table_index))
+            best, tables, truncated = batch_best, [], False
+        if batch_best == best >= 0:
+            hits = np.nonzero(sw == best)[0]
+            room = _COLLECT_CAP - len(tables)
+            truncated |= hits.size > room
+            found = free[hits[:room]]
+            if cyclic:
+                found = np.concatenate((np.broadcast_to(cycle, (len(found), n, 1)), found), axis=2)
+            tables.extend(tuple(map(tuple, rows)) for rows in found.tolist())
     return (best if best >= 0 else None), tables, hi - lo, truncated
 
 
 # ---------------------------------------------------------------------------
-# Batch canonicalization
+# Canonicalization
 #
 # Extremal searches can surface tens of thousands of tables attaining the
 # maximum (the cyclic spaces especially), so the n!-candidate minimization
-# is vectorized: all relabeled tables are built at once and compared as
-# packed integer keys.  Semantics match `canonical_form` exactly and the
-# test suite cross-checks the two.
+# is vectorized: all relabeled tables of a chunk are built at once, and each
+# candidate's n*k uint8 entries are compared as one fixed-width byte string,
+# which orders exactly as the row tuples do.  The gather that builds the
+# candidates reads them as 8-byte indices, so a chunk holds about 2**22
+# candidate entries (32 MiB of indices), but at least one table.
 # ---------------------------------------------------------------------------
+
+_CANONICAL_MAX_STATES = 9
+
 
 @lru_cache(maxsize=8)
 def _perm_arrays(n: int):
     p = np.array(list(permutations(range(n))), dtype=np.int64)
-    return p, np.argsort(p, axis=1)
+    return p, np.argsort(p, axis=1).astype(np.uint8)
 
 
 def _canonical_tables(n: int, k: int, tables) -> dict[IsoConvention, set[tuple]]:
-    """Canonical forms of many tables under both conventions."""
+    """Canonical forms of many n-state k-symbol tables under both conventions.
+
+    A form is the lexicographically minimal table over all state
+    relabelings, and under STATES_AND_SYMBOLS over all symbol orders too.
+    """
     out: dict[IsoConvention, set[tuple]] = {c: set() for c in IsoConvention}
     if not tables:
         return out
-    bits = max(1, (n - 1).bit_length())
-    if n > 8 or n * k * bits > 63:
-        for rows in tables:
-            dfa = Dfa(rows)
-            for conv in IsoConvention:
-                out[conv].add(canonical_form(dfa, conv).rows)
-        return out
-
     perms, ranks = _perm_arrays(n)
-    ranks = ranks.astype(np.uint8)
     nperm = perms.shape[0]
+    width = n * k
     jidx = np.arange(nperm)[None, :, None, None]
     arr = np.array(tables, dtype=np.uint8)  # (m, n, k)
-    m = arr.shape[0]
-    chunk = max(16, (1 << 25) // (nperm * n * k))
-    sym_orders = list(permutations(range(k)))
-    for start in range(0, m, chunk):
+    chunk = max(1, (1 << 22) // (nperm * width))
+    identity = tuple(range(k))
+    for start in range(0, arr.shape[0], chunk):
         sub = arr[start:start + chunk]
-        ms = sub.shape[0]
-        best_key = None
-        best_tab = None
-        ident_tab = None
-        for sym in sym_orders:
-            relabeled = sub[:, :, list(sym)][:, perms, :]       # (ms, n!, n, k)
-            cand = ranks[jidx, relabeled]                       # (ms, n!, n, k)
-            flat = cand.reshape(ms, nperm, n * k)
-            key = np.zeros((ms, nperm), dtype=np.int64)
-            for pos in range(n * k):
-                key = (key << bits) | flat[:, :, pos]
-            jmin = key.argmin(axis=1)
-            kmin = key[np.arange(ms), jmin]
-            tmin = cand[np.arange(ms), jmin]                    # (ms, n, k)
-            if sym == tuple(range(k)):
-                ident_tab = tmin
-            if best_key is None:
-                best_key, best_tab = kmin, tmin
+        rows = np.arange(sub.shape[0])
+        best_key = best_tab = None
+        for sym in permutations(range(k)):
+            # candidate j places old state perms[j, p] at index p and
+            # renames every target q to ranks[j, q]
+            cand = ranks[jidx, sub[:, :, list(sym)][:, perms, :]]  # (ms, n!, n, k)
+            keys = np.ascontiguousarray(cand).reshape(len(rows), nperm, width).view(f"S{width}")[:, :, 0]
+            jmin = keys.argmin(axis=1)
+            key, tab = keys[rows, jmin], cand[rows, jmin]
+            if sym == identity:
+                out[IsoConvention.STATES_ONLY].update(tuple(map(tuple, t)) for t in tab.tolist())
+                best_key, best_tab = key, tab
             else:
-                better = kmin < best_key
-                best_key = np.where(better, kmin, best_key)
-                best_tab = np.where(better[:, None, None], tmin, best_tab)
-        for i in range(ms):
-            out[IsoConvention.STATES_ONLY].add(
-                tuple(tuple(int(t) for t in row) for row in ident_tab[i]))
-            out[IsoConvention.STATES_AND_SYMBOLS].add(
-                tuple(tuple(int(t) for t in row) for row in best_tab[i]))
+                better = key < best_key
+                best_key = np.where(better, key, best_key)
+                best_tab = np.where(better[:, None, None], tab, best_tab)
+        out[IsoConvention.STATES_AND_SYMBOLS].update(tuple(map(tuple, t)) for t in best_tab.tolist())
     return out
+
+
+def canonical_form(dfa: Dfa, convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS) -> Dfa:
+    """Lexicographically minimal transition table over all relabelings.
+
+    Two automata are isomorphic under the convention iff their canonical
+    forms are equal.  Explicit minimization over n! (times k!) relabelings;
+    only intended for the small automata that come out of extremal searches.
+    """
+    if dfa.n > _CANONICAL_MAX_STATES:
+        raise ValueError(f"canonical_form supports at most {_CANONICAL_MAX_STATES} states")
+    (rows,) = _canonical_tables(dfa.n, dfa.k, [dfa.rows])[convention]
+    return Dfa(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +353,9 @@ def _canonical_tables(n: int, k: int, tables) -> dict[IsoConvention, set[tuple]]
 # ---------------------------------------------------------------------------
 
 def _scan_worker(args):
-    n, k, lo, hi, cyclic, engine = args
+    n, k, lo, hi, cyclic = args
     t0 = time.monotonic()
-    if engine == "reference":
-        max_sw, tables, scanned = _scan_reference(n, k, lo, hi, cyclic)
-        truncated = False
-    else:
-        max_sw, tables, scanned, truncated = _scan_numpy(n, k, lo, hi, cyclic)
+    max_sw, tables, scanned, truncated = _scan_numpy(n, k, lo, hi, cyclic)
     forms = _canonical_tables(n, k, tables)
     picklable = {conv.value: sorted(tabs) for conv, tabs in forms.items()}
     return max_sw, picklable, scanned, truncated, time.monotonic() - t0, (lo, hi)
@@ -414,27 +372,15 @@ def _report_from_scan(n, k, convention, max_sw, form_tables, scanned, elapsed, t
     )
 
 
-def _run_shards(n, k, total, cyclic, shards, parallelism, engine, convention, progress):
+def _run_shards(n, k, total, cyclic, shards, parallelism, convention, progress):
     if shards is None:
         shards = max(1, min((parallelism or 1) * 8, total))
-    bounds = [total * i // shards for i in range(shards + 1)]
-    jobs = [
-        (n, k, bounds[i], bounds[i + 1], cyclic, engine)
-        for i in range(shards)
-        if bounds[i] < bounds[i + 1]
-    ]
+    jobs = [(n, k, lo, hi, cyclic) for lo, hi in shard_space(total, shards) if lo < hi]
     report = empty_report(n, k, convention)
-    if parallelism and parallelism > 1 and len(jobs) > 1:
-        with Pool(parallelism) as pool:
-            results = pool.imap_unordered(_scan_worker, jobs)
-            for max_sw, tables, scanned, truncated, elapsed, (lo, hi) in results:
-                part = _report_from_scan(n, k, convention, max_sw, tables, scanned, elapsed, truncated)
-                if progress:
-                    progress(f"SHARD [{lo},{hi}) DONE max={max_sw} forms={part.form_count()}")
-                report = merge_reports(report, part)
-    else:
-        for job in jobs:
-            max_sw, tables, scanned, truncated, elapsed, (lo, hi) = _scan_worker(job)
+    parallel = parallelism and parallelism > 1 and len(jobs) > 1
+    with Pool(parallelism) if parallel else nullcontext() as pool:
+        results = pool.imap_unordered(_scan_worker, jobs) if parallel else map(_scan_worker, jobs)
+        for max_sw, tables, scanned, truncated, elapsed, (lo, hi) in results:
             part = _report_from_scan(n, k, convention, max_sw, tables, scanned, elapsed, truncated)
             if progress:
                 progress(f"SHARD [{lo},{hi}) DONE max={max_sw} forms={part.form_count()}")
@@ -450,7 +396,6 @@ def extremal_search(
     *,
     long: bool = False,
     allow_huge: bool = False,
-    engine: str = "numpy",
     convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS,
     progress: Callable[[str], None] | None = None,
 ) -> ExtremalReport:
@@ -475,9 +420,7 @@ def extremal_search(
         raise SearchSpaceError(
             f"{total} tables exceed the quick-search threshold; pass long=True"
         )
-    if engine not in ("numpy", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    return _run_shards(n, k, total, False, shards, parallelism, engine, convention, progress)
+    return _run_shards(n, k, total, False, shards, parallelism, convention, progress)
 
 
 def cyclic_extremal_search(
@@ -487,7 +430,6 @@ def cyclic_extremal_search(
     parallelism: int | None = None,
     *,
     long: bool = False,
-    engine: str = "numpy",
     convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS,
     progress: Callable[[str], None] | None = None,
 ) -> ExtremalReport:
@@ -505,6 +447,4 @@ def cyclic_extremal_search(
         raise SearchSpaceError(
             f"{total} tables exceed the quick-search threshold; pass long=True"
         )
-    if engine not in ("numpy", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    return _run_shards(n, k, total, True, shards, parallelism, engine, convention, progress)
+    return _run_shards(n, k, total, True, shards, parallelism, convention, progress)

@@ -1,13 +1,13 @@
 """Brute-force reference computations for validating the search engines.
 
-Everything here works straight from definitions (word enumeration and
-elementwise image application); none of it shares code with the search
-engines it is used to check.
+Everything here works straight from definitions (word enumeration,
+elementwise image application, and relabeling one candidate at a time);
+none of it shares code with the search engines it is used to check.
 """
 
-from itertools import product
+from itertools import permutations, product
 
-from syncswitch.automaton import apply_set, full_set, is_singleton, switch_count
+from syncswitch.automaton import Dfa, IsoConvention, apply_set, full_set, is_singleton, switch_count
 
 
 def enumerate_sync_words(dfa, max_len):
@@ -99,3 +99,31 @@ def brute_best_switch_then_length(dfa, max_len):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def brute_canonical_form(dfa, convention):
+    """Lexicographically minimal table over all relabelings, one at a time.
+
+    Under STATES_ONLY only states are relabeled; under STATES_AND_SYMBOLS
+    the symbols are permuted too.
+    """
+    n, k = dfa.n, dfa.k
+    if convention is IsoConvention.STATES_AND_SYMBOLS:
+        symbol_orders = list(permutations(range(k)))
+    else:
+        symbol_orders = [tuple(range(k))]
+    rows = dfa.rows
+    best = None
+    for order in permutations(range(n)):
+        # order[p] = old state placed at new index p
+        rank = [0] * n
+        for p, q in enumerate(order):
+            rank[q] = p
+        for sym_order in symbol_orders:
+            cand = tuple(
+                tuple(rank[rows[order[p]][sym_order[t]]] for t in range(k))
+                for p in range(n)
+            )
+            if best is None or cand < best:
+                best = cand
+    return Dfa(best)

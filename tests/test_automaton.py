@@ -11,7 +11,6 @@ from syncswitch.automaton import (
     Word,
     apply_set,
     apply_state,
-    canonical_form,
     full_set,
     is_singleton,
     parse_dfa,
@@ -22,6 +21,7 @@ from syncswitch.automaton import (
     switch_count,
 )
 from syncswitch.families import cerny
+from syncswitch.search import canonical_form
 
 
 # ---------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import dataclasses
 import random
 
 import pytest
 
+from oracles import brute_canonical_form
+from syncswitch import search
 from syncswitch.automaton import Dfa, IsoConvention
 from syncswitch.search import (
     SearchSpaceError,
-    Shard,
+    canonical_form,
     cyclic_extremal_search,
     decode_table,
     empty_report,
@@ -15,9 +18,41 @@ from syncswitch.search import (
     merge_reports,
     shard_space,
     _scan_numpy,
-    _scan_reference,
 )
-from syncswitch.synchro import is_synchronizing, min_switch_count, shortest_sync_length
+from syncswitch.synchro import (
+    NotSynchronizingError,
+    is_synchronizing,
+    min_switch_count,
+    shortest_sync_length,
+)
+
+
+def _scan_reference(n: int, k: int, lo: int, hi: int, cyclic: bool = False):
+    """Plain-Python scan of an index range, one table at a time, with the
+    scalar engines; returns (max_sw, tables, scanned) like `_scan_numpy`."""
+    best = -1
+    tables: list[tuple[tuple[int, ...], ...]] = []
+    free_k = k - 1 if cyclic else k
+    cycle = tuple((q + 1) % n for q in range(n))
+    for index in range(lo, hi):
+        if cyclic:
+            free = decode_table(n, free_k, index)
+            rows = tuple((cycle[q],) + free[q] for q in range(n))
+        else:
+            rows = decode_table(n, k, index)
+        # cheap rejection: some symbol must merge two states
+        if all(len(set(col)) == n for col in zip(*rows)):
+            continue
+        dfa = Dfa(rows)
+        if not is_synchronizing(dfa):
+            continue
+        sw = min_switch_count(dfa)
+        if sw > best:
+            best = sw
+            tables = [rows]
+        elif sw == best:
+            tables.append(rows)
+    return (best if best >= 0 else None), tables, hi - lo
 
 
 def test_decode_encode_round_trip():
@@ -32,13 +67,17 @@ def test_decode_encode_round_trip():
 
 
 def test_shard_space_partitions():
-    shards = shard_space(3, 2, 5)
-    assert shards[0].lo == 0 and shards[-1].hi == 3 ** 6
-    assert sum(s.hi - s.lo for s in shards) == 3 ** 6
-    for a, b in zip(shards, shards[1:]):
-        assert a.hi == b.lo
+    for total in (3 ** 6, 5 ** 5, 3):
+        shards = shard_space(total, 5)
+        assert len(shards) == 5
+        assert shards[0][0] == 0 and shards[-1][1] == total
+        assert sum(hi - lo for lo, hi in shards) == total
+        for a, b in zip(shards, shards[1:]):
+            assert a[1] == b[0] and a[0] <= a[1]
     with pytest.raises(ValueError):
-        Shard(3, 2, 0, 3 ** 6 + 1)
+        shard_space(3 ** 6, 0)
+    with pytest.raises(ValueError):
+        extremal_search(3, shards=0)
 
 
 def test_engines_agree_exhaustively_small():
@@ -88,7 +127,7 @@ def test_pair_criterion_never_rejects():
         try:
             shortest_sync_length(dfa)
             by_subsets = True
-        except Exception:
+        except NotSynchronizingError:
             by_subsets = False
         assert by_pairs == by_subsets
 
@@ -104,13 +143,31 @@ def test_merge_reports():
         merge_reports(r3, empty_report(4, 2))
 
 
+def test_merge_completeness_follows_the_winner():
+    full = extremal_search(3)
+    lost = dataclasses.replace(empty_report(3, 2), max_sw=2, complete=False)
+    assert merge_reports(full, lost).complete and merge_reports(lost, full).complete
+    tied = dataclasses.replace(full, complete=False)
+    assert not merge_reports(full, tied).complete
+    assert not merge_reports(tied, full).complete
+
+
+def test_truncation_resets_when_the_maximum_rises(monkeypatch):
+    # chunks of 8 tables: the second and the third each hold one table
+    # with switch count 2, two in all, over the cap; the fourth holds the
+    # only table with 3
+    monkeypatch.setattr(search, "_COLLECT_CAP", 1)
+    max_sw, tables, scanned, truncated = _scan_numpy(3, 2, 0, 32, chunk=8)
+    assert (max_sw, len(tables), scanned, truncated) == (3, 1, 32, False)
+
+
 def test_merge_commutative():
     from syncswitch.search import _scan_worker, _report_from_scan
 
     parts = []
     total = 3 ** 6
     for lo, hi in [(0, total // 2), (total // 2, total)]:
-        max_sw, forms, scanned, trunc, elapsed, _ = _scan_worker((3, 2, lo, hi, False, "numpy"))
+        max_sw, forms, scanned, trunc, elapsed, _ = _scan_worker((3, 2, lo, hi, False))
         parts.append(_report_from_scan(3, 2, IsoConvention.STATES_AND_SYMBOLS,
                                        max_sw, forms, scanned, elapsed, trunc))
     ab = merge_reports(parts[0], parts[1])
@@ -153,6 +210,15 @@ def test_format_report():
     text = format_report(report)
     assert "max_sw=3" in text and "scanned=729" in text
     assert text.count("# extremal form") == report.form_count()
+    assert "# warning" not in text
+
+
+def test_format_report_truncation_warning(monkeypatch):
+    monkeypatch.setattr(search, "_COLLECT_CAP", 1)
+    report = extremal_search(3)
+    assert not report.complete
+    lines = format_report(report).splitlines()
+    assert lines[1] == "# warning: extremal collection was truncated"
 
 
 def test_progress_lines():
@@ -160,3 +226,30 @@ def test_progress_lines():
     extremal_search(3, shards=4, progress=lines.append)
     assert len(lines) == 4
     assert all(line.startswith("SHARD [") and "DONE max=" in line for line in lines)
+
+
+@pytest.mark.parametrize("conv", list(IsoConvention))
+def test_canonical_form_matches_reference(conv):
+    rng = random.Random(4)
+    for _ in range(120):
+        n, k = rng.randint(1, 6), rng.randint(1, 3)
+        dfa = Dfa([[rng.randrange(n) for _ in range(k)] for _ in range(n)])
+        assert canonical_form(dfa, conv) == brute_canonical_form(dfa, conv)
+
+
+def test_canonical_form_matches_reference_n8_k3():
+    rng = random.Random(8)
+    dfa = Dfa([[rng.randrange(8) for _ in range(3)] for _ in range(8)])
+    for conv in IsoConvention:
+        assert canonical_form(dfa, conv) == brute_canonical_form(dfa, conv)
+
+
+@pytest.mark.parametrize("n, k, cyclic", [(3, 2, False), (5, 2, True)])
+def test_search_forms_match_reference(n, k, cyclic):
+    total = n ** (n * (k - 1 if cyclic else k))
+    max_sw, tables, _, _ = _scan_numpy(n, k, 0, total, cyclic)
+    report = (cyclic_extremal_search if cyclic else extremal_search)(n, k)
+    assert report.max_sw == max_sw
+    for conv in IsoConvention:
+        expected = {brute_canonical_form(Dfa(rows), conv) for rows in tables}
+        assert report.forms[conv] == expected
