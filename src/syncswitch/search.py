@@ -1,12 +1,12 @@
 """Exhaustive extremal searches over small transition tables.
 
 Enumeration is raw: every table in mixed-radix order, cheap rejection first
-(at least one symbol must be non-injective), synchronization and switch
-count after.  One numpy scanner runs the breadth-first switch search on
-whole batches of automata at once, and one batch canonicalizer reduces the
-extremal tables to forms up to isomorphism; `canonical_form` is its
-one-table call.  Shards are independent index ranges; their reports merge
-associatively.
+(at least one symbol must be non-injective), switch count after.  One numpy
+kernel searches a whole batch of automata at once by applying symbol runs
+to a flat frontier of (table, subset) entries, and one batch canonicalizer
+reduces the extremal tables to forms up to isomorphism; `canonical_form`
+is its one-table call.  Shards are independent index ranges; their
+reports merge associatively.
 """
 
 from __future__ import annotations
@@ -32,13 +32,6 @@ class SearchSpaceError(ValueError):
 LONG_THRESHOLD = 20_000_000
 # Gathered extremal tables per scan before the report is marked incomplete.
 _COLLECT_CAP = 100_000
-# Distinct functional powers of a transformation on n points all appear
-# among exponents 1 .. n-1 + Landau(n).
-_LANDAU = {1: 1, 2: 2, 3: 3, 4: 4, 5: 6, 6: 6, 7: 12, 8: 15, 9: 20}
-
-
-def _max_power(n: int) -> int:
-    return n - 1 + _LANDAU[n]
 
 
 def shard_space(total: int, count: int) -> list[tuple[int, int]]:
@@ -146,121 +139,116 @@ def format_report(report: ExtremalReport) -> str:
 # Batched numpy scanner
 # ---------------------------------------------------------------------------
 
-def _switch_counts_batch(n: int, delta: "np.ndarray", cyclic: bool) -> "np.ndarray":
-    """Switch counts for a batch of tables; -1 marks non-synchronizing ones.
+def _image_maps(n: int, cols: "np.ndarray") -> "np.ndarray":
+    """Subset-image maps, shape (m, 2^n), of the m transformations in `cols`."""
+    img = np.zeros((cols.shape[0], 1 << n), dtype=np.uint8 if n <= 8 else np.uint16)
+    bits = np.left_shift(1, cols.astype(img.dtype))
+    for q in range(n):  # the subsets with highest state q: those below 2^q, plus q
+        img[:, 1 << q:2 << q] = img[:, :1 << q] | bits[:, q, None]
+    return img
 
-    `delta` holds the free transition columns, shape (b, n, free_k); in
-    cyclic mode the implicit extra first symbol is the standard n-cycle.
-    Tables whose symbols are all injective are rejected up front, the rest
-    get per-symbol subset-image maps and their functional powers, and one
-    breadth-first level runs at a time across the whole batch.  A table's
-    switch count is the first level at which a singleton subset appears
-    (the power-closure reading of switch counts: one BFS edge per maximal
-    symbol run).
+
+def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray | None" = None):
+    """Switch counts of a batch of tables (-1: not synchronizing), and the
+    number of them rejected up front because every symbol is injective.
+
+    `delta` holds the free columns, shape (b, n, free_k).  `fixed`, one
+    transformation shared by the batch (the n-cycle in cyclic search), is
+    every table's symbol 0.  The breadth-first search starts at the full
+    set and one edge is one maximal symbol run, so a table's switch count
+    is the first level that reaches a singleton.
     """
     b, _, free_k = delta.shape
-    size = 1 << n
-    full = size - 1
-    dtype = np.uint8 if size <= 256 else np.uint16
-    singleton_cols = np.array([1 << q for q in range(n)], dtype=np.int64)
-    jmax = _max_power(n)
-    out = np.full(b, -1, dtype=np.int16)
+    full = (1 << n) - 1
+    # a column is injective iff its n target bits cover every state
+    bits = np.left_shift(1, delta.astype(np.int32))
+    injective = (np.bitwise_or.reduce(bits, axis=1) == full).all(axis=1)
+    injective &= fixed is None or len(set(fixed.tolist())) == n
 
-    # In cyclic mode symbol 0 is the standard cycle for every table; its
-    # subset images are plain bit rotations, shared across the batch.
-    shared_maps = []
-    if cyclic:
-        for j in range(1, n):
-            rot = [((v << j) | (v >> (n - j))) & full for v in range(size)]
-            shared_maps.append(np.array(rot, dtype=dtype))
+    # (map, index mask) per symbol: a free symbol's map is flat and indexed
+    # like the frontier, the fixed symbol's one map by the subset alone
+    maps = [(_image_maps(n, delta[:, :, s]).reshape(-1), -1) for s in range(free_k)]
+    if fixed is not None:
+        maps.append((_image_maps(n, fixed[None, :])[0], full))
 
-    # stage 1: keep only tables with at least one non-injective symbol
-    # (the cyclic symbol is a permutation, so only free columns matter)
-    noninj = np.zeros(b, dtype=bool)
-    for s in range(free_k):
-        col = np.sort(delta[:, :, s], axis=1)
-        noninj |= (col[:, 1:] == col[:, :-1]).any(axis=1)
-    keep = np.nonzero(noninj)[0]
-    if keep.size == 0:
-        return out
-    d = delta[keep]
-    bs = keep.size
-
-    # subset-image maps, built over subsets in increasing order
-    bit = np.left_shift(1, d.astype(np.int64))  # (bs, n, free_k)
-    per_maps = []
-    for s in range(free_k):
-        img = np.zeros((bs, size), dtype=dtype)
-        bits_s = bit[:, :, s].astype(dtype)
-        for v in range(1, size):
-            low = v & (v - 1)
-            q = (v ^ low).bit_length() - 1
-            img[:, v] = img[:, low] | bits_s[:, q]
-        base = img
-        per_maps.append(base)
-        prev = base
-        for _ in range(2, jmax + 1):
-            prev = np.take_along_axis(base, prev.astype(np.int64), axis=1)
-            per_maps.append(prev)
-
-    # batched BFS from the full set
-    visited = np.zeros((bs, size), dtype=bool)
-    visited[:, full] = True
-    frontier = visited.copy()
-    active = np.ones(bs, dtype=bool)
-    result = np.full(bs, -1, dtype=np.int16)
-    level = 0
-    while True:
+    # The frontier is flat, entries table * 2^n + subset, and a table leaves
+    # it once it is done.  mark[entry] is the stamp of the (level, symbol)
+    # pass that last reached it; stamps grow, so "visited at an earlier
+    # level" is mark < the level's first stamp (at most 2^n levels of k
+    # stamps each, so uint16 suffices).
+    unseen = np.iinfo(np.uint16).max
+    mark = np.full(b << n, unseen, dtype=np.uint16)
+    owner = np.empty(b << n, dtype=np.int32)
+    result = np.full(b, -1, dtype=np.int16)
+    frontier = (np.nonzero(~injective)[0] << n) | full
+    mark[frontier] = 0
+    stamp = level = 0
+    while frontier.size:
         level += 1
-        fr = frontier & active[:, None]
-        rows_i, cols_i = np.nonzero(fr)
-        if rows_i.size == 0:
-            break
-        nxt = np.zeros((bs, size), dtype=bool)
-        for m in per_maps:
-            nxt[rows_i, m[rows_i, cols_i]] = True
-        for m in shared_maps:
-            nxt[rows_i, m[cols_i]] = True
-        new = nxt & ~visited
-        visited |= new
-        hit = new[:, singleton_cols].any(axis=1) & active
-        result[hit] = level
-        active[hit] = False
-        frontier = new
-
-    out[keep] = result
-    return out
+        first = stamp + 1
+        reached = []
+        for img, mask in maps:
+            stamp += 1
+            cur = frontier[result[frontier >> n] < 0]
+            # Run closure: apply the symbol to the live entries again and
+            # again.  A run stops at a set visited at an earlier level or
+            # already reached by this symbol in this level, because the
+            # rest of its forward orbit is covered either way: the images
+            # of a set from level < L-1 are at levels <= L-1, a set from
+            # level L-1 is in the frontier and starts its own run, and a
+            # set this symbol reached is extended by the run that reached
+            # it.  A set that only another symbol reached in this level is
+            # no stop: its images under this symbol take one more run.
+            while cur.size:
+                nxt = (cur & ~full) | img[cur & mask]
+                seen = mark[nxt]
+                go = (seen >= first) & (seen != stamp)
+                nxt, new = nxt[go], seen[go] == unseen
+                # keep one entry of each set that several runs reach at once
+                ids = np.arange(nxt.size, dtype=np.int32)
+                owner[nxt] = ids
+                once = owner[nxt] == ids
+                nxt, new = nxt[once], new[once]
+                mark[nxt] = stamp
+                sub = nxt & full
+                single = (sub & (sub - 1)) == 0
+                if single.any():
+                    result[nxt[single] >> n] = level
+                    live = result[nxt >> n] < 0
+                    nxt, new = nxt[live], new[live]
+                reached.append(nxt[new])
+                cur = nxt
+        frontier = np.concatenate(reached)
+        frontier = frontier[result[frontier >> n] < 0]
+    return result, int(injective.sum())
 
 
 def _scan_numpy(n: int, k: int, lo: int, hi: int, cyclic: bool = False, chunk: int | None = None):
     """Scan the index range [lo, hi) in batches of `chunk` tables.
 
-    Returns (max_sw, tables, scanned, truncated): the maximal switch count
-    (None if no table synchronizes), the tables attaining it as row tuples
-    in index order, and whether more than `_COLLECT_CAP` of them were found.
-    In cyclic mode an index encodes the k-1 free columns and the tables gain
-    the standard n-cycle as symbol 0.
+    Returns (max_sw, tables, scanned, truncated, injective, nonsync): the
+    maximal switch count (None if no table synchronizes), the tables
+    attaining it as row tuples in index order, whether more than
+    `_COLLECT_CAP` of them were found, and how many tables were rejected
+    as all-injective or left non-synchronizing.  In cyclic mode an index
+    encodes the k-1 free columns; the tables gain the n-cycle as symbol 0.
     """
-    size = 1 << n
     if chunk is None:
-        chunk = max(2048, min(32768, (1 << 21) // size))
+        chunk = max(2048, min(32768, (1 << 21) >> n))
     free_k = k - 1 if cyclic else k
-    digit_count = n * free_k
-    powers = [n ** (digit_count - 1 - pos) for pos in range(digit_count)]
-    cycle = np.roll(np.arange(n, dtype=np.int16), -1)[:, None]
+    powers = np.array([n ** e for e in range(n * free_k - 1, -1, -1)], dtype=np.int64)
+    fixed = np.roll(np.arange(n, dtype=np.int16), -1) if cyclic else None
 
     best = -1
     tables: list[tuple[tuple[int, ...], ...]] = []
-    truncated = False
+    truncated, injective, nonsync = False, 0, 0
 
     for start in range(lo, hi, chunk):
         idx = np.arange(start, min(start + chunk, hi), dtype=np.int64)
-        b = idx.shape[0]
-        digits = np.empty((b, digit_count), dtype=np.int16)
-        for pos in range(digit_count):
-            digits[:, pos] = (idx // powers[pos]) % n
-        free = digits.reshape(b, n, free_k)
-        sw = _switch_counts_batch(n, free, cyclic)
+        free = (idx[:, None] // powers % n).astype(np.int16).reshape(-1, n, free_k)
+        sw, rejected = _switch_counts_batch(n, free, fixed)
+        injective += rejected
+        nonsync += int(np.count_nonzero(sw < 0)) - rejected
 
         batch_best = int(sw.max(initial=-1))
         if batch_best > best:
@@ -270,10 +258,10 @@ def _scan_numpy(n: int, k: int, lo: int, hi: int, cyclic: bool = False, chunk: i
             room = _COLLECT_CAP - len(tables)
             truncated |= hits.size > room
             found = free[hits[:room]]
-            if cyclic:
-                found = np.concatenate((np.broadcast_to(cycle, (len(found), n, 1)), found), axis=2)
+            if fixed is not None:
+                found = np.concatenate((np.broadcast_to(fixed[:, None], (len(found), n, 1)), found), axis=2)
             tables.extend(tuple(map(tuple, rows)) for rows in found.tolist())
-    return (best if best >= 0 else None), tables, hi - lo, truncated
+    return (best if best >= 0 else None), tables, hi - lo, truncated, injective, nonsync
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +272,27 @@ def _scan_numpy(n: int, k: int, lo: int, hi: int, cyclic: bool = False, chunk: i
 # is vectorized: all relabeled tables of a chunk are built at once, and each
 # candidate's n*k uint8 entries are compared as one fixed-width byte string,
 # which orders exactly as the row tuples do.  The gather that builds the
-# candidates reads them as 8-byte indices, so a chunk holds about 2**22
-# candidate entries (32 MiB of indices), but at least one table.
+# candidates reads them as 8-byte indices, so one gather holds at most
+# _CANONICAL_BUDGET entries (32 MiB of indices): whole tables when one
+# table's n! candidates fit, else a slice of one table's permutations.
 # ---------------------------------------------------------------------------
 
 _CANONICAL_MAX_STATES = 9
+_CANONICAL_BUDGET = 1 << 22
 
 
 @lru_cache(maxsize=8)
 def _perm_arrays(n: int):
-    p = np.array(list(permutations(range(n))), dtype=np.int64)
+    p = np.array(list(permutations(range(n))), dtype=np.uint8)
     return p, np.argsort(p, axis=1).astype(np.uint8)
+
+
+def _lesser(best, cand):
+    """Elementwise smaller of two (keys, tables) minima; None is no minimum."""
+    if best is None:
+        return cand
+    better = cand[0] < best[0]
+    return np.where(better, cand[0], best[0]), np.where(better[:, None, None], cand[1], best[1])
 
 
 def _canonical_tables(n: int, k: int, tables) -> dict[IsoConvention, set[tuple]]:
@@ -309,29 +307,28 @@ def _canonical_tables(n: int, k: int, tables) -> dict[IsoConvention, set[tuple]]
     perms, ranks = _perm_arrays(n)
     nperm = perms.shape[0]
     width = n * k
-    jidx = np.arange(nperm)[None, :, None, None]
+    chunk = max(1, _CANONICAL_BUDGET // (nperm * width))
+    piece = _CANONICAL_BUDGET // width
     arr = np.array(tables, dtype=np.uint8)  # (m, n, k)
-    chunk = max(1, (1 << 22) // (nperm * width))
-    identity = tuple(range(k))
     for start in range(0, arr.shape[0], chunk):
         sub = arr[start:start + chunk]
         rows = np.arange(sub.shape[0])
-        best_key = best_tab = None
+        best = None
         for sym in permutations(range(k)):
-            # candidate j places old state perms[j, p] at index p and
-            # renames every target q to ranks[j, q]
-            cand = ranks[jidx, sub[:, :, list(sym)][:, perms, :]]  # (ms, n!, n, k)
-            keys = np.ascontiguousarray(cand).reshape(len(rows), nperm, width).view(f"S{width}")[:, :, 0]
-            jmin = keys.argmin(axis=1)
-            key, tab = keys[rows, jmin], cand[rows, jmin]
-            if sym == identity:
-                out[IsoConvention.STATES_ONLY].update(tuple(map(tuple, t)) for t in tab.tolist())
-                best_key, best_tab = key, tab
-            else:
-                better = key < best_key
-                best_key = np.where(better, key, best_key)
-                best_tab = np.where(better[:, None, None], tab, best_tab)
-        out[IsoConvention.STATES_AND_SYMBOLS].update(tuple(map(tuple, t)) for t in best_tab.tolist())
+            cols = sub[:, :, list(sym)]
+            least = None
+            for lo in range(0, nperm, piece):
+                # candidate j places old state perms[j, p] at index p and
+                # renames every target q to ranks[j, q]
+                jidx = np.arange(lo, min(lo + piece, nperm))[None, :, None, None]
+                cand = ranks[jidx, cols[:, perms[lo:lo + piece], :]]  # (ms, piece, n, k)
+                keys = np.ascontiguousarray(cand).reshape(len(rows), -1, width).view(f"S{width}")[:, :, 0]
+                jmin = keys.argmin(axis=1)
+                least = _lesser(least, (keys[rows, jmin], cand[rows, jmin]))
+            if best is None:  # the identity symbol order comes first
+                out[IsoConvention.STATES_ONLY].update(tuple(map(tuple, t)) for t in least[1].tolist())
+            best = _lesser(best, least)
+        out[IsoConvention.STATES_AND_SYMBOLS].update(tuple(map(tuple, t)) for t in best[1].tolist())
     return out
 
 
@@ -355,10 +352,10 @@ def canonical_form(dfa: Dfa, convention: IsoConvention = IsoConvention.STATES_AN
 def _scan_worker(args):
     n, k, lo, hi, cyclic = args
     t0 = time.monotonic()
-    max_sw, tables, scanned, truncated = _scan_numpy(n, k, lo, hi, cyclic)
+    max_sw, tables, scanned, truncated, injective, nonsync = _scan_numpy(n, k, lo, hi, cyclic)
     forms = _canonical_tables(n, k, tables)
     picklable = {conv.value: sorted(tabs) for conv, tabs in forms.items()}
-    return max_sw, picklable, scanned, truncated, time.monotonic() - t0, (lo, hi)
+    return max_sw, picklable, scanned, truncated, time.monotonic() - t0, (lo, hi), (injective, nonsync)
 
 
 def _report_from_scan(n, k, convention, max_sw, form_tables, scanned, elapsed, truncated) -> ExtremalReport:
@@ -380,10 +377,12 @@ def _run_shards(n, k, total, cyclic, shards, parallelism, convention, progress):
     parallel = parallelism and parallelism > 1 and len(jobs) > 1
     with Pool(parallelism) if parallel else nullcontext() as pool:
         results = pool.imap_unordered(_scan_worker, jobs) if parallel else map(_scan_worker, jobs)
-        for max_sw, tables, scanned, truncated, elapsed, (lo, hi) in results:
+        for max_sw, tables, scanned, truncated, elapsed, (lo, hi), (injective, nonsync) in results:
             part = _report_from_scan(n, k, convention, max_sw, tables, scanned, elapsed, truncated)
             if progress:
-                progress(f"SHARD [{lo},{hi}) DONE max={max_sw} forms={part.form_count()}")
+                progress(f"SHARD [{lo},{hi}) DONE max={max_sw} forms={part.form_count()} "
+                         f"tables_per_s={scanned / max(elapsed, 1e-9):.0f} "
+                         f"injective={injective} nonsync={nonsync}")
             report = merge_reports(report, part)
     return report
 

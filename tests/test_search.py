@@ -1,6 +1,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from oracles import brute_canonical_form
@@ -157,7 +158,7 @@ def test_truncation_resets_when_the_maximum_rises(monkeypatch):
     # with switch count 2, two in all, over the cap; the fourth holds the
     # only table with 3
     monkeypatch.setattr(search, "_COLLECT_CAP", 1)
-    max_sw, tables, scanned, truncated = _scan_numpy(3, 2, 0, 32, chunk=8)
+    max_sw, tables, scanned, truncated, *_ = _scan_numpy(3, 2, 0, 32, chunk=8)
     assert (max_sw, len(tables), scanned, truncated) == (3, 1, 32, False)
 
 
@@ -167,7 +168,7 @@ def test_merge_commutative():
     parts = []
     total = 3 ** 6
     for lo, hi in [(0, total // 2), (total // 2, total)]:
-        max_sw, forms, scanned, trunc, elapsed, _ = _scan_worker((3, 2, lo, hi, False))
+        max_sw, forms, scanned, trunc, elapsed, *_ = _scan_worker((3, 2, lo, hi, False))
         parts.append(_report_from_scan(3, 2, IsoConvention.STATES_AND_SYMBOLS,
                                        max_sw, forms, scanned, elapsed, trunc))
     ab = merge_reports(parts[0], parts[1])
@@ -226,6 +227,13 @@ def test_progress_lines():
     extremal_search(3, shards=4, progress=lines.append)
     assert len(lines) == 4
     assert all(line.startswith("SHARD [") and "DONE max=" in line for line in lines)
+    fields = [dict(f.split("=") for f in line.split() if "=" in f) for line in lines]
+    assert all(float(f["tables_per_s"]) > 0 for f in fields)
+    # of the 729 binary 3-state tables, 36 have two permutation symbols,
+    # and 144 of the rest do not synchronize (the pair criterion agrees)
+    assert sum(int(f["injective"]) for f in fields) == 36
+    nonsync = sum(1 for i in range(3 ** 6) if not is_synchronizing(Dfa(decode_table(3, 2, i))))
+    assert sum(int(f["nonsync"]) for f in fields) == nonsync - 36 == 144
 
 
 @pytest.mark.parametrize("conv", list(IsoConvention))
@@ -247,9 +255,57 @@ def test_canonical_form_matches_reference_n8_k3():
 @pytest.mark.parametrize("n, k, cyclic", [(3, 2, False), (5, 2, True)])
 def test_search_forms_match_reference(n, k, cyclic):
     total = n ** (n * (k - 1 if cyclic else k))
-    max_sw, tables, _, _ = _scan_numpy(n, k, 0, total, cyclic)
+    max_sw, tables, *_ = _scan_numpy(n, k, 0, total, cyclic)
     report = (cyclic_extremal_search if cyclic else extremal_search)(n, k)
     assert report.max_sw == max_sw
     for conv in IsoConvention:
         expected = {brute_canonical_form(Dfa(rows), conv) for rows in tables}
         assert report.forms[conv] == expected
+
+
+# ---------------------------------------------------------------------------
+# The batch kernel against the scalar engine and a pinned histogram
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, k, cyclic", [
+    (5, 2, False), (6, 2, False), (7, 2, False), (4, 3, False),
+    (6, 2, True), (7, 2, True), (4, 3, True),
+])
+def test_kernel_matches_scalar_engine(n, k, cyclic):
+    rng = np.random.default_rng(n * 10 + k + cyclic)
+    fixed = np.roll(np.arange(n, dtype=np.int16), -1) if cyclic else None
+    free = rng.integers(0, n, size=(200, n, k - 1 if cyclic else k), dtype=np.int16)
+    sw, injective = search._switch_counts_batch(n, free, fixed)
+    expected, perms = [], 0
+    for cols in free.tolist():
+        rows = [([int(fixed[q])] if cyclic else []) + cols[q] for q in range(n)]
+        perms += all(len(set(col)) == n for col in zip(*rows))
+        try:
+            expected.append(min_switch_count(Dfa(rows)))
+        except NotSynchronizingError:
+            expected.append(-1)
+    assert sw.tolist() == expected
+    assert injective == perms
+    assert -1 in expected and max(expected) >= 3
+
+
+def test_kernel_histogram_all_binary_n4():
+    index = np.arange(4 ** 8)
+    digits = np.stack([(index // 4 ** (7 - pos)) % 4 for pos in range(8)], axis=1)
+    sw, injective = search._switch_counts_batch(4, digits.astype(np.int16).reshape(-1, 4, 2))
+    counts = dict(zip(*np.unique(sw, return_counts=True)))
+    assert {int(v): int(c) for v, c in counts.items()} == {
+        -1: 14016, 1: 28672, 2: 9216, 3: 10224, 4: 1488, 5: 1824, 7: 96,
+    }
+    assert injective == 576  # (4!)**2 tables with two permutation symbols
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_canonical_split_candidates_match(monkeypatch, k):
+    # a budget below one table's 8! candidates makes every table split its
+    # permutations into uneven pieces; the forms must not change
+    rng = random.Random(80 + k)
+    tables = [tuple(tuple(rng.randrange(8) for _ in range(k)) for _ in range(8)) for _ in range(3)]
+    whole = search._canonical_tables(8, k, tables)
+    monkeypatch.setattr(search, "_CANONICAL_BUDGET", 3001 * 8 * k)
+    assert search._canonical_tables(8, k, tables) == whole
