@@ -241,24 +241,28 @@ class LemmaReport:
         return "\n".join(lines) + "\n"
 
 
-def _reachable_sets(dfa: Dfa, start_bits: int, max_depth: int, cap: int = 200_000) -> list[int]:
-    """All images of start_bits under words of length <= max_depth."""
-    seen = {start_bits}
-    frontier = [start_bits]
-    for _ in range(max_depth):
+def _closure(starts, successors, max_depth=None) -> set:
+    """Every node within max_depth steps (any number if None) of some start.
+
+    One breadth-first search from all starts at once: a node's distance from
+    the nearest start is at most max_depth exactly when some start's own
+    search of that depth reaches it.  Raises RuntimeError past 200,000 nodes.
+    """
+    seen = set(starts)
+    frontier = list(seen)
+    depth = 0
+    while frontier and depth != max_depth:
         nxt = []
-        for bits in frontier:
-            for s in range(dfa.k):
-                img = apply_set(dfa, bits, (s,))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        if not nxt:
-            break
-        if len(seen) > cap:
-            raise RuntimeError("reachable-set closure exceeded its cap")
+        for node in frontier:
+            for succ in successors(node):
+                if succ not in seen:
+                    seen.add(succ)
+                    nxt.append(succ)
+        if len(seen) > 200_000:
+            raise RuntimeError("closure exceeded its cap")
         frontier = nxt
-    return list(seen)
+        depth += 1
+    return seen
 
 
 def _subsets_of(members: list[int]) -> list[int]:
@@ -290,21 +294,20 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
     neg_c_bits = _negate_bits(ctx.c_bits, n)
 
     # L1: images of subsets of C that contain the top state stay inside C.
-    failures = 0
-    tested = 0
     c_members = set_members(ctx.c_bits)
     subset_pool = _subsets_of(c_members)
     if len(subset_pool) > samples:
         subset_pool = rng.sample(subset_pool, samples)
-    for bits in subset_pool:
-        for img in _reachable_sets(dfa, bits, 4 * n):
-            tested += 1
-            if (img >> n_idx) & 1 and img & ~ctx.c_bits:
-                failures += 1
-            if (img >> neg_n_idx) & 1 and img & ~neg_c_bits:
-                failures += 1
+    symbols = range(dfa.k)
+    images = _closure(subset_pool, lambda bits: [apply_set(dfa, bits, (s,)) for s in symbols], 4 * n)
+    failures = 0
+    for img in images:
+        if (img >> n_idx) & 1 and img & ~ctx.c_bits:
+            failures += 1
+        if (img >> neg_n_idx) & 1 and img & ~neg_c_bits:
+            failures += 1
     checks.append(LemmaCheck("L1", failures == 0,
-                             f"subsets={len(subset_pool)} images={tested} violations={failures}"))
+                             f"subsets={len(subset_pool)} images={len(images)} violations={failures}"))
 
     # L2: the four distance identities, exhaustive over S^3.
     s_members = set_members(ctx.s_bits)
@@ -327,26 +330,12 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
                              f"states={len(s_members)} violations={failures}"))
 
     # L3: a C-pair whose distance reaches 2n/3 has actually merged.
-    failures = 0
-    tested = 0
-    seen_pairs = set()
-    frontier = [(p, q) for p in c_members for q in c_members]
-    seen_pairs.update(frontier)
-    while frontier:
-        nxt = []
-        for p, q in frontier:
-            for s in range(2):
-                pair = (dfa.rows[p][s], dfa.rows[q][s])
-                if pair not in seen_pairs:
-                    seen_pairs.add(pair)
-                    nxt.append(pair)
-        frontier = nxt
-    for p, q in seen_pairs:
-        tested += 1
-        if ctx.distance_by_index(p, q) == cl and p != q:
-            failures += 1
+    rows = dfa.rows
+    pairs = _closure([(p, q) for p in c_members for q in c_members],
+                     lambda pq: [(rows[pq[0]][s], rows[pq[1]][s]) for s in symbols])
+    failures = sum(1 for p, q in pairs if p != q and ctx.distance_by_index(p, q) == cl)
     checks.append(LemmaCheck("L3", failures == 0,
-                             f"pairs={tested} violations={failures}"))
+                             f"pairs={len(pairs)} violations={failures}"))
 
     # L6: measure is a-invariant and grows by at most 1 under b.
     failures = 0

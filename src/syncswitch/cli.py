@@ -64,17 +64,23 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+class _UsageError(Exception):
+    """Arguments that parse but do not fit the command; exit 2 like argparse's own."""
+
+
 def _cmd_gen(args) -> int:
     if args.family == "cyclic-counterexample":
         dfa = cyclic_counterexample()
     elif args.family == "fixture":
         if args.n is None:
-            raise ValueError("gen fixture needs a fixture name, e.g. 'gen fixture t5'")
+            raise _UsageError("gen fixture needs a fixture name, e.g. 'gen fixture t5'")
         dfa = fixture(args.n)
     else:
-        if args.n is None:
-            raise ValueError(f"gen {args.family} needs a state count")
-        dfa = _FAMILIES[args.family](int(args.n))
+        try:
+            n = int(args.n)
+        except (TypeError, ValueError):
+            raise _UsageError(f"gen {args.family} needs an integer state count") from None
+        dfa = _FAMILIES[args.family](n)
     sys.stdout.write(serialize_dfa(dfa))
     return 0
 
@@ -242,6 +248,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except DfaParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -85,8 +85,6 @@ def is_synchronizing(dfa: Dfa) -> bool:
     Backward reachability from the one-step-mergeable pairs; O(n^2 k).
     """
     n, k = dfa.n, dfa.k
-    if n == 1:
-        return True
     rows = dfa.rows
     mergeable = [False] * (n * n)
     rev: list[list[int]] = [[] for _ in range(n * n)]
@@ -247,8 +245,6 @@ class _Search:
 
 def shortest_sync_length(dfa: Dfa) -> int:
     """Breadth-first distance from the full set to any singleton."""
-    if dfa.n == 1:
-        return 0
     return _Search(dfa, Objective.LENGTH).optimum
 
 
@@ -258,8 +254,6 @@ def min_switch_count(dfa: Dfa) -> int:
     0/1 BFS over (subset, last symbol) nodes; equals the shortest
     synchronizing word length of the power closure.
     """
-    if dfa.n == 1:
-        return 0
     return _Search(dfa, Objective.SWITCH_THEN_LENGTH).optimum
 
 
@@ -272,8 +266,6 @@ def optimal_sync_word(dfa: Dfa, objective: Objective = Objective.SWITCH_THEN_LEN
     returned is the SWITCH_THEN_LENGTH optimum (pure minimal-switch words
     can be padded arbitrarily, so no lexicographic minimum exists).
     """
-    if dfa.n == 1:
-        return SyncResult(Word(), 0, 0)
     word = next(_Search(dfa, objective).optimal_words())
     return SyncResult(word, len(word), word.switch_count)
 
@@ -289,8 +281,6 @@ def count_optimal_words(dfa: Dfa, objective: Objective = Objective.LENGTH) -> in
         raise ValueError(
             "count is infinite for the pure switch objective; use SWITCH_THEN_LENGTH"
         )
-    if dfa.n == 1:
-        return 1
     ways = _Search(dfa, objective).tight_dag()
     return ways[0, 0][full_set(dfa.n)]  # the start node: cost 0, tag 0
 
@@ -302,8 +292,6 @@ def optimal_words(dfa: Dfa, objective: Objective = Objective.LENGTH, limit: int 
     """
     if objective is Objective.SWITCH:
         raise ValueError("the set of minimal-switch words is infinite; use SWITCH_THEN_LENGTH")
-    if dfa.n == 1:
-        return [Word()]
     out: list[Word] = []
     for word in _Search(dfa, objective).optimal_words():
         out.append(word)

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from syncswitch.analysis import (
+    _closure,
+    _subsets_of,
     canonical_word,
     distance,
     distance_context,
@@ -153,3 +155,64 @@ def test_setpair_statement_needs_cycle_scope(ctx6):
         and ctx6.distance_by_index(image_of[p], image_of[q]) == mu_w
     ]
     assert witnesses == []
+
+
+def _reachable_sets(dfa, start_bits, max_depth):
+    """Reference for L1: the images of one start set under words of length
+    <= max_depth, by its own breadth-first search."""
+    seen = {start_bits}
+    frontier = [start_bits]
+    for _ in range(max_depth):
+        nxt = []
+        for bits in frontier:
+            for s in range(dfa.k):
+                img = apply_set(dfa, bits, (s,))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+def _reachable_pairs(dfa, pairs):
+    """Reference for L3: every state pair reachable from the given ones."""
+    seen = set(pairs)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p, q in frontier:
+            for s in range(dfa.k):
+                pair = (dfa.rows[p][s], dfa.rows[q][s])
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("n, images, pairs", [(6, 62, 60), (12, 1534, 248)])
+def test_closure_matches_per_start_searches(n, images, pairs):
+    ctx = distance_context(n)
+    dfa = ctx.dfa
+    c_members = set_members(ctx.c_bits)
+    pool = _subsets_of(c_members)
+    union = set().union(*(_reachable_sets(dfa, bits, 4 * n) for bits in pool))
+    closed = _closure(pool, lambda bits: [apply_set(dfa, bits, (s,)) for s in range(dfa.k)], 4 * n)
+    assert closed == union and len(closed) == images
+
+    starts = [(p, q) for p in c_members for q in c_members]
+    rows = dfa.rows
+    closed = _closure(starts, lambda pq: [(rows[pq[0]][s], rows[pq[1]][s]) for s in range(dfa.k)])
+    assert closed == _reachable_pairs(dfa, starts) and len(closed) == pairs
+
+
+def test_verify_lemmas_sampled_branches(monkeypatch):
+    """At n=18 the C-subset pool (4,095) and the S-subsets (2^18) exceed the
+    sample budget, so L1 samples its start sets and L6 takes all pairs and
+    triples of S plus random subsets."""
+    monkeypatch.setenv("SYNCSWITCH_MAX_STATES", "36")  # b_family(18) has 36 states
+    report = verify_lemmas(18, samples=2000, seed=0)
+    assert report.all_pass, report.to_text()
+    details = {c.lemma: c.detail for c in report.checks}
+    assert details["L1"].startswith("subsets=2000 ")
+    assert details["L6"].startswith("subsets=2000 ")

@@ -67,9 +67,11 @@ def test_parse_error_exit(capsys, monkeypatch):
 
 
 def test_usage_error_exit():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    for argv in (["no-such-command"], ["gen", "nope", "3"], ["search"],
+                 ["gen", "cerny"], ["gen", "cerny", "x"], ["gen", "fixture"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_domain_error_exit(capsys):

@@ -81,6 +81,8 @@ def test_single_state_results():
         res = optimal_sync_word(SINGLE, objective)
         assert res.word == Word() and res.length == res.switch == 0
     assert count_optimal_words(SINGLE, Objective.LENGTH) == 1
+    assert count_optimal_words(SINGLE, Objective.SWITCH_THEN_LENGTH) == 1
+    assert optimal_words(SINGLE) == [Word()]
 
 
 def test_optimal_word_objectives_on_t8a():
