@@ -388,11 +388,14 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
     for bits in pool[:samples]:
         wlen = rng.randint(1, 4 * n)
         w = [rng.randint(0, 1) for _ in range(wlen)]
-        img = apply_set(dfa, bits, w)
-        mu_a = measure(ctx, bits)
-        mu_w = measure(ctx, img)
+        # one state map per word: follow each member through the word
         members = set_members(bits)
-        image_of = {p: apply_set(dfa, 1 << p, w).bit_length() - 1 for p in members}
+        targets = members
+        for s in w:
+            targets = [rows[q][s] for q in targets]
+        image_of = dict(zip(members, targets))
+        mu_a = measure(ctx, bits)
+        mu_w = measure(ctx, state_set(targets))
         ok = False
         for p in members:
             for q in members:

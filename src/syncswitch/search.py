@@ -1,8 +1,11 @@
 """Exhaustive extremal searches over small transition tables.
 
-Enumeration is raw: every table in mixed-radix order, cheap rejection first
-(at least one symbol must be non-injective), switch count after.  One numpy
-kernel searches a whole batch of automata at once by applying symbol runs
+Binary enumeration is raw: every table in mixed-radix order, cheap rejection
+first (at least one symbol must be non-injective), switch count after.
+Cyclic enumeration fixes symbol 0 as the n-cycle and keeps one table per
+orbit under the relabelings that fix it (the n rotations): a table is
+scanned only if its index is the least in its orbit.  One numpy kernel
+searches a whole batch of automata at once by applying symbol runs
 to a flat frontier of (table, subset) entries, and one batch canonicalizer
 reduces the extremal tables to forms up to isomorphism; `canonical_form`
 is its one-table call.  Shards are independent index ranges; their
@@ -30,7 +33,8 @@ class SearchSpaceError(ValueError):
 
 # Enumerations above this size need long=True.
 LONG_THRESHOLD = 20_000_000
-# Gathered extremal tables per scan before the report is marked incomplete.
+# Gathered extremal tables (orbit representatives in cyclic mode) per scan
+# before the report is marked incomplete.
 _COLLECT_CAP = 100_000
 
 
@@ -150,7 +154,7 @@ def _image_maps(n: int, cols: "np.ndarray") -> "np.ndarray":
 
 def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray | None" = None):
     """Switch counts of a batch of tables (-1: not synchronizing), and the
-    number of them rejected up front because every symbol is injective.
+    mask of those rejected up front because every symbol is injective.
 
     `delta` holds the free columns, shape (b, n, free_k).  `fixed`, one
     transformation shared by the batch (the n-cycle in cyclic search), is
@@ -220,7 +224,7 @@ def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray | None"
                 cur = nxt
         frontier = np.concatenate(reached)
         frontier = frontier[result[frontier >> n] < 0]
-    return result, int(injective.sum())
+    return result, injective
 
 
 def _scan_numpy(n: int, k: int, lo: int, hi: int, cyclic: bool = False, chunk: int | None = None):
@@ -228,16 +232,26 @@ def _scan_numpy(n: int, k: int, lo: int, hi: int, cyclic: bool = False, chunk: i
 
     Returns (max_sw, tables, scanned, truncated, injective, nonsync): the
     maximal switch count (None if no table synchronizes), the tables
-    attaining it as row tuples in index order, whether more than
-    `_COLLECT_CAP` of them were found, and how many tables were rejected
-    as all-injective or left non-synchronizing.  In cyclic mode an index
-    encodes the k-1 free columns; the tables gain the n-cycle as symbol 0.
+    attaining it as row tuples in index order, `hi - lo`, whether more than
+    `_COLLECT_CAP` of them were found, and how many tables of the range
+    were rejected as all-injective or left non-synchronizing.  In cyclic
+    mode an index encodes the k-1 free columns and the tables gain the
+    n-cycle as symbol 0.  Only orbit representatives are then scanned: a
+    table whose index is the least among its conjugates under the
+    centralizer of the cycle.  The returned tables are these
+    representatives, and each counts with its orbit size in `injective`
+    and `nonsync`, so those still count every table of the range.
     """
     if chunk is None:
         chunk = max(2048, min(32768, (1 << 21) >> n))
     free_k = k - 1 if cyclic else k
     powers = np.array([n ** e for e in range(n * free_k - 1, -1, -1)], dtype=np.int64)
     fixed = np.roll(np.arange(n, dtype=np.int16), -1) if cyclic else None
+    if cyclic:
+        perms, ranks = _perm_arrays(n)
+        centralizer = _centralizer(n, tuple(fixed.tolist()))
+        # index 0 is the identity, whose conjugate is the table itself
+        relabelings = [(perms[j], ranks[j]) for j in centralizer[1:]]
 
     best = -1
     tables: list[tuple[tuple[int, ...], ...]] = []
@@ -246,9 +260,22 @@ def _scan_numpy(n: int, k: int, lo: int, hi: int, cyclic: bool = False, chunk: i
     for start in range(lo, hi, chunk):
         idx = np.arange(start, min(start + chunk, hi), dtype=np.int64)
         free = (idx[:, None] // powers % n).astype(np.int16).reshape(-1, n, free_k)
+        weight = 1
+        if cyclic:
+            # a conjugate's index: its digits, relabeled by the same gather
+            # as `_canonical_tables` uses, dotted with the place values
+            least = np.ones(idx.size, dtype=bool)
+            stabilizer = np.ones(idx.size, dtype=np.int64)
+            for perm, rank in relabelings:
+                conj = rank[free[:, perm, :]].reshape(idx.size, -1) @ powers
+                least &= conj >= idx
+                stabilizer += conj == idx
+            free = free[least]
+            weight = len(centralizer) // stabilizer[least]
         sw, rejected = _switch_counts_batch(n, free, fixed)
-        injective += rejected
-        nonsync += int(np.count_nonzero(sw < 0)) - rejected
+        rejected_w = int(np.sum(weight * rejected))
+        injective += rejected_w
+        nonsync += int(np.sum(weight * (sw < 0))) - rejected_w
 
         batch_best = int(sw.max(initial=-1))
         if batch_best > best:
@@ -285,6 +312,16 @@ _CANONICAL_BUDGET = 1 << 22
 def _perm_arrays(n: int):
     p = np.array(list(permutations(range(n))), dtype=np.uint8)
     return p, np.argsort(p, axis=1).astype(np.uint8)
+
+
+@lru_cache(maxsize=8)
+def _centralizer(n: int, fixed: tuple[int, ...]) -> tuple[int, ...]:
+    """Indices into `_perm_arrays(n)` of the relabelings that map the
+    transformation `fixed` to itself, in order (the identity first)."""
+    perms, ranks = _perm_arrays(n)
+    f = np.array(fixed, dtype=np.uint8)
+    moved = ranks[np.arange(perms.shape[0])[:, None], f[perms]]
+    return tuple(np.nonzero((moved == f).all(axis=1))[0].tolist())
 
 
 def _lesser(best, cand):
@@ -435,7 +472,10 @@ def cyclic_extremal_search(
     """Extremal search over cyclic automata: symbol 0 is fixed as the n-cycle.
 
     Every cyclic automaton is isomorphic to one whose first symbol is the
-    standard cycle, so only the remaining k-1 columns are enumerated.
+    standard cycle, so only the remaining k-1 columns are enumerated, and
+    of those tables only one per orbit under the n rotations that commute
+    with the cycle is scanned and canonicalized.  `scanned` still counts
+    all n^(n(k-1)) tables.
     """
     if not 2 <= n <= 9:
         raise SearchSpaceError("cyclic search supports 2 <= n <= 9")

@@ -28,19 +28,27 @@ from syncswitch.synchro import (
 )
 
 
+def _cyclic_table(n: int, k: int, index: int):
+    """The cyclic table of an index: the n-cycle, then the k-1 free columns."""
+    free = decode_table(n, k - 1, index)
+    return tuple(((q + 1) % n,) + free[q] for q in range(n))
+
+
+def _rotations(rows):
+    """The conjugates of a table under the n rotations q -> q + j, which
+    commute with the n-cycle: row q moves to q + j, every target gains j."""
+    n = len(rows)
+    return {tuple(tuple((t + j) % n for t in rows[(q - j) % n]) for q in range(n)) for j in range(n)}
+
+
 def _scan_reference(n: int, k: int, lo: int, hi: int, cyclic: bool = False):
     """Plain-Python scan of an index range, one table at a time, with the
-    scalar engines; returns (max_sw, tables, scanned) like `_scan_numpy`."""
+    scalar engines; returns (max_sw, tables, scanned) like `_scan_numpy`,
+    but `tables` holds every extremal table, not orbit representatives."""
     best = -1
     tables: list[tuple[tuple[int, ...], ...]] = []
-    free_k = k - 1 if cyclic else k
-    cycle = tuple((q + 1) % n for q in range(n))
     for index in range(lo, hi):
-        if cyclic:
-            free = decode_table(n, free_k, index)
-            rows = tuple((cycle[q],) + free[q] for q in range(n))
-        else:
-            rows = decode_table(n, k, index)
+        rows = _cyclic_table(n, k, index) if cyclic else decode_table(n, k, index)
         # cheap rejection: some symbol must merge two states
         if all(len(set(col)) == n for col in zip(*rows)):
             continue
@@ -98,10 +106,18 @@ def test_engines_agree_on_n4_slice():
 
 
 def test_engines_agree_cyclic():
-    ref = _scan_reference(4, 2, 0, 4 ** 4, cyclic=True)
-    fast = _scan_numpy(4, 2, 0, 4 ** 4, cyclic=True)
-    assert ref[0] == fast[0]
-    assert sorted(ref[1]) == sorted(fast[1])
+    # the scan keeps one extremal table per rotation orbit; the orbits of
+    # the kept tables are disjoint and together hold every extremal table
+    for n, k in [(4, 2), (3, 3), (5, 2)]:
+        total = n ** (n * (k - 1))
+        ref = _scan_reference(n, k, 0, total, cyclic=True)
+        fast = _scan_numpy(n, k, 0, total, cyclic=True)
+        assert ref[0] == fast[0]
+        orbits = [_rotations(rows) for rows in fast[1]]
+        closure = set().union(*orbits)
+        assert sum(map(len, orbits)) == len(closure)
+        assert closure == set(ref[1])
+        assert fast[2] == total
 
 
 def test_extremal_n2_and_n3():
@@ -186,6 +202,14 @@ def test_cyclic_small():
     assert r.scanned == 5 ** 5
 
 
+@pytest.mark.parametrize("n, k", [(5, 2), (4, 3)])
+def test_cyclic_shards_agree(n, k):
+    one = cyclic_extremal_search(n, k, shards=1)
+    seven = cyclic_extremal_search(n, k, shards=7)
+    assert (seven.max_sw, seven.scanned, seven.complete) == (one.max_sw, one.scanned, one.complete)
+    assert seven.forms == one.forms
+
+
 def test_cyclic_forms_recheck():
     report = cyclic_extremal_search(4, 2)
     assert report.max_sw <= 7  # cannot beat the overall binary n=4 maximum
@@ -236,6 +260,21 @@ def test_progress_lines():
     assert sum(int(f["nonsync"]) for f in fields) == nonsync - 36 == 144
 
 
+@pytest.mark.parametrize("n, k", [(4, 2), (3, 3)])
+def test_cyclic_progress_counts(n, k):
+    # each shard weights its orbit representatives by their orbit sizes,
+    # so the sums count every cyclic table of the space
+    lines = []
+    cyclic_extremal_search(n, k, shards=5, progress=lines.append)
+    assert len(lines) == 5
+    fields = [dict(f.split("=") for f in line.split() if "=" in f) for line in lines]
+    tables = [Dfa(_cyclic_table(n, k, i)) for i in range(n ** (n * (k - 1)))]
+    injective = sum(all(len(set(col)) == n for col in zip(*d.rows)) for d in tables)
+    nonsync = sum(not is_synchronizing(d) for d in tables) - injective
+    assert sum(int(f["injective"]) for f in fields) == injective
+    assert sum(int(f["nonsync"]) for f in fields) == nonsync
+
+
 @pytest.mark.parametrize("conv", list(IsoConvention))
 def test_canonical_form_matches_reference(conv):
     rng = random.Random(4)
@@ -255,7 +294,7 @@ def test_canonical_form_matches_reference_n8_k3():
 @pytest.mark.parametrize("n, k, cyclic", [(3, 2, False), (5, 2, True)])
 def test_search_forms_match_reference(n, k, cyclic):
     total = n ** (n * (k - 1 if cyclic else k))
-    max_sw, tables, *_ = _scan_numpy(n, k, 0, total, cyclic)
+    max_sw, tables, _ = _scan_reference(n, k, 0, total, cyclic)
     report = (cyclic_extremal_search if cyclic else extremal_search)(n, k)
     assert report.max_sw == max_sw
     for conv in IsoConvention:
@@ -276,16 +315,16 @@ def test_kernel_matches_scalar_engine(n, k, cyclic):
     fixed = np.roll(np.arange(n, dtype=np.int16), -1) if cyclic else None
     free = rng.integers(0, n, size=(200, n, k - 1 if cyclic else k), dtype=np.int16)
     sw, injective = search._switch_counts_batch(n, free, fixed)
-    expected, perms = [], 0
+    expected, perms = [], []
     for cols in free.tolist():
         rows = [([int(fixed[q])] if cyclic else []) + cols[q] for q in range(n)]
-        perms += all(len(set(col)) == n for col in zip(*rows))
+        perms.append(all(len(set(col)) == n for col in zip(*rows)))
         try:
             expected.append(min_switch_count(Dfa(rows)))
         except NotSynchronizingError:
             expected.append(-1)
     assert sw.tolist() == expected
-    assert injective == perms
+    assert injective.tolist() == perms
     assert -1 in expected and max(expected) >= 3
 
 
@@ -297,7 +336,7 @@ def test_kernel_histogram_all_binary_n4():
     assert {int(v): int(c) for v, c in counts.items()} == {
         -1: 14016, 1: 28672, 2: 9216, 3: 10224, 4: 1488, 5: 1824, 7: 96,
     }
-    assert injective == 576  # (4!)**2 tables with two permutation symbols
+    assert injective.sum() == 576  # (4!)**2 tables with two permutation symbols
 
 
 @pytest.mark.parametrize("k", [2, 3])
