@@ -7,7 +7,7 @@ positive and odd negative states) whose synchronization mirrors that of
 cyclic permutation.  The asymmetric distance d and the max-min measure mu
 defined from it control how fast any synchronizing word can make progress;
 `verify_lemmas` checks the published structural facts exhaustively where
-feasible and by fixed-seed sampling elsewhere.
+feasible and by fixed-seed sampling elsewhere, within `_CLOSURE_CAP` nodes.
 """
 
 from __future__ import annotations
@@ -241,12 +241,17 @@ class LemmaReport:
         return "\n".join(lines) + "\n"
 
 
+# Most nodes a `_closure` may hold.  L1's start pool is every subset of C,
+# 2^(2n/3) - 1 of them, so `verify_lemmas` refuses n whose pool alone is larger.
+_CLOSURE_CAP = 200_000
+
+
 def _closure(starts, successors, max_depth=None) -> set:
     """Every node within max_depth steps (any number if None) of some start.
 
     One breadth-first search from all starts at once: a node's distance from
     the nearest start is at most max_depth exactly when some start's own
-    search of that depth reaches it.  Raises RuntimeError past 200,000 nodes.
+    search of that depth reaches it.  Raises ValueError past _CLOSURE_CAP.
     """
     seen = set(starts)
     frontier = list(seen)
@@ -256,10 +261,10 @@ def _closure(starts, successors, max_depth=None) -> set:
         for node in frontier:
             for succ in successors(node):
                 if succ not in seen:
+                    if len(seen) >= _CLOSURE_CAP:
+                        raise ValueError(f"closure exceeded its cap of {_CLOSURE_CAP:,} nodes")
                     seen.add(succ)
                     nxt.append(succ)
-        if len(seen) > 200_000:
-            raise RuntimeError("closure exceeded its cap")
         frontier = nxt
         depth += 1
     return seen
@@ -281,8 +286,12 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
 
     Exhaustive over pairs, triples, subsets of C, and subsets of S while
     they fit in the sample budget; uniformly sampled (fixed seed) beyond
-    that.  Failures come back as report entries, not exceptions.
+    that.  Failures come back as report entries, not exceptions.  Refuses,
+    before building anything, n whose subsets of C pass _CLOSURE_CAP (n >= 30).
     """
+    pool_size = (1 << 2 * n // 3) - 1 if n >= 6 and n % 6 == 0 else 0
+    if pool_size > _CLOSURE_CAP:
+        raise ValueError(f"the {pool_size:,} subsets of C pass the closure cap of {_CLOSURE_CAP:,} nodes")
     ctx = distance_context(n)
     rng = random.Random(seed)
     dfa = ctx.dfa

@@ -3,36 +3,15 @@ conventions, and the plain-text interchange format.
 
 States are indexed 0..n-1 and symbols 0..k-1 (rendered 'a', 'b', ...).
 State sets are plain ints used as bit vectors: bit q is set iff state q
-is a member.
+is a member.  A `Dfa` may have any number of states; each operation that
+grows faster than its table refuses sizes past its own bound.
 """
 
 from __future__ import annotations
 
-import os
 from enum import Enum
 from operator import index as _as_int
 from typing import Iterable, Iterator, Sequence
-
-DEFAULT_MAX_STATES = 32
-MAX_STATES_ENV = "SYNCSWITCH_MAX_STATES"
-
-
-def max_states() -> int:
-    """State-count cap for automata; subset searches scale as 2**n.
-
-    The default of 32 can be overridden through the SYNCSWITCH_MAX_STATES
-    environment variable.
-    """
-    raw = os.environ.get(MAX_STATES_ENV)
-    if raw is None:
-        return DEFAULT_MAX_STATES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_STATES_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{MAX_STATES_ENV} must be positive, got {value}")
-    return value
 
 
 class DfaParseError(ValueError):
@@ -80,12 +59,6 @@ class Dfa:
         k = len(tbl[0])
         if k < 1:
             raise ValueError("a DFA needs at least one symbol")
-        cap = max_states()
-        if n > cap:
-            raise ValueError(
-                f"{n} states exceeds the {cap}-state cap "
-                f"(set {MAX_STATES_ENV} to raise it)"
-            )
         for row in tbl:
             if len(row) != k:
                 raise ValueError("ragged transition table")

@@ -15,6 +15,7 @@ import time
 from .automaton import Dfa, DfaParseError, parse_dfa, serialize_dfa
 from .closure import f2_transform, f_transform, power_closure
 from .families import (
+    FIXTURE_NAMES,
     a_family,
     b_family,
     cerny,
@@ -72,8 +73,8 @@ def _cmd_gen(args) -> int:
     if args.family == "cyclic-counterexample":
         dfa = cyclic_counterexample()
     elif args.family == "fixture":
-        if args.n is None:
-            raise _UsageError("gen fixture needs a fixture name, e.g. 'gen fixture t5'")
+        if args.n not in FIXTURE_NAMES:
+            raise _UsageError(f"gen fixture needs one of: {' '.join(FIXTURE_NAMES)}")
         dfa = fixture(args.n)
     else:
         try:

@@ -11,6 +11,10 @@ from dataclasses import dataclass
 
 from .automaton import Dfa, symbol_letter
 
+# A symbol has up to n + g(n) distinct powers, each kept as a column; Landau's
+# g(32) = 5,460 keeps every n <= 32 inside this bound, but g(64) = 2,042,040.
+_MAX_POWERS = 1 << 16
+
 
 class AlphabetMismatchError(ValueError):
     """The transform requires a different alphabet size."""
@@ -42,7 +46,8 @@ def power_closure(dfa: Dfa) -> tuple[Dfa, ClosureMap]:
     Original symbols are always kept, even when they act as the identity;
     an added power must differ from the identity and from every column
     already present.  The result is power closed: any further power of a
-    closure symbol is the identity or an existing column.
+    closure symbol is the identity or an existing column.  Refuses a
+    symbol with more than _MAX_POWERS distinct powers.
     """
     n, k = dfa.n, dfa.k
     identity = tuple(range(n))
@@ -60,6 +65,8 @@ def power_closure(dfa: Dfa) -> tuple[Dfa, ClosureMap]:
             if power in seen_powers:
                 break  # the power sequence has cycled; all powers visited
             seen_powers.add(power)
+            if len(seen_powers) > _MAX_POWERS:
+                raise ValueError(f"symbol {s} has more than {_MAX_POWERS:,} distinct powers")
             if power != identity and power not in present:
                 columns.append(power)
                 provenance.append((s, exp))

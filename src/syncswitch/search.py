@@ -8,8 +8,9 @@ scanned only if its index is the least in its orbit.  One numpy kernel
 searches a whole batch of automata at once by applying symbol runs
 to a flat frontier of (table, subset) entries, and one batch canonicalizer
 reduces the extremal tables to forms up to isomorphism; `canonical_form`
-is its one-table call.  Shards are independent index ranges; their
-reports merge associatively.
+is its one-table call.  It tries all n! relabelings, so every entry point
+refuses n > 9.  Shards are independent index ranges; their reports merge
+associatively.
 """
 
 from __future__ import annotations
@@ -302,6 +303,8 @@ def _scan_numpy(n: int, k: int, lo: int, hi: int, cyclic: bool = False, chunk: i
 # candidates reads them as 8-byte indices, so one gather holds at most
 # _CANONICAL_BUDGET entries (32 MiB of indices): whole tables when one
 # table's n! candidates fit, else a slice of one table's permutations.
+# `_perm_arrays` holds all n! permutations, so `canonical_form` and both
+# searches refuse tables past _CANONICAL_MAX_STATES states (9! = 362,880).
 # ---------------------------------------------------------------------------
 
 _CANONICAL_MAX_STATES = 9
@@ -444,8 +447,8 @@ def extremal_search(
     """
     if n < 2 or k < 1:
         raise SearchSpaceError("extremal_search needs n >= 2 and k >= 1")
-    if n > 9:
-        raise SearchSpaceError("extremal searches beyond 9 states are not supported")
+    if n > _CANONICAL_MAX_STATES:
+        raise SearchSpaceError(f"extremal searches beyond {_CANONICAL_MAX_STATES} states are not supported")
     if k == 2 and n > 6 and not allow_huge:
         raise SearchSpaceError(
             f"binary search at n={n} enumerates {n}**{2 * n} tables; "
@@ -477,8 +480,8 @@ def cyclic_extremal_search(
     with the cycle is scanned and canonicalized.  `scanned` still counts
     all n^(n(k-1)) tables.
     """
-    if not 2 <= n <= 9:
-        raise SearchSpaceError("cyclic search supports 2 <= n <= 9")
+    if not 2 <= n <= _CANONICAL_MAX_STATES:
+        raise SearchSpaceError(f"cyclic search supports 2 <= n <= {_CANONICAL_MAX_STATES}")
     if k not in (2, 3):
         raise SearchSpaceError("cyclic search supports k in {2, 3}")
     total = n ** (n * (k - 1))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from typing import Callable, Collection, Iterator
 
 from .automaton import Dfa, Word, full_set
@@ -289,12 +289,8 @@ def optimal_words(dfa: Dfa, objective: Objective = Objective.LENGTH, limit: int 
     """All optimal words under the objective, in lexicographic order.
 
     `limit` caps the number of words returned; the full set can be large.
+    A negative limit raises ValueError.
     """
     if objective is Objective.SWITCH:
         raise ValueError("the set of minimal-switch words is infinite; use SWITCH_THEN_LENGTH")
-    out: list[Word] = []
-    for word in _Search(dfa, objective).optimal_words():
-        out.append(word)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return list(islice(_Search(dfa, objective).optimal_words(), limit))

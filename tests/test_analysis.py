@@ -206,11 +206,15 @@ def test_closure_matches_per_start_searches(n, images, pairs):
     assert closed == _reachable_pairs(dfa, starts) and len(closed) == pairs
 
 
-def test_verify_lemmas_sampled_branches(monkeypatch):
+def test_closure_cap():
+    with pytest.raises(ValueError, match="cap of 200,000 nodes"):
+        _closure([0], lambda x: [x + 1])
+
+
+def test_verify_lemmas_sampled_branches():
     """At n=18 the C-subset pool (4,095) and the S-subsets (2^18) exceed the
     sample budget, so L1 samples its start sets and L6 takes all pairs and
     triples of S plus random subsets."""
-    monkeypatch.setenv("SYNCSWITCH_MAX_STATES", "36")  # b_family(18) has 36 states
     report = verify_lemmas(18, samples=2000, seed=0)
     assert report.all_pass, report.to_text()
     details = {c.lemma: c.detail for c in report.checks}

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from syncswitch.automaton import parse_dfa
+from syncswitch.automaton import Dfa, parse_dfa
 from syncswitch.cli import main
 from syncswitch.families import cerny
 from syncswitch.automaton import serialize_dfa
@@ -68,7 +68,8 @@ def test_parse_error_exit(capsys, monkeypatch):
 
 def test_usage_error_exit():
     for argv in (["no-such-command"], ["gen", "nope", "3"], ["search"],
-                 ["gen", "cerny"], ["gen", "cerny", "x"], ["gen", "fixture"]):
+                 ["gen", "cerny"], ["gen", "cerny", "x"], ["gen", "fixture"],
+                 ["gen", "fixture", "nope"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -77,6 +78,31 @@ def test_usage_error_exit():
 def test_domain_error_exit(capsys):
     code, _, err = run_cli(capsys, "gen", "cerny", "1")
     assert code == 1 and "error" in err
+
+
+def _refusal(capsys, *argv, stdin=None, monkeypatch=None):
+    """The one error line of a command that must exit 1 with no output."""
+    code, out, err = run_cli(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 1 and out == "" and "Traceback" not in err, (argv, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    return err
+
+
+def test_size_guards_exit(capsys, monkeypatch):
+    """Each operation past its own size bound exits 1 with a one-line error."""
+    text = serialize_dfa(Dfa([[(q + 1) % 40, 0] for q in range(40)]))
+    assert "subset search" in _refusal(capsys, "sw", "-", stdin=text, monkeypatch=monkeypatch)
+
+    # cycles of lengths 16, 9, 5, 7, 11 and 13: 720,720 distinct powers
+    perm, start = [], 0
+    for c in (16, 9, 5, 7, 11, 13):
+        perm += [start + (i + 1) % c for i in range(c)]
+        start += c
+    text = serialize_dfa(Dfa([[t] for t in perm]))
+    assert "distinct powers" in _refusal(capsys, "closure", "-", stdin=text, monkeypatch=monkeypatch)
+
+    assert "closure exceeded its cap" in _refusal(capsys, "verify-lemmas", "--n", "24")
+    assert "subsets of C" in _refusal(capsys, "verify-lemmas", "--n", "30")
 
 
 def test_opt_output(capsys, monkeypatch):

@@ -106,6 +106,14 @@ def test_count_switch_objective_rejected():
         optimal_words(cerny(3), Objective.SWITCH)
 
 
+def test_optimal_words_limit():
+    dfa = fixture("t7")  # three shortest words
+    assert optimal_words(dfa, Objective.LENGTH, limit=0) == []
+    assert optimal_words(dfa, Objective.LENGTH, limit=1) == optimal_words(dfa, Objective.LENGTH)[:1]
+    with pytest.raises(ValueError):
+        optimal_words(dfa, Objective.LENGTH, limit=-1)
+
+
 def test_optimal_words_enumeration_matches_count():
     dfa = fixture("t7")
     found = optimal_words(dfa, Objective.LENGTH)
