@@ -34,7 +34,7 @@ from .synchro import (
     optimal_sync_word,
     shortest_sync_length,
 )
-from .search import SearchSpaceError, cyclic_extremal_search, extremal_search, format_report
+from .search import cyclic_extremal_search, extremal_search, format_report
 from .analysis import verify_lemmas
 
 _OBJECTIVES = {
@@ -257,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotSynchronizingError:
         print("not synchronizing", file=sys.stderr)
         return 1
-    except (SearchSpaceError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

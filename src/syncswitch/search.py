@@ -1,15 +1,16 @@
 """Exhaustive extremal searches over small transition tables.
 
-Binary enumeration is raw: every table in mixed-radix order, cheap rejection
+Both searches run one scan: tables in mixed-radix order, cheap rejection
 first (at least one symbol must be non-injective), switch count after.
-Cyclic enumeration fixes symbol 0 as the n-cycle and keeps one table per
-orbit under the relabelings that fix it (the n rotations): a table is
-scanned only if its index is the least in its orbit.  One numpy kernel
-searches a whole batch of automata at once by applying symbol runs
-to a flat frontier of (table, subset) entries, and one batch canonicalizer
-reduces the extremal tables to forms up to isomorphism; `canonical_form`
-is its one-table call.  It tries all n! relabelings, so every entry point
-refuses n > 9.  Shards are independent index ranges; their reports merge
+Symbol 0 may be fixed, one map shared by every table: the binary search
+fixes none and scans every table, the cyclic search fixes the n-cycle and
+scans one table per orbit under its centralizer (the n rotations), the
+table whose index is the least in its orbit.  One numpy kernel searches a
+whole batch of automata at once by applying symbol runs to a flat frontier
+of (table, subset) entries, and one batch canonicalizer reduces the
+extremal tables to forms up to isomorphism; `canonical_form` is its
+one-table call.  It tries all n! relabelings, so every entry point refuses
+n > 9.  Shards are independent index ranges; their reports merge
 associatively.
 """
 
@@ -34,7 +35,7 @@ class SearchSpaceError(ValueError):
 
 # Enumerations above this size need long=True.
 LONG_THRESHOLD = 20_000_000
-# Gathered extremal tables (orbit representatives in cyclic mode) per scan
+# Gathered extremal tables (orbit representatives with a fixed symbol) per scan
 # before the report is marked incomplete.
 _COLLECT_CAP = 100_000
 
@@ -67,8 +68,9 @@ def encode_table(n: int, k: int, rows: Iterable[Iterable[int]]) -> int:
 class ExtremalReport:
     """Maximum switch count over a scanned space plus the extremal automata.
 
-    Extremal forms are kept canonically under both isomorphism conventions;
-    `convention` selects which one `extremal_forms` reports.  `elapsed` is
+    Extremal forms are kept canonically under both isomorphism conventions,
+    one set each in `forms`; `form_count` and `sorted_forms` read
+    STATES_AND_SYMBOLS unless given the other.  `elapsed` is
     the sum of the shards' seconds, so with parallel workers it exceeds the
     wall time.  `complete` is False when the per-scan collection cap was hit
     (never expected for the published search sizes).
@@ -76,27 +78,22 @@ class ExtremalReport:
 
     n: int
     k: int
-    convention: IsoConvention
     max_sw: int | None
     forms: dict[IsoConvention, frozenset[Dfa]]
     scanned: int
     elapsed: float
     complete: bool = True
 
-    @property
-    def extremal_forms(self) -> frozenset[Dfa]:
-        return self.forms[self.convention]
+    def form_count(self, convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS) -> int:
+        return len(self.forms[convention])
 
-    def form_count(self, convention: IsoConvention | None = None) -> int:
-        return len(self.forms[convention or self.convention])
-
-    def sorted_forms(self, convention: IsoConvention | None = None) -> list[Dfa]:
-        return sorted(self.forms[convention or self.convention], key=lambda d: d.rows)
+    def sorted_forms(self, convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS) -> list[Dfa]:
+        return sorted(self.forms[convention], key=lambda d: d.rows)
 
 
-def empty_report(n: int, k: int, convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS) -> ExtremalReport:
+def empty_report(n: int, k: int) -> ExtremalReport:
     return ExtremalReport(
-        n=n, k=k, convention=convention, max_sw=None,
+        n=n, k=k, max_sw=None,
         forms={c: frozenset() for c in IsoConvention}, scanned=0, elapsed=0.0,
     )
 
@@ -107,7 +104,7 @@ def merge_reports(r1: ExtremalReport, r2: ExtremalReport) -> ExtremalReport:
     A losing side's truncation does not matter: none of its tables attain
     the winning maximum.
     """
-    if (r1.n, r1.k, r1.convention) != (r2.n, r2.k, r2.convention):
+    if (r1.n, r1.k) != (r2.n, r2.k):
         raise ValueError("cannot merge reports over different search spaces")
     if r1.max_sw == r2.max_sw:
         max_sw, complete = r1.max_sw, r1.complete and r2.complete
@@ -116,7 +113,7 @@ def merge_reports(r1: ExtremalReport, r2: ExtremalReport) -> ExtremalReport:
         win = max(r1, r2, key=lambda r: -1 if r.max_sw is None else r.max_sw)
         max_sw, forms, complete = win.max_sw, dict(win.forms), win.complete
     return ExtremalReport(
-        n=r1.n, k=r1.k, convention=r1.convention, max_sw=max_sw,
+        n=r1.n, k=r1.k, max_sw=max_sw,
         forms=forms, scanned=r1.scanned + r2.scanned,
         elapsed=r1.elapsed + r2.elapsed, complete=complete,
     )
@@ -127,11 +124,9 @@ def format_report(report: ExtremalReport) -> str:
     lines = [
         f"n={report.n} k={report.k} scanned={report.scanned} "
         f"max_sw={report.max_sw if report.max_sw is not None else 'none'} "
-        f"forms={report.form_count()} convention={report.convention.value} "
-        f"worker_s={report.elapsed:.1f}"
+        f"forms={report.form_count()} convention={IsoConvention.STATES_AND_SYMBOLS.value} "
+        f"worker_s={report.elapsed:.1f} forms_states_only={report.form_count(IsoConvention.STATES_ONLY)}"
     ]
-    if report.convention is not IsoConvention.STATES_ONLY:
-        lines[0] += f" forms_states_only={report.form_count(IsoConvention.STATES_ONLY)}"
     if not report.complete:
         lines.append("# warning: extremal collection was truncated")
     for i, dfa in enumerate(report.sorted_forms()):
@@ -228,31 +223,34 @@ def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray | None"
     return result, injective
 
 
-def _scan_numpy(n: int, k: int, lo: int, hi: int, cyclic: bool = False, chunk: int | None = None):
+def _scan_numpy(n: int, k: int, lo: int, hi: int, fixed: tuple[int, ...] | None = None,
+                chunk: int | None = None):
     """Scan the index range [lo, hi) in batches of `chunk` tables.
 
     Returns (max_sw, tables, scanned, truncated, injective, nonsync): the
     maximal switch count (None if no table synchronizes), the tables
     attaining it as row tuples in index order, `hi - lo`, whether more than
     `_COLLECT_CAP` of them were found, and how many tables of the range
-    were rejected as all-injective or left non-synchronizing.  In cyclic
-    mode an index encodes the k-1 free columns and the tables gain the
-    n-cycle as symbol 0.  Only orbit representatives are then scanned: a
-    table whose index is the least among its conjugates under the
-    centralizer of the cycle.  The returned tables are these
-    representatives, and each counts with its orbit size in `injective`
-    and `nonsync`, so those still count every table of the range.
+    were rejected as all-injective or left non-synchronizing.  `fixed`, a
+    transformation, is every table's symbol 0, and an index encodes the
+    k-1 free columns; None leaves all k columns free.  Only orbit
+    representatives are scanned: a table whose index is the least among
+    its conjugates under the centralizer of `fixed`.  The returned tables
+    are these representatives, and each counts with its orbit size in
+    `injective` and `nonsync`, so those still count every table of the
+    range.  With no fixed symbol, or a centralizer of the identity alone,
+    every table is its own orbit and no conjugates are built.
     """
     if chunk is None:
         chunk = max(2048, min(32768, (1 << 21) >> n))
-    free_k = k - 1 if cyclic else k
+    free_k = k if fixed is None else k - 1
     powers = np.array([n ** e for e in range(n * free_k - 1, -1, -1)], dtype=np.int64)
-    fixed = np.roll(np.arange(n, dtype=np.int16), -1) if cyclic else None
-    if cyclic:
+    relabelings, col0 = [], None
+    if fixed is not None:
         perms, ranks = _perm_arrays(n)
-        centralizer = _centralizer(n, tuple(fixed.tolist()))
         # index 0 is the identity, whose conjugate is the table itself
-        relabelings = [(perms[j], ranks[j]) for j in centralizer[1:]]
+        relabelings = [(perms[j], ranks[j]) for j in _centralizer(n, fixed)[1:]]
+        col0 = np.array(fixed, dtype=np.int16)
 
     best = -1
     tables: list[tuple[tuple[int, ...], ...]] = []
@@ -262,7 +260,7 @@ def _scan_numpy(n: int, k: int, lo: int, hi: int, cyclic: bool = False, chunk: i
         idx = np.arange(start, min(start + chunk, hi), dtype=np.int64)
         free = (idx[:, None] // powers % n).astype(np.int16).reshape(-1, n, free_k)
         weight = 1
-        if cyclic:
+        if relabelings:
             # a conjugate's index: its digits, relabeled by the same gather
             # as `_canonical_tables` uses, dotted with the place values
             least = np.ones(idx.size, dtype=bool)
@@ -272,8 +270,8 @@ def _scan_numpy(n: int, k: int, lo: int, hi: int, cyclic: bool = False, chunk: i
                 least &= conj >= idx
                 stabilizer += conj == idx
             free = free[least]
-            weight = len(centralizer) // stabilizer[least]
-        sw, rejected = _switch_counts_batch(n, free, fixed)
+            weight = (len(relabelings) + 1) // stabilizer[least]
+        sw, rejected = _switch_counts_batch(n, free, col0)
         rejected_w = int(np.sum(weight * rejected))
         injective += rejected_w
         nonsync += int(np.sum(weight * (sw < 0))) - rejected_w
@@ -286,8 +284,8 @@ def _scan_numpy(n: int, k: int, lo: int, hi: int, cyclic: bool = False, chunk: i
             room = _COLLECT_CAP - len(tables)
             truncated |= hits.size > room
             found = free[hits[:room]]
-            if fixed is not None:
-                found = np.concatenate((np.broadcast_to(fixed[:, None], (len(found), n, 1)), found), axis=2)
+            if col0 is not None:
+                found = np.concatenate((np.broadcast_to(col0[:, None], (len(found), n, 1)), found), axis=2)
             tables.extend(tuple(map(tuple, rows)) for rows in found.tolist())
     return (best if best >= 0 else None), tables, hi - lo, truncated, injective, nonsync
 
@@ -390,35 +388,45 @@ def canonical_form(dfa: Dfa, convention: IsoConvention = IsoConvention.STATES_AN
 # ---------------------------------------------------------------------------
 
 def _scan_worker(args):
-    n, k, lo, hi, cyclic = args
+    n, k, lo, hi, fixed = args
     t0 = time.monotonic()
-    max_sw, tables, scanned, truncated, injective, nonsync = _scan_numpy(n, k, lo, hi, cyclic)
+    max_sw, tables, scanned, truncated, injective, nonsync = _scan_numpy(n, k, lo, hi, fixed)
     forms = _canonical_tables(n, k, tables)
     picklable = {conv.value: sorted(tabs) for conv, tabs in forms.items()}
     return max_sw, picklable, scanned, truncated, time.monotonic() - t0, (lo, hi), (injective, nonsync)
 
 
-def _report_from_scan(n, k, convention, max_sw, form_tables, scanned, elapsed, truncated) -> ExtremalReport:
+def _report_from_scan(n, k, max_sw, form_tables, scanned, elapsed, truncated) -> ExtremalReport:
     forms = {
         conv: frozenset(Dfa(rows) for rows in form_tables[conv.value])
         for conv in IsoConvention
     }
     return ExtremalReport(
-        n=n, k=k, convention=convention, max_sw=max_sw,
+        n=n, k=k, max_sw=max_sw,
         forms=forms, scanned=scanned, elapsed=elapsed, complete=not truncated,
     )
 
 
-def _run_shards(n, k, total, cyclic, shards, parallelism, convention, progress):
+def _run_shards(n, k, fixed, shards, parallelism, long, progress):
+    """Scan every table whose symbol 0 is `fixed` (None: every table) in
+    shards, on `parallelism` worker processes, and merge their reports."""
+    workers = 1 if parallelism is None else parallelism
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    total = n ** (n * (k if fixed is None else k - 1))
+    if total > LONG_THRESHOLD and not long:
+        raise SearchSpaceError(
+            f"{total} tables exceed the quick-search threshold; pass long=True"
+        )
     if shards is None:
-        shards = max(1, min((parallelism or 1) * 8, total))
-    jobs = [(n, k, lo, hi, cyclic) for lo, hi in shard_space(total, shards) if lo < hi]
-    report = empty_report(n, k, convention)
-    parallel = parallelism and parallelism > 1 and len(jobs) > 1
-    with Pool(parallelism) if parallel else nullcontext() as pool:
+        shards = max(1, min(workers * 8, total))
+    jobs = [(n, k, lo, hi, fixed) for lo, hi in shard_space(total, shards) if lo < hi]
+    report = empty_report(n, k)
+    parallel = workers > 1 and len(jobs) > 1
+    with Pool(workers) if parallel else nullcontext() as pool:
         results = pool.imap_unordered(_scan_worker, jobs) if parallel else map(_scan_worker, jobs)
         for max_sw, tables, scanned, truncated, elapsed, (lo, hi), (injective, nonsync) in results:
-            part = _report_from_scan(n, k, convention, max_sw, tables, scanned, elapsed, truncated)
+            part = _report_from_scan(n, k, max_sw, tables, scanned, elapsed, truncated)
             if progress:
                 progress(f"SHARD [{lo},{hi}) DONE max={max_sw} forms={part.form_count()} "
                          f"tables_per_s={scanned / max(elapsed, 1e-9):.0f} "
@@ -435,7 +443,6 @@ def extremal_search(
     *,
     long: bool = False,
     allow_huge: bool = False,
-    convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS,
     progress: Callable[[str], None] | None = None,
 ) -> ExtremalReport:
     """Scan every n-state k-symbol transition table for the maximal switch count.
@@ -454,12 +461,7 @@ def extremal_search(
             f"binary search at n={n} enumerates {n}**{2 * n} tables; "
             "pass allow_huge=True to insist"
         )
-    total = n ** (n * k)
-    if total > LONG_THRESHOLD and not long:
-        raise SearchSpaceError(
-            f"{total} tables exceed the quick-search threshold; pass long=True"
-        )
-    return _run_shards(n, k, total, False, shards, parallelism, convention, progress)
+    return _run_shards(n, k, None, shards, parallelism, long, progress)
 
 
 def cyclic_extremal_search(
@@ -469,7 +471,6 @@ def cyclic_extremal_search(
     parallelism: int | None = None,
     *,
     long: bool = False,
-    convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS,
     progress: Callable[[str], None] | None = None,
 ) -> ExtremalReport:
     """Extremal search over cyclic automata: symbol 0 is fixed as the n-cycle.
@@ -484,9 +485,5 @@ def cyclic_extremal_search(
         raise SearchSpaceError(f"cyclic search supports 2 <= n <= {_CANONICAL_MAX_STATES}")
     if k not in (2, 3):
         raise SearchSpaceError("cyclic search supports k in {2, 3}")
-    total = n ** (n * (k - 1))
-    if total > LONG_THRESHOLD and not long:
-        raise SearchSpaceError(
-            f"{total} tables exceed the quick-search threshold; pass long=True"
-        )
-    return _run_shards(n, k, total, True, shards, parallelism, convention, progress)
+    cycle = tuple((q + 1) % n for q in range(n))
+    return _run_shards(n, k, cycle, shards, parallelism, long, progress)

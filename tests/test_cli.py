@@ -157,6 +157,11 @@ def test_search_guard_exit(capsys):
     assert code == 1 and "long" in err
 
 
+def test_search_needs_a_worker(capsys):
+    for jobs in ("0", "-2"):
+        assert "at least one worker" in _refusal(capsys, "search", "--n", "3", "--jobs", jobs)
+
+
 def test_verify_lemmas_command(capsys):
     code, out, _ = run_cli(capsys, "verify-lemmas", "--n", "6", "--samples", "300")
     assert code == 0

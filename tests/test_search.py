@@ -87,6 +87,8 @@ def test_shard_space_partitions():
         shard_space(3 ** 6, 0)
     with pytest.raises(ValueError):
         extremal_search(3, shards=0)
+    with pytest.raises(ValueError, match="at least one worker"):
+        extremal_search(3, parallelism=0)
 
 
 def test_engines_agree_exhaustively_small():
@@ -111,7 +113,7 @@ def test_engines_agree_cyclic():
     for n, k in [(4, 2), (3, 3), (5, 2)]:
         total = n ** (n * (k - 1))
         ref = _scan_reference(n, k, 0, total, cyclic=True)
-        fast = _scan_numpy(n, k, 0, total, cyclic=True)
+        fast = _scan_numpy(n, k, 0, total, fixed=tuple((q + 1) % n for q in range(n)))
         assert ref[0] == fast[0]
         orbits = [_rotations(rows) for rows in fast[1]]
         closure = set().union(*orbits)
@@ -131,9 +133,10 @@ def test_extremal_n2_and_n3():
 
 def test_extremal_forms_recheck():
     report = extremal_search(3)
-    for dfa in report.extremal_forms:
-        assert is_synchronizing(dfa)
-        assert min_switch_count(dfa) == report.max_sw
+    for conv in IsoConvention:
+        for dfa in report.forms[conv]:
+            assert is_synchronizing(dfa)
+            assert min_switch_count(dfa) == report.max_sw
 
 
 def test_pair_criterion_never_rejects():
@@ -184,9 +187,8 @@ def test_merge_commutative():
     parts = []
     total = 3 ** 6
     for lo, hi in [(0, total // 2), (total // 2, total)]:
-        max_sw, forms, scanned, trunc, elapsed, *_ = _scan_worker((3, 2, lo, hi, False))
-        parts.append(_report_from_scan(3, 2, IsoConvention.STATES_AND_SYMBOLS,
-                                       max_sw, forms, scanned, elapsed, trunc))
+        max_sw, forms, scanned, trunc, elapsed, *_ = _scan_worker((3, 2, lo, hi, None))
+        parts.append(_report_from_scan(3, 2, max_sw, forms, scanned, elapsed, trunc))
     ab = merge_reports(parts[0], parts[1])
     ba = merge_reports(parts[1], parts[0])
     assert ab.max_sw == ba.max_sw and ab.forms == ba.forms and ab.scanned == ba.scanned
@@ -213,8 +215,9 @@ def test_cyclic_shards_agree(n, k):
 def test_cyclic_forms_recheck():
     report = cyclic_extremal_search(4, 2)
     assert report.max_sw <= 7  # cannot beat the overall binary n=4 maximum
-    for dfa in report.extremal_forms:
-        assert min_switch_count(dfa) == report.max_sw
+    for conv in IsoConvention:
+        for dfa in report.forms[conv]:
+            assert min_switch_count(dfa) == report.max_sw
 
 
 def test_search_guards():
@@ -231,11 +234,18 @@ def test_search_guards():
 
 
 def test_format_report():
-    report = extremal_search(3)
-    text = format_report(report)
-    assert "max_sw=3" in text and "scanned=729" in text
-    assert text.count("# extremal form") == report.form_count()
-    assert "# warning" not in text
+    # every header field but the timing, for a binary and a cyclic space
+    for report, header in [
+        (extremal_search(3),
+         "n=3 k=2 scanned=729 max_sw=3 forms=6 convention=states+symbols forms_states_only=12"),
+        (cyclic_extremal_search(5, 2),
+         "n=5 k=2 scanned=3125 max_sw=7 forms=112 convention=states+symbols forms_states_only=112"),
+    ]:
+        text = format_report(report)
+        fields = [f for f in text.splitlines()[0].split() if not f.startswith("worker_s=")]
+        assert fields == header.split()
+        assert text.count("# extremal form") == report.form_count()
+        assert "# warning" not in text
 
 
 def test_format_report_truncation_warning(monkeypatch):
