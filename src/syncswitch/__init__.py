@@ -14,10 +14,8 @@ from .automaton import (
     full_set,
     is_singleton,
     parse_dfa,
-    preimage,
     serialize_dfa,
     set_members,
-    set_size,
     state_set,
     switch_count,
 )
@@ -54,14 +52,12 @@ __all__ = [
     "switch_count",
     "apply_state",
     "apply_set",
-    "preimage",
     "canonical_form",
     "parse_dfa",
     "serialize_dfa",
     "full_set",
     "state_set",
     "set_members",
-    "set_size",
     "is_singleton",
     "is_synchronizing",
     "shortest_sync_length",

@@ -104,12 +104,6 @@ def distance(ctx: DistanceContext, p: int, q: int) -> int:
     return ctx.distance_by_index(signed_to_index(p, n), signed_to_index(q, n))
 
 
-def equivalent(ctx: DistanceContext, p: int, q: int) -> bool:
-    """Whether p and q project to the same cycle state under (ab)^(n/3)."""
-    n = ctx.n
-    return ctx.proj[signed_to_index(p, n)] == ctx.proj[signed_to_index(q, n)]
-
-
 def measure(ctx: DistanceContext, bits: int) -> int:
     """Max-min distance of a nonempty set contained in S or in -S.
 

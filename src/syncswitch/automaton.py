@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import index as _as_int
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class DfaParseError(ValueError):
@@ -69,22 +69,9 @@ class Dfa:
         self.k = k
         self.rows = tbl
 
-    def step(self, q: int, s: int) -> int:
-        return self.rows[q][s]
-
     def column(self, s: int) -> tuple[int, ...]:
         """The transformation of symbol s as a tuple indexed by state."""
         return tuple(row[s] for row in self.rows)
-
-    def relabeled(self, state_map: Sequence[int], symbol_map: Sequence[int] | None = None) -> "Dfa":
-        """Rename state q to state_map[q] (and symbol s to symbol_map[s])."""
-        if symbol_map is None:
-            symbol_map = range(self.k)
-        new_rows = [[0] * self.k for _ in range(self.n)]
-        for q, row in enumerate(self.rows):
-            for s, t in enumerate(row):
-                new_rows[state_map[q]][symbol_map[s]] = state_map[t]
-        return Dfa(new_rows)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Dfa) and self.rows == other.rows
@@ -134,10 +121,6 @@ class Word:
         if any(s >= 26 for s in self.symbols):
             raise ValueError("cannot render words over more than 26 symbols")
         return "".join(chr(ord("a") + s) for s in self.symbols)
-
-    def compressed(self) -> str:
-        """Run-compressed display form, e.g. 'b(a^3b)^2'; display only."""
-        return _compress(self.letters())
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -200,10 +183,6 @@ def set_members(bits: int) -> list[int]:
     return members
 
 
-def set_size(bits: int) -> int:
-    return bits.bit_count()
-
-
 def is_singleton(bits: int) -> bool:
     return bits != 0 and bits & (bits - 1) == 0
 
@@ -244,19 +223,6 @@ def apply_set(dfa: Dfa, bits: int, word: Iterable[int]) -> int:
             rest ^= low
         bits = new
     return bits
-
-
-def preimage(dfa: Dfa, bits: int, s: int) -> int:
-    """All states mapped into `bits` by symbol s."""
-    if not 0 <= s < dfa.k:
-        raise WordSymbolError(f"symbol index {s} out of range [0, {dfa.k})")
-    if bits >> dfa.n:
-        raise ValueError("state set has bits beyond the automaton's states")
-    pre = 0
-    for q in range(dfa.n):
-        if (bits >> dfa.rows[q][s]) & 1:
-            pre |= 1 << q
-    return pre
 
 
 # ---------------------------------------------------------------------------
@@ -315,41 +281,3 @@ def symbol_letter(s: int) -> str:
         raise ValueError("only symbols 0..25 have letter names")
     return chr(ord("a") + s)
 
-
-# ---------------------------------------------------------------------------
-# Display compression for words
-# ---------------------------------------------------------------------------
-
-def _smallest_period(s: str) -> int:
-    for p in range(1, len(s) // 2 + 1):
-        if len(s) % p == 0 and s == s[:p] * (len(s) // p):
-            return p
-    return len(s)
-
-
-def _compress(text: str, _memo: dict | None = None) -> str:
-    """Shortest rendering of `text` as literals and exponent groups."""
-    if _memo is None:
-        _memo = {}
-    if text in _memo:
-        return _memo[text]
-    L = len(text)
-    # best[i] = shortest rendering of text[:i]
-    best: list[str] = [""] * (L + 1)
-    for i in range(1, L + 1):
-        cand = best[i - 1] + text[i - 1]
-        for j in range(0, i - 1):
-            block = text[j:i]
-            p = _smallest_period(block)
-            if p < len(block):
-                base = _compress(block[:p], _memo)
-                rep = len(block) // p
-                if len(base) == 1:
-                    piece = f"{base}^{rep}"
-                else:
-                    piece = f"({base})^{rep}"
-                if len(best[j]) + len(piece) <= len(cand):
-                    cand = best[j] + piece
-        best[i] = cand
-    _memo[text] = best[L]
-    return best[L]

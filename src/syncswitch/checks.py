@@ -412,6 +412,8 @@ _CHECKS: list[Callable[..., CheckResult]] = [
 
 def run_checks(long: bool = False, jobs: int | None = None,
                progress: Callable[[str], None] | None = None) -> list[CheckResult]:
+    if jobs is not None and jobs < 1:
+        raise ValueError("need at least one worker")
     results = []
     for fn in _CHECKS:
         if fn is check_exhaustive_table:

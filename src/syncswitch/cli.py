@@ -140,7 +140,7 @@ def _print_search(search, *args, **kwargs) -> int:
 def _cmd_search(args) -> int:
     return _print_search(
         extremal_search, args.n, args.k, shards=args.shards, parallelism=args.jobs,
-        long=args.long, allow_huge=args.allow_huge,
+        long=args.long,
     )
 
 
@@ -215,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--long", action="store_true", help="allow searches past the quick threshold")
-    p.add_argument("--allow-huge", action="store_true",
-                   help="allow binary searches past n=6 (far beyond desk scale)")
     p.add_argument("--shards", type=int, default=None)
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_search)

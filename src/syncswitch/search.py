@@ -416,7 +416,8 @@ def _run_shards(n, k, fixed, shards, parallelism, long, progress):
     total = n ** (n * (k if fixed is None else k - 1))
     if total > LONG_THRESHOLD and not long:
         raise SearchSpaceError(
-            f"{total} tables exceed the quick-search threshold; pass long=True"
+            f"{total} tables exceed the quick-search threshold; "
+            "pass long=True (--long on the command line)"
         )
     if shards is None:
         shards = max(1, min(workers * 8, total))
@@ -442,25 +443,19 @@ def extremal_search(
     parallelism: int | None = None,
     *,
     long: bool = False,
-    allow_huge: bool = False,
     progress: Callable[[str], None] | None = None,
 ) -> ExtremalReport:
     """Scan every n-state k-symbol transition table for the maximal switch count.
 
-    Guards: spaces beyond LONG_THRESHOLD tables need long=True, and binary
-    spaces beyond n = 6 additionally need allow_huge=True (they are far past
-    desk scale).  Returns the maximum together with the canonical extremal
-    automata; scanning was raw, so forms are deduplicated only at the end.
+    Spaces beyond LONG_THRESHOLD tables need long=True, the one size
+    confirmation of every search; n > 9 is refused.  Returns the maximum
+    together with the canonical extremal automata; scanning was raw, so
+    forms are deduplicated only at the end.
     """
     if n < 2 or k < 1:
         raise SearchSpaceError("extremal_search needs n >= 2 and k >= 1")
     if n > _CANONICAL_MAX_STATES:
         raise SearchSpaceError(f"extremal searches beyond {_CANONICAL_MAX_STATES} states are not supported")
-    if k == 2 and n > 6 and not allow_huge:
-        raise SearchSpaceError(
-            f"binary search at n={n} enumerates {n}**{2 * n} tables; "
-            "pass allow_huge=True to insist"
-        )
     return _run_shards(n, k, None, shards, parallelism, long, progress)
 
 

@@ -37,7 +37,6 @@ class SyncResult:
     word: Word
     length: int
     switch: int
-    witness_count: int | None = None
 
 
 # The image tables cut a state set into at most three bytes; a subset search

@@ -14,10 +14,8 @@ from syncswitch.automaton import (
     full_set,
     is_singleton,
     parse_dfa,
-    preimage,
     serialize_dfa,
     set_members,
-    state_set,
     switch_count,
 )
 from syncswitch.families import cerny
@@ -75,7 +73,7 @@ def test_switch_count_bounds(w):
 
 
 # ---------------------------------------------------------------------
-# apply / preimage
+# apply
 # ---------------------------------------------------------------------
 
 def test_apply_state_cerny():
@@ -121,21 +119,6 @@ def test_apply_set_cardinality_monotone(dfa, data):
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
-def test_preimage():
-    c4 = cerny(4)
-    assert preimage(c4, full_set(4), 0) == full_set(4)
-    assert set_members(preimage(c4, state_set([1]), 1)) == [0, 1]
-    assert preimage(c4, 0, 0) == 0
-
-
-@given(dfas(), st.data())
-def test_preimage_section(dfa, data):
-    s = data.draw(st.integers(0, dfa.k - 1))
-    v = data.draw(st.integers(0, full_set(dfa.n)))
-    pre = preimage(dfa, v, s)
-    assert apply_set(dfa, pre, [s]) & ~v == 0
-
-
 # ---------------------------------------------------------------------
 # canonical forms
 # ---------------------------------------------------------------------
@@ -151,12 +134,23 @@ def test_canonical_idempotent():
 @settings(max_examples=40)
 def test_canonical_invariant_under_relabeling(dfa, data):
     perm = data.draw(st.permutations(list(range(dfa.n))))
-    relabeled = dfa.relabeled(perm)
+    relabeled = _relabel(dfa, perm)
     for conv in IsoConvention:
         assert canonical_form(dfa, conv) == canonical_form(relabeled, conv)
     sym_perm = data.draw(st.permutations(list(range(dfa.k))))
-    both = dfa.relabeled(perm, sym_perm)
+    both = _relabel(dfa, perm, sym_perm)
     assert canonical_form(dfa) == canonical_form(both)
+
+
+def _relabel(dfa, state_map, symbol_map=None):
+    """Rename state q to state_map[q] (and symbol s to symbol_map[s])."""
+    if symbol_map is None:
+        symbol_map = range(dfa.k)
+    rows = [[0] * dfa.k for _ in range(dfa.n)]
+    for q, row in enumerate(dfa.rows):
+        for s, t in enumerate(row):
+            rows[state_map[q]][symbol_map[s]] = state_map[t]
+    return Dfa(rows)
 
 
 def test_canonical_symbol_swap():
@@ -228,40 +222,3 @@ def test_word_letters_round_trip():
     assert w.letters() == "ababbaba"
     assert len(w) == 8
     assert w.switch_count == 7
-
-
-def test_word_compressed_display():
-    w = Word.from_letters("baaabaaab")
-    comp = w.compressed()
-    assert _expand(comp) == "baaabaaab"
-    assert len(comp) <= len("baaabaaab")
-
-
-def test_word_compressed_grouping():
-    assert _expand(Word.from_letters("ababab").compressed()) == "ababab"
-    assert Word.from_letters("aaa").compressed() == "a^3"
-
-
-def _expand(display: str) -> str:
-    """Tiny reference expander for the compressed display form."""
-    out, i = [], 0
-    while i < len(display):
-        ch = display[i]
-        if ch == "(":
-            depth, j = 1, i + 1
-            while depth:
-                depth += {"(": 1, ")": -1}.get(display[j], 0)
-                j += 1
-            block = _expand(display[i + 1:j - 1])
-            i = j
-        else:
-            block = ch
-            i += 1
-        if i < len(display) and display[i] == "^":
-            j = i + 1
-            while j < len(display) and display[j].isdigit():
-                j += 1
-            block *= int(display[i + 1:j])
-            i = j
-        out.append(block)
-    return "".join(out)

@@ -154,12 +154,17 @@ def test_cyclic_search_command(capsys):
 
 def test_search_guard_exit(capsys):
     code, _, err = run_cli(capsys, "search", "--n", "6", "--jobs", "1")
-    assert code == 1 and "long" in err
+    assert code == 1 and "--long" in err
 
 
 def test_search_needs_a_worker(capsys):
     for jobs in ("0", "-2"):
         assert "at least one worker" in _refusal(capsys, "search", "--n", "3", "--jobs", jobs)
+
+
+def test_verify_paper_needs_a_worker(capsys):
+    # refused before any check runs, so no check's progress line is printed
+    assert "at least one worker" in _refusal(capsys, "verify-paper", "--jobs", "0")
 
 
 def test_verify_lemmas_command(capsys):

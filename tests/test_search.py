@@ -221,15 +221,17 @@ def test_cyclic_forms_recheck():
 
 
 def test_search_guards():
-    with pytest.raises(SearchSpaceError):
+    # each call is refused by its own guard: three need long=True
+    threshold = "exceed the quick-search threshold"
+    with pytest.raises(SearchSpaceError, match=threshold):
         extremal_search(7, 2)
-    with pytest.raises(SearchSpaceError):
-        extremal_search(6, 2)  # needs long=True
-    with pytest.raises(SearchSpaceError):
-        extremal_search(10, 2, allow_huge=True)
-    with pytest.raises(SearchSpaceError):
-        cyclic_extremal_search(9, 2)  # needs long=True
-    with pytest.raises(SearchSpaceError):
+    with pytest.raises(SearchSpaceError, match=threshold):
+        extremal_search(6, 2)
+    with pytest.raises(SearchSpaceError, match="beyond 9 states"):
+        extremal_search(10, 2)
+    with pytest.raises(SearchSpaceError, match=threshold):
+        cyclic_extremal_search(9, 2)
+    with pytest.raises(SearchSpaceError, match=r"k in \{2, 3\}"):
         cyclic_extremal_search(5, 4)
 
 
