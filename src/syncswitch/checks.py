@@ -31,7 +31,7 @@ from .families import (
     r_family,
     t7_shortest_words,
 )
-from .search import cyclic_extremal_search, extremal_search
+from .search import canonical_form, cyclic_extremal_search, extremal_search
 from .synchro import (
     Objective,
     count_optimal_words,
@@ -215,21 +215,18 @@ def check_closure_equivalence() -> CheckResult:
     return c.result("8", "sw = ssl of power closure on families (n<=10) + 500 random (n<=8)", t0)
 
 
-_SEARCH_TABLE = {2: (1, None), 3: (3, 6), 4: (7, 2), 5: (11, 6)}
-_SEARCH_TABLE_LONG = {6: (19, 2)}
+_SEARCH_TABLE = {2: (1, None), 3: (3, 6), 4: (7, 2), 5: (11, 6), 6: (19, 2)}
 
 
 def check_exhaustive_table(jobs: int | None = None, long: bool = False,
                            progress: Callable[[str], None] | None = None) -> CheckResult:
-    """Binary exhaustive search maxima (and extremal counts) for n = 2..5."""
+    """Binary exhaustive search maxima (and extremal counts) for n = 2..6;
+    `long` adds n = 7: maximum 25, with t7 among the extremal forms."""
     t0 = time.time()
     c = _Collector()
-    table = dict(_SEARCH_TABLE)
-    if long:
-        table.update(_SEARCH_TABLE_LONG)
     conventions_used = []
-    for n, (max_sw, count) in table.items():
-        report = extremal_search(n, 2, parallelism=jobs, long=long, progress=progress)
+    for n, (max_sw, count) in _SEARCH_TABLE.items():
+        report = extremal_search(n, 2, parallelism=jobs, progress=progress)
         c.eq(f"max_sw(n={n})", report.max_sw, max_sw)
         c.eq(f"scanned(n={n})", report.scanned, n ** (2 * n))
         if count is not None:
@@ -239,7 +236,13 @@ def check_exhaustive_table(jobs: int | None = None, long: bool = False,
                 conventions_used.append(f"n={n}:{'/'.join(matching)}")
             else:
                 c.eq(f"forms(n={n})", dict((cv.value, ct) for cv, ct in counts.items()), count)
-    summary = "maxima 1,3,7,11 and counts -,6,2,6 for n=2..5"
+    summary = "maxima 1,3,7,11,19 and counts -,6,2,6,2 for n=2..6"
+    if long:
+        report = extremal_search(7, 2, parallelism=jobs, long=True, progress=progress)
+        c.eq("max_sw(n=7)", report.max_sw, 25)
+        c.eq("scanned(n=7)", report.scanned, 7 ** 14)
+        c.true("t7 extremal", canonical_form(fixture("t7")) in report.forms[IsoConvention.STATES_AND_SYMBOLS])
+        summary += "; n=7 maximum 25 reached by t7"
     if conventions_used:
         summary += f" [counts match under {'; '.join(conventions_used)}]"
     return c.result("9", summary, t0)

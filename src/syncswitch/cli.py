@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the full verification battery")
     p.add_argument("--long", action="store_true",
-                   help="include the n=6 binary exhaustive search (hours)")
+                   help="add the n=7 binary exhaustive search (minutes)")
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_verify_paper)
 

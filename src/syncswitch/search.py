@@ -1,17 +1,16 @@
 """Exhaustive extremal searches over small transition tables.
 
-Both searches run one scan: tables in mixed-radix order, cheap rejection
-first (at least one symbol must be non-injective), switch count after.
-Symbol 0 may be fixed, one map shared by every table: the binary search
-fixes none and scans every table, the cyclic search fixes the n-cycle and
-scans one table per orbit under its centralizer (the n rotations), the
-table whose index is the least in its orbit.  One numpy kernel searches a
-whole batch of automata at once by applying symbol runs to a flat frontier
-of (table, subset) entries, and one batch canonicalizer reduces the
-extremal tables to forms up to isomorphism; `canonical_form` is its
-one-table call.  It tries all n! relabelings, so every entry point refuses
-n > 9.  Shards are independent index ranges; their reports merge
-associatively.
+Every search fixes symbol 0, one map shared by a whole batch, and
+enumerates the k-1 free columns in mixed-radix order: the binary search
+fixes one map per conjugacy class of [n]^n, weighted by the class size,
+and the cyclic search fixes the n-cycle.  Of these tables the scan keeps
+one per orbit under the centralizer of the map, the least index.  Cheap
+rejection comes first (some symbol must be non-injective), then one numpy
+kernel computes the switch counts of a whole batch over a flat frontier
+of (table, subset) entries.  The parent keeps the tables at the running
+maximum, and one batch canonicalizer reduces them to forms up to
+isomorphism once, after the last shard; `canonical_form` is its one-table
+call.  It tries all n! relabelings, so every entry point refuses n > 9.
 """
 
 from __future__ import annotations
@@ -20,9 +19,10 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, combinations_with_replacement, permutations
+from math import factorial
 from multiprocessing import Pool
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -33,10 +33,10 @@ class SearchSpaceError(ValueError):
     """The requested enumeration is too large for the given flags."""
 
 
-# Enumerations above this size need long=True.
+# Searches that enumerate more tables than this need long=True.
 LONG_THRESHOLD = 20_000_000
-# Gathered extremal tables (orbit representatives with a fixed symbol) per scan
-# before the report is marked incomplete.
+# Gathered extremal tables (orbit representatives) per shard before the
+# report is marked incomplete.
 _COLLECT_CAP = 100_000
 
 
@@ -48,31 +48,16 @@ def shard_space(total: int, count: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def decode_table(n: int, k: int, index: int) -> tuple[tuple[int, ...], ...]:
-    """Index -> transition table, mixed radix, flat position q*k+s, big-endian."""
-    entries = [0] * (n * k)
-    for pos in range(n * k - 1, -1, -1):
-        index, entries[pos] = divmod(index, n)
-    return tuple(tuple(entries[q * k:(q + 1) * k]) for q in range(n))
-
-
-def encode_table(n: int, k: int, rows: Iterable[Iterable[int]]) -> int:
-    index = 0
-    for row in rows:
-        for t in row:
-            index = index * n + t
-    return index
-
-
 @dataclass(frozen=True)
 class ExtremalReport:
     """Maximum switch count over a scanned space plus the extremal automata.
 
     Extremal forms are kept canonically under both isomorphism conventions,
     one set each in `forms`; `form_count` and `sorted_forms` read
-    STATES_AND_SYMBOLS unless given the other.  `elapsed` is
-    the sum of the shards' seconds, so with parallel workers it exceeds the
-    wall time.  `complete` is False when the per-scan collection cap was hit
+    STATES_AND_SYMBOLS unless given the other.  `elapsed` is the sum of the
+    worker seconds, the shards' scans and the final canonicalization, so
+    with parallel workers it exceeds the wall time.  `complete` is False
+    when a shard reaching the maximum hit the per-shard collection cap
     (never expected for the published search sizes).
     """
 
@@ -89,34 +74,6 @@ class ExtremalReport:
 
     def sorted_forms(self, convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS) -> list[Dfa]:
         return sorted(self.forms[convention], key=lambda d: d.rows)
-
-
-def empty_report(n: int, k: int) -> ExtremalReport:
-    return ExtremalReport(
-        n=n, k=k, max_sw=None,
-        forms={c: frozenset() for c in IsoConvention}, scanned=0, elapsed=0.0,
-    )
-
-
-def merge_reports(r1: ExtremalReport, r2: ExtremalReport) -> ExtremalReport:
-    """Associative, commutative merge: larger max wins, ties union the forms.
-
-    A losing side's truncation does not matter: none of its tables attain
-    the winning maximum.
-    """
-    if (r1.n, r1.k) != (r2.n, r2.k):
-        raise ValueError("cannot merge reports over different search spaces")
-    if r1.max_sw == r2.max_sw:
-        max_sw, complete = r1.max_sw, r1.complete and r2.complete
-        forms = {c: r1.forms[c] | r2.forms[c] for c in IsoConvention}
-    else:
-        win = max(r1, r2, key=lambda r: -1 if r.max_sw is None else r.max_sw)
-        max_sw, forms, complete = win.max_sw, dict(win.forms), win.complete
-    return ExtremalReport(
-        n=r1.n, k=r1.k, max_sw=max_sw,
-        forms=forms, scanned=r1.scanned + r2.scanned,
-        elapsed=r1.elapsed + r2.elapsed, complete=complete,
-    )
 
 
 def format_report(report: ExtremalReport) -> str:
@@ -148,13 +105,12 @@ def _image_maps(n: int, cols: "np.ndarray") -> "np.ndarray":
     return img
 
 
-def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray | None" = None):
+def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray"):
     """Switch counts of a batch of tables (-1: not synchronizing), and the
     mask of those rejected up front because every symbol is injective.
 
-    `delta` holds the free columns, shape (b, n, free_k).  `fixed`, one
-    transformation shared by the batch (the n-cycle in cyclic search), is
-    every table's symbol 0.  The breadth-first search starts at the full
+    `delta` holds the free columns, shape (b, n, k-1).  `fixed`, one
+    transformation shared by the batch, is every table's symbol 0.  The breadth-first search starts at the full
     set and one edge is one maximal symbol run, so a table's switch count
     is the first level that reaches a singleton.
     """
@@ -163,13 +119,12 @@ def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray | None"
     # a column is injective iff its n target bits cover every state
     bits = np.left_shift(1, delta.astype(np.int32))
     injective = (np.bitwise_or.reduce(bits, axis=1) == full).all(axis=1)
-    injective &= fixed is None or len(set(fixed.tolist())) == n
+    injective &= len(set(fixed.tolist())) == n
 
     # (map, index mask) per symbol: a free symbol's map is flat and indexed
     # like the frontier, the fixed symbol's one map by the subset alone
     maps = [(_image_maps(n, delta[:, :, s]).reshape(-1), -1) for s in range(free_k)]
-    if fixed is not None:
-        maps.append((_image_maps(n, fixed[None, :])[0], full))
+    maps.append((_image_maps(n, fixed[None, :])[0], full))
 
     # The frontier is flat, entries table * 2^n + subset, and a table leaves
     # it once it is done.  mark[entry] is the stamp of the (level, symbol)
@@ -223,54 +178,48 @@ def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray | None"
     return result, injective
 
 
-def _scan_numpy(n: int, k: int, lo: int, hi: int, fixed: tuple[int, ...] | None = None,
-                chunk: int | None = None):
-    """Scan the index range [lo, hi) in batches of `chunk` tables.
+def _scan_numpy(n: int, k: int, lo: int, hi: int, fixed: tuple[int, ...], chunk: int | None = None):
+    """Scan the index range [lo, hi) of the tables whose symbol 0 is the
+    transformation `fixed`, in batches of `chunk` tables; an index encodes
+    the k-1 free columns.
 
-    Returns (max_sw, tables, scanned, truncated, injective, nonsync): the
-    maximal switch count (None if no table synchronizes), the tables
-    attaining it as row tuples in index order, `hi - lo`, whether more than
+    Returns (max_sw, tables, truncated, injective, nonsync): the maximal
+    switch count (-1 if no table synchronizes), the tables attaining it as
+    a uint8 array of shape (m, n, k) in index order, whether more than
     `_COLLECT_CAP` of them were found, and how many tables of the range
-    were rejected as all-injective or left non-synchronizing.  `fixed`, a
-    transformation, is every table's symbol 0, and an index encodes the
-    k-1 free columns; None leaves all k columns free.  Only orbit
+    were rejected as all-injective or left non-synchronizing.  Only orbit
     representatives are scanned: a table whose index is the least among
     its conjugates under the centralizer of `fixed`.  The returned tables
     are these representatives, and each counts with its orbit size in
     `injective` and `nonsync`, so those still count every table of the
-    range.  With no fixed symbol, or a centralizer of the identity alone,
-    every table is its own orbit and no conjugates are built.
+    range.
     """
     if chunk is None:
         chunk = max(2048, min(32768, (1 << 21) >> n))
-    free_k = k if fixed is None else k - 1
+    free_k = k - 1
     powers = np.array([n ** e for e in range(n * free_k - 1, -1, -1)], dtype=np.int64)
-    relabelings, col0 = [], None
-    if fixed is not None:
-        perms, ranks = _perm_arrays(n)
-        # index 0 is the identity, whose conjugate is the table itself
-        relabelings = [(perms[j], ranks[j]) for j in _centralizer(n, fixed)[1:]]
-        col0 = np.array(fixed, dtype=np.int16)
+    perms, ranks = _perm_arrays(n)
+    # index 0 is the identity, whose conjugate is the table itself
+    relabelings = [(perms[j], ranks[j]) for j in _centralizer(n, fixed)[1:]]
+    col0 = np.array(fixed, dtype=np.int16)
 
     best = -1
-    tables: list[tuple[tuple[int, ...], ...]] = []
+    found: list[np.ndarray] = []
     truncated, injective, nonsync = False, 0, 0
 
     for start in range(lo, hi, chunk):
         idx = np.arange(start, min(start + chunk, hi), dtype=np.int64)
-        free = (idx[:, None] // powers % n).astype(np.int16).reshape(-1, n, free_k)
-        weight = 1
-        if relabelings:
-            # a conjugate's index: its digits, relabeled by the same gather
-            # as `_canonical_tables` uses, dotted with the place values
-            least = np.ones(idx.size, dtype=bool)
-            stabilizer = np.ones(idx.size, dtype=np.int64)
-            for perm, rank in relabelings:
-                conj = rank[free[:, perm, :]].reshape(idx.size, -1) @ powers
-                least &= conj >= idx
-                stabilizer += conj == idx
-            free = free[least]
-            weight = (len(relabelings) + 1) // stabilizer[least]
+        free = (idx[:, None] // powers % n).astype(np.int16).reshape(idx.size, n, free_k)
+        # a conjugate's index: its digits, relabeled by the same gather as
+        # `_canonical_tables` uses, dotted with the place values
+        least = np.ones(idx.size, dtype=bool)
+        stabilizer = np.ones(idx.size, dtype=np.int64)
+        for perm, rank in relabelings:
+            conj = rank[free[:, perm, :]].reshape(idx.size, n * free_k) @ powers
+            least &= conj >= idx
+            stabilizer += conj == idx
+        free = free[least]
+        weight = (len(relabelings) + 1) // stabilizer[least]
         sw, rejected = _switch_counts_batch(n, free, col0)
         rejected_w = int(np.sum(weight * rejected))
         injective += rejected_w
@@ -278,16 +227,15 @@ def _scan_numpy(n: int, k: int, lo: int, hi: int, fixed: tuple[int, ...] | None 
 
         batch_best = int(sw.max(initial=-1))
         if batch_best > best:
-            best, tables, truncated = batch_best, [], False
+            best, found, truncated = batch_best, [], False
         if batch_best == best >= 0:
             hits = np.nonzero(sw == best)[0]
-            room = _COLLECT_CAP - len(tables)
+            room = _COLLECT_CAP - sum(map(len, found))
             truncated |= hits.size > room
-            found = free[hits[:room]]
-            if col0 is not None:
-                found = np.concatenate((np.broadcast_to(col0[:, None], (len(found), n, 1)), found), axis=2)
-            tables.extend(tuple(map(tuple, rows)) for rows in found.tolist())
-    return (best if best >= 0 else None), tables, hi - lo, truncated, injective, nonsync
+            found.append(free[hits[:room]])
+    free = np.concatenate([np.empty((0, n, free_k), np.int16)] + found)
+    tables = np.concatenate((np.broadcast_to(col0[:, None], (len(free), n, 1)), free), axis=2)
+    return best, tables.astype(np.uint8), truncated, injective, nonsync
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +288,6 @@ def _canonical_tables(n: int, k: int, tables) -> dict[IsoConvention, set[tuple]]
     relabelings, and under STATES_AND_SYMBOLS over all symbol orders too.
     """
     out: dict[IsoConvention, set[tuple]] = {c: set() for c in IsoConvention}
-    if not tables:
-        return out
     perms, ranks = _perm_arrays(n)
     nperm = perms.shape[0]
     width = n * k
@@ -387,53 +333,99 @@ def canonical_form(dfa: Dfa, convention: IsoConvention = IsoConvention.STATES_AN
 # Drivers
 # ---------------------------------------------------------------------------
 
-def _scan_worker(args):
-    n, k, lo, hi, fixed = args
+def _class_representatives(n: int) -> dict[tuple[int, ...], int]:
+    """One transformation of [n] per conjugacy class under relabeling, in
+    canonical form, mapped to its class size n!/|C(map)|, largest
+    centralizers (the slowest scans) first.
+
+    Every class holds a map whose cyclic states are 0..c-1, each cycle a
+    block q -> q+1 of consecutive states, longest block first, and whose
+    other states are numbered breadth-first from the cycles, so that each
+    maps below itself and their targets never decrease; the canonical
+    forms of these maps are one per class.
+    """
+    def partitions(c, most):
+        if c == 0:
+            yield ()
+        for part in range(min(c, most), 0, -1):
+            yield from ((part,) + rest for rest in partitions(c - part, part))
+
+    candidates = []
+    for c in range(1, n + 1):
+        for sizes in partitions(c, c):
+            cycles = tuple(s + (i + 1) % size for s, size in zip(accumulate((0,) + sizes), sizes)
+                           for i in range(size))
+            for tail in combinations_with_replacement(range(n - 1), n - c):
+                if all(t < q for q, t in zip(range(c, n), tail)):
+                    candidates.append([(t,) for t in cycles + tail])
+    forms = _canonical_tables(n, 1, candidates)[IsoConvention.STATES_ONLY]
+    maps = (tuple(t for (t,) in form) for form in forms)
+    sizes = {f: factorial(n) // len(_centralizer(n, f)) for f in maps}
+    return dict(sorted(sizes.items(), key=lambda item: (item[1], item[0])))
+
+
+def _scan_job(job):
+    n, k, fixed, lo, hi = job
     t0 = time.monotonic()
-    max_sw, tables, scanned, truncated, injective, nonsync = _scan_numpy(n, k, lo, hi, fixed)
-    forms = _canonical_tables(n, k, tables)
-    picklable = {conv.value: sorted(tabs) for conv, tabs in forms.items()}
-    return max_sw, picklable, scanned, truncated, time.monotonic() - t0, (lo, hi), (injective, nonsync)
+    return job, _scan_numpy(n, k, lo, hi, fixed), time.monotonic() - t0
 
 
-def _report_from_scan(n, k, max_sw, form_tables, scanned, elapsed, truncated) -> ExtremalReport:
-    forms = {
-        conv: frozenset(Dfa(rows) for rows in form_tables[conv.value])
-        for conv in IsoConvention
-    }
-    return ExtremalReport(
-        n=n, k=k, max_sw=max_sw,
-        forms=forms, scanned=scanned, elapsed=elapsed, complete=not truncated,
-    )
+def _canonical_job(job):
+    t0 = time.monotonic()
+    return _canonical_tables(*job), time.monotonic() - t0
 
 
-def _run_shards(n, k, fixed, shards, parallelism, long, progress):
-    """Scan every table whose symbol 0 is `fixed` (None: every table) in
-    shards, on `parallelism` worker processes, and merge their reports."""
+def _search(n, k, classes, representatives, shards, parallelism, long, progress) -> ExtremalReport:
+    """Scan the tables whose symbol 0 is a map of `representatives()`, a
+    dict {map: weight}, in shards on `parallelism` worker processes; keep
+    the tables at the running maximum and canonicalize them once, in the
+    same pool, one part per worker.
+
+    Each map's tables count `weight` times in `scanned`, `injective` and
+    `nonsync`.  `classes`, a lower bound on the number of maps, sizes the
+    space for the LONG_THRESHOLD check before any map is made.
+    """
     workers = 1 if parallelism is None else parallelism
     if workers < 1:
         raise ValueError("need at least one worker")
-    total = n ** (n * (k if fixed is None else k - 1))
-    if total > LONG_THRESHOLD and not long:
+    free = n ** (n * (k - 1))
+    if free * classes > LONG_THRESHOLD and not long:
         raise SearchSpaceError(
-            f"{total} tables exceed the quick-search threshold; "
+            f"{free * classes} tables exceed the quick-search threshold; "
             "pass long=True (--long on the command line)"
         )
+    maps = representatives()
     if shards is None:
-        shards = max(1, min(workers * 8, total))
-    jobs = [(n, k, lo, hi, fixed) for lo, hi in shard_space(total, shards) if lo < hi]
-    report = empty_report(n, k)
+        shards = max(1, min(workers * 8, free))
+    ranges = [r for r in shard_space(free, -(-shards // len(maps))) if r[0] < r[1]]
+    jobs = [(n, k, fixed, lo, hi) for fixed in maps for lo, hi in ranges]
+    best, kept, truncated, scanned, elapsed = -1, [], False, 0, 0.0
     parallel = workers > 1 and len(jobs) > 1
     with Pool(workers) if parallel else nullcontext() as pool:
-        results = pool.imap_unordered(_scan_worker, jobs) if parallel else map(_scan_worker, jobs)
-        for max_sw, tables, scanned, truncated, elapsed, (lo, hi), (injective, nonsync) in results:
-            part = _report_from_scan(n, k, max_sw, tables, scanned, elapsed, truncated)
+        run = pool.imap_unordered if parallel else map
+        for (*_, fixed, lo, hi), (max_sw, tables, trunc, injective, nonsync), seconds in run(_scan_job, jobs):
+            weight = maps[fixed]
+            scanned += (hi - lo) * weight
+            elapsed += seconds
             if progress:
-                progress(f"SHARD [{lo},{hi}) DONE max={max_sw} forms={part.form_count()} "
-                         f"tables_per_s={scanned / max(elapsed, 1e-9):.0f} "
-                         f"injective={injective} nonsync={nonsync}")
-            report = merge_reports(report, part)
-    return report
+                progress(f"SHARD a={','.join(map(str, fixed))} [{lo},{hi}) DONE max={max_sw} "
+                         f"tables_per_s={(hi - lo) / max(seconds, 1e-9):.0f} "
+                         f"injective={injective * weight} nonsync={nonsync * weight}")
+            # a shard below the running maximum holds no extremal table,
+            # so its truncation does not matter
+            if max_sw > best:
+                best, kept, truncated = max_sw, [], False
+            if max_sw == best:
+                kept.append(tables)
+                truncated |= trunc
+        parts = np.array_split(np.concatenate(kept), workers)
+        parts = list(run(_canonical_job, [(n, k, part) for part in parts]))
+    elapsed += sum(seconds for _, seconds in parts)
+    return ExtremalReport(
+        n=n, k=k, max_sw=best if best >= 0 else None,
+        forms={c: frozenset(Dfa(rows) for forms, _ in parts for rows in forms[c]) for c in IsoConvention},
+        scanned=scanned, elapsed=elapsed, complete=not truncated,
+    )
 
 
 def extremal_search(
@@ -445,18 +437,21 @@ def extremal_search(
     long: bool = False,
     progress: Callable[[str], None] | None = None,
 ) -> ExtremalReport:
-    """Scan every n-state k-symbol transition table for the maximal switch count.
+    """Maximal switch count over every n-state k-symbol transition table.
 
-    Spaces beyond LONG_THRESHOLD tables need long=True, the one size
-    confirmation of every search; n > 9 is refused.  Returns the maximum
-    together with the canonical extremal automata; scanning was raw, so
-    forms are deduplicated only at the end.
+    Symbol 0 runs over one map per conjugacy class of [n]^n, weighted by
+    the class size, so `scanned` still counts all n^(nk) tables.  Spaces
+    past LONG_THRESHOLD need long=True, the one size confirmation of every
+    search; it counts n^(n(k-1)) tables per class for ceil(n^n / n!)
+    classes, a lower bound on their number.  n > 9 is refused.  Returns the
+    maximum together with the canonical extremal automata.
     """
     if n < 2 or k < 1:
         raise SearchSpaceError("extremal_search needs n >= 2 and k >= 1")
     if n > _CANONICAL_MAX_STATES:
         raise SearchSpaceError(f"extremal searches beyond {_CANONICAL_MAX_STATES} states are not supported")
-    return _run_shards(n, k, None, shards, parallelism, long, progress)
+    classes = -(-n ** n // factorial(n))
+    return _search(n, k, classes, lambda: _class_representatives(n), shards, parallelism, long, progress)
 
 
 def cyclic_extremal_search(
@@ -481,4 +476,4 @@ def cyclic_extremal_search(
     if k not in (2, 3):
         raise SearchSpaceError("cyclic search supports k in {2, 3}")
     cycle = tuple((q + 1) % n for q in range(n))
-    return _run_shards(n, k, cycle, shards, parallelism, long, progress)
+    return _search(n, k, 1, lambda: {cycle: 1}, shards, parallelism, long, progress)

@@ -10,6 +10,14 @@ from itertools import permutations, product
 from syncswitch.automaton import Dfa, IsoConvention, apply_set, full_set, is_singleton, switch_count
 
 
+def decode_table(n, k, index):
+    """Index -> transition table, mixed radix, flat position q*k+s, big-endian."""
+    entries = [0] * (n * k)
+    for pos in range(n * k - 1, -1, -1):
+        index, entries[pos] = divmod(index, n)
+    return tuple(tuple(entries[q * k:(q + 1) * k]) for q in range(n))
+
+
 def enumerate_sync_words(dfa, max_len):
     """Yield every synchronizing word (as a tuple) of length <= max_len."""
     full = full_set(dfa.n)

@@ -104,6 +104,6 @@ def test_criterion_13_oracle_agreement():
 
 
 @pytest.mark.skipif("SYNCSWITCH_RUN_LONG" not in os.environ,
-                    reason="hours of wall time; set SYNCSWITCH_RUN_LONG=1")
-def test_criterion_09_long_n6():
+                    reason="minutes of wall time; set SYNCSWITCH_RUN_LONG=1")
+def test_criterion_09_long_n7():
     _run(checks.check_exhaustive_table, jobs=_jobs(), long=True)

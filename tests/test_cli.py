@@ -153,7 +153,7 @@ def test_cyclic_search_command(capsys):
 
 
 def test_search_guard_exit(capsys):
-    code, _, err = run_cli(capsys, "search", "--n", "6", "--jobs", "1")
+    code, _, err = run_cli(capsys, "search", "--n", "7", "--jobs", "1")
     assert code == 1 and "--long" in err
 
 

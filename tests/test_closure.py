@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_min_switch_by_runs
+from oracles import brute_min_switch_by_runs, decode_table
 from syncswitch.automaton import Dfa
 from syncswitch.closure import AlphabetMismatchError, f2_transform, f_transform, power_closure
 from syncswitch.families import cerny, fixture, p_family
@@ -120,7 +120,6 @@ def test_f2_exact_switch_count_all_n3():
     The one-step simulation reads "a b x" per original letter x, so a word
     ending in a pays for one extra trailing run.
     """
-    from syncswitch.search import decode_table
     from syncswitch.synchro import Objective, optimal_words
 
     for index in range(3 ** 6):

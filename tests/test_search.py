@@ -1,22 +1,19 @@
-import dataclasses
 import random
+from collections import Counter
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from oracles import brute_canonical_form
+from oracles import brute_canonical_form, decode_table
 from syncswitch import search
 from syncswitch.automaton import Dfa, IsoConvention
 from syncswitch.search import (
     SearchSpaceError,
     canonical_form,
     cyclic_extremal_search,
-    decode_table,
-    empty_report,
-    encode_table,
     extremal_search,
     format_report,
-    merge_reports,
     shard_space,
     _scan_numpy,
 )
@@ -28,27 +25,41 @@ from syncswitch.synchro import (
 )
 
 
-def _cyclic_table(n: int, k: int, index: int):
-    """The cyclic table of an index: the n-cycle, then the k-1 free columns."""
+def _table(fixed, k: int, index: int):
+    """The table of an index: symbol 0 is the map `fixed`, then the k-1
+    free columns."""
+    n = len(fixed)
     free = decode_table(n, k - 1, index)
-    return tuple(((q + 1) % n,) + free[q] for q in range(n))
+    return tuple((fixed[q],) + free[q] for q in range(n))
 
 
-def _rotations(rows):
-    """The conjugates of a table under the n rotations q -> q + j, which
-    commute with the n-cycle: row q moves to q + j, every target gains j."""
+def _cycle(n: int):
+    return tuple((q + 1) % n for q in range(n))
+
+
+def _conjugates(rows, fixed):
+    """The conjugates of a table under the relabelings p that commute with
+    its symbol 0, `fixed`: row q moves to p(q), every target t becomes p(t)."""
     n = len(rows)
-    return {tuple(tuple((t + j) % n for t in rows[(q - j) % n]) for q in range(n)) for j in range(n)}
+    out = set()
+    for p in permutations(range(n)):
+        if all(p[fixed[q]] == fixed[p[q]] for q in range(n)):
+            moved = [None] * n
+            for q in range(n):
+                moved[p[q]] = tuple(p[t] for t in rows[q])
+            out.add(tuple(moved))
+    return out
 
 
-def _scan_reference(n: int, k: int, lo: int, hi: int, cyclic: bool = False):
-    """Plain-Python scan of an index range, one table at a time, with the
-    scalar engines; returns (max_sw, tables, scanned) like `_scan_numpy`,
-    but `tables` holds every extremal table, not orbit representatives."""
+def _scan_reference(n: int, k: int, lo: int, hi: int, fixed):
+    """Plain-Python scan of an index range of the tables whose symbol 0 is
+    `fixed`, one table at a time, with the scalar engines; returns
+    (max_sw, tables) like `_scan_numpy`, but `tables` holds every extremal
+    table as row tuples, not orbit representatives."""
     best = -1
     tables: list[tuple[tuple[int, ...], ...]] = []
     for index in range(lo, hi):
-        rows = _cyclic_table(n, k, index) if cyclic else decode_table(n, k, index)
+        rows = _table(fixed, k, index)
         # cheap rejection: some symbol must merge two states
         if all(len(set(col)) == n for col in zip(*rows)):
             continue
@@ -61,18 +72,21 @@ def _scan_reference(n: int, k: int, lo: int, hi: int, cyclic: bool = False):
             tables = [rows]
         elif sw == best:
             tables.append(rows)
-    return (best if best >= 0 else None), tables, hi - lo
+    return best, tables
 
 
-def test_decode_encode_round_trip():
-    rng = random.Random(0)
-    for _ in range(50):
-        n = rng.randint(2, 5)
-        k = rng.randint(1, 3)
-        index = rng.randrange(n ** (n * k))
-        rows = decode_table(n, k, index)
-        assert encode_table(n, k, rows) == index
-        assert len(rows) == n and all(len(r) == k for r in rows)
+def _rows(table):
+    return tuple(map(tuple, table.tolist()))
+
+
+def _assert_orbits_cover(fast, ref, fixed):
+    # the scan keeps one extremal table per orbit; the orbits of the kept
+    # tables are disjoint and together hold every extremal table
+    assert fast[0] == ref[0]
+    orbits = [_conjugates(rows, fixed) for rows in map(_rows, fast[1])]
+    closure = set().union(*orbits)
+    assert sum(map(len, orbits)) == len(closure)
+    assert closure == set(ref[1])
 
 
 def test_shard_space_partitions():
@@ -91,35 +105,63 @@ def test_shard_space_partitions():
         extremal_search(3, parallelism=0)
 
 
+def test_class_representatives():
+    # OEIS A001372: the transformations of [n] up to relabeling
+    for n, classes in enumerate([1, 3, 7, 19, 47, 130, 343], start=1):
+        reps = search._class_representatives(n)
+        assert len(reps) == classes and sum(reps.values()) == n ** n
+        if n <= 5:
+            forms = Counter(canonical_form(Dfa([(t,) for t in f])).rows for f in product(range(n), repeat=n))
+            assert dict(forms) == {tuple((t,) for t in f): size for f, size in reps.items()}
+
+
 def test_engines_agree_exhaustively_small():
+    # every binary table on 2 and 3 states, one symbol-0 map at a time
     for n in (2, 3):
-        ref = _scan_reference(n, 2, 0, n ** (2 * n))
-        fast = _scan_numpy(n, 2, 0, n ** (2 * n))
-        assert ref[0] == fast[0]
-        assert sorted(ref[1]) == sorted(fast[1])
+        for fixed in product(range(n), repeat=n):
+            ref = _scan_reference(n, 2, 0, n ** n, fixed)
+            fast = _scan_numpy(n, 2, 0, n ** n, fixed)
+            _assert_orbits_cover(fast, ref, fixed)
 
 
 def test_engines_agree_on_n4_slice():
-    lo, hi = 20_000, 26_000
-    ref = _scan_reference(4, 2, lo, hi)
-    fast = _scan_numpy(4, 2, lo, hi)
-    assert ref[0] == fast[0]
-    assert sorted(ref[1]) == sorted(fast[1])
+    # symbol 0 is 0 -> 1 -> 2 -> 3 -> 3, which only the identity
+    # relabeling leaves unchanged, so every table of the slice is scanned
+    fixed, lo, hi = (1, 2, 3, 3), 20_000, 22_000
+    assert len(search._centralizer(4, fixed)) == 1
+    ref = _scan_reference(4, 3, lo, hi, fixed)
+    fast = _scan_numpy(4, 3, lo, hi, fixed)
+    assert fast[0] == ref[0]
+    assert [_rows(t) for t in fast[1]] == ref[1]
 
 
 def test_engines_agree_cyclic():
-    # the scan keeps one extremal table per rotation orbit; the orbits of
-    # the kept tables are disjoint and together hold every extremal table
     for n, k in [(4, 2), (3, 3), (5, 2)]:
         total = n ** (n * (k - 1))
-        ref = _scan_reference(n, k, 0, total, cyclic=True)
-        fast = _scan_numpy(n, k, 0, total, fixed=tuple((q + 1) % n for q in range(n)))
-        assert ref[0] == fast[0]
-        orbits = [_rotations(rows) for rows in fast[1]]
-        closure = set().union(*orbits)
-        assert sum(map(len, orbits)) == len(closure)
-        assert closure == set(ref[1])
-        assert fast[2] == total
+        ref = _scan_reference(n, k, 0, total, _cycle(n))
+        fast = _scan_numpy(n, k, 0, total, _cycle(n))
+        _assert_orbits_cover(fast, ref, _cycle(n))
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_driver_matches_raw_pass(n, k):
+    # the raw pass scores every table: each of the n^n columns as symbol 0,
+    # beside all free columns, with no orbit filter and no class weights
+    index = np.arange(n ** (n * (k - 1)))
+    digits = [index // n ** e % n for e in range(n * (k - 1) - 1, -1, -1)]
+    free = np.stack(digits, axis=1).astype(np.int16).reshape(-1, n, k - 1)
+    best, tables = -1, []
+    for col in product(range(n), repeat=n):
+        sw, _ = search._switch_counts_batch(n, free, np.array(col, dtype=np.int16))
+        if sw.max() > best:
+            best, tables = int(sw.max()), []
+        for cols in free[sw == best].tolist():
+            tables.append(tuple((col[q],) + tuple(cols[q]) for q in range(n)))
+    report = extremal_search(n, k)
+    assert (report.max_sw, report.scanned, report.complete) == (best, n ** (n * k), True)
+    expected = search._canonical_tables(n, k, tables)
+    for conv in IsoConvention:
+        assert report.forms[conv] == set(map(Dfa, expected[conv]))
 
 
 def test_extremal_n2_and_n3():
@@ -129,6 +171,9 @@ def test_extremal_n2_and_n3():
     assert r3.max_sw == 3
     assert r3.form_count(IsoConvention.STATES_AND_SYMBOLS) == 6
     assert r3.scanned == 729
+    # one symbol: symbol 0 alone, no free column
+    r4 = extremal_search(4, 1)
+    assert (r4.max_sw, r4.scanned, r4.form_count()) == (1, 256, 4)
 
 
 def test_extremal_forms_recheck():
@@ -152,48 +197,28 @@ def test_pair_criterion_never_rejects():
         assert by_pairs == by_subsets
 
 
-def test_merge_reports():
-    r3 = extremal_search(3)
-    empty = empty_report(3, 2)
-    assert merge_reports(r3, empty).forms == r3.forms
-    sharded = extremal_search(3, shards=2)
-    assert sharded.forms == r3.forms and sharded.max_sw == r3.max_sw
-    assert sharded.scanned == r3.scanned
-    with pytest.raises(ValueError):
-        merge_reports(r3, empty_report(4, 2))
-
-
-def test_merge_completeness_follows_the_winner():
-    full = extremal_search(3)
-    lost = dataclasses.replace(empty_report(3, 2), max_sw=2, complete=False)
-    assert merge_reports(full, lost).complete and merge_reports(lost, full).complete
-    tied = dataclasses.replace(full, complete=False)
-    assert not merge_reports(full, tied).complete
-    assert not merge_reports(tied, full).complete
+def test_driver_completeness_follows_the_winner(monkeypatch):
+    # one shard per map: at n=3 the maps reaching the maximum 3 keep at
+    # most 4 orbit representatives each, and losing maps keep more
+    kept = [_scan_numpy(3, 2, 0, 27, f)[:2] for f in search._class_representatives(3)]
+    assert max(len(t) for sw, t in kept if sw == 3) == 4
+    assert max(len(t) for sw, t in kept if sw < 3) > 4
+    full = extremal_search(3, shards=1)
+    assert full.complete and extremal_search(3, shards=40).forms == full.forms
+    monkeypatch.setattr(search, "_COLLECT_CAP", 4)
+    capped = extremal_search(3, shards=1)
+    assert capped.complete and capped.forms == full.forms
+    monkeypatch.setattr(search, "_COLLECT_CAP", 3)
+    assert not extremal_search(3, shards=1).complete
 
 
 def test_truncation_resets_when_the_maximum_rises(monkeypatch):
-    # chunks of 8 tables: the second and the third each hold one table
-    # with switch count 2, two in all, over the cap; the fourth holds the
-    # only table with 3
+    # symbol 0 is 0 <-> 1, 2 -> 0, whose centralizer is trivial; in chunks
+    # of 2 tables the first holds two tables with switch count 1, over the
+    # cap, and the second holds the only table with 2
     monkeypatch.setattr(search, "_COLLECT_CAP", 1)
-    max_sw, tables, scanned, truncated, *_ = _scan_numpy(3, 2, 0, 32, chunk=8)
-    assert (max_sw, len(tables), scanned, truncated) == (3, 1, 32, False)
-
-
-def test_merge_commutative():
-    from syncswitch.search import _scan_worker, _report_from_scan
-
-    parts = []
-    total = 3 ** 6
-    for lo, hi in [(0, total // 2), (total // 2, total)]:
-        max_sw, forms, scanned, trunc, elapsed, *_ = _scan_worker((3, 2, lo, hi, None))
-        parts.append(_report_from_scan(3, 2, max_sw, forms, scanned, elapsed, trunc))
-    ab = merge_reports(parts[0], parts[1])
-    ba = merge_reports(parts[1], parts[0])
-    assert ab.max_sw == ba.max_sw and ab.forms == ba.forms and ab.scanned == ba.scanned
-    full = extremal_search(3)
-    assert ab.max_sw == full.max_sw and ab.forms == full.forms
+    max_sw, tables, truncated, *_ = _scan_numpy(3, 2, 0, 4, (1, 0, 0), chunk=2)
+    assert (max_sw, len(tables), truncated) == (2, 1, False)
 
 
 def test_cyclic_small():
@@ -220,13 +245,15 @@ def test_cyclic_forms_recheck():
             assert min_switch_count(dfa) == report.max_sw
 
 
-def test_search_guards():
-    # each call is refused by its own guard: three need long=True
+def test_search_guards(monkeypatch):
+    # each call is refused by its own guard: three need long=True, checked
+    # before any class representative is made
+    monkeypatch.setattr(search, "_class_representatives", lambda n: pytest.fail("representatives made"))
     threshold = "exceed the quick-search threshold"
     with pytest.raises(SearchSpaceError, match=threshold):
         extremal_search(7, 2)
     with pytest.raises(SearchSpaceError, match=threshold):
-        extremal_search(6, 2)
+        extremal_search(5, 3)
     with pytest.raises(SearchSpaceError, match="beyond 9 states"):
         extremal_search(10, 2)
     with pytest.raises(SearchSpaceError, match=threshold):
@@ -261,12 +288,15 @@ def test_format_report_truncation_warning(monkeypatch):
 def test_progress_lines():
     lines = []
     extremal_search(3, shards=4, progress=lines.append)
-    assert len(lines) == 4
-    assert all(line.startswith("SHARD [") and "DONE max=" in line for line in lines)
+    # ceil(4 / 7) shards for each of the 7 symbol-0 maps, named on its line
+    reps = search._class_representatives(3)
+    assert sorted(line.split()[1] for line in lines) == sorted("a=" + ",".join(map(str, f)) for f in reps)
+    assert all(line.startswith("SHARD a=") and " [0,27) DONE max=" in line for line in lines)
     fields = [dict(f.split("=") for f in line.split() if "=" in f) for line in lines]
-    assert all(float(f["tables_per_s"]) > 0 for f in fields)
+    assert all("forms" not in f and float(f["tables_per_s"]) > 0 for f in fields)
     # of the 729 binary 3-state tables, 36 have two permutation symbols,
-    # and 144 of the rest do not synchronize (the pair criterion agrees)
+    # and 144 of the rest do not synchronize (the pair criterion agrees);
+    # each map's counts are weighted by its class size
     assert sum(int(f["injective"]) for f in fields) == 36
     nonsync = sum(1 for i in range(3 ** 6) if not is_synchronizing(Dfa(decode_table(3, 2, i))))
     assert sum(int(f["nonsync"]) for f in fields) == nonsync - 36 == 144
@@ -280,7 +310,7 @@ def test_cyclic_progress_counts(n, k):
     cyclic_extremal_search(n, k, shards=5, progress=lines.append)
     assert len(lines) == 5
     fields = [dict(f.split("=") for f in line.split() if "=" in f) for line in lines]
-    tables = [Dfa(_cyclic_table(n, k, i)) for i in range(n ** (n * (k - 1)))]
+    tables = [Dfa(_table(_cycle(n), k, i)) for i in range(n ** (n * (k - 1)))]
     injective = sum(all(len(set(col)) == n for col in zip(*d.rows)) for d in tables)
     nonsync = sum(not is_synchronizing(d) for d in tables) - injective
     assert sum(int(f["injective"]) for f in fields) == injective
@@ -305,8 +335,10 @@ def test_canonical_form_matches_reference_n8_k3():
 
 @pytest.mark.parametrize("n, k, cyclic", [(3, 2, False), (5, 2, True)])
 def test_search_forms_match_reference(n, k, cyclic):
-    total = n ** (n * (k - 1 if cyclic else k))
-    max_sw, tables, _ = _scan_reference(n, k, 0, total, cyclic)
+    maps = [_cycle(n)] if cyclic else product(range(n), repeat=n)
+    runs = [_scan_reference(n, k, 0, n ** (n * (k - 1)), f) for f in maps]
+    max_sw = max(sw for sw, _ in runs)
+    tables = [rows for sw, found in runs if sw == max_sw for rows in found]
     report = (cyclic_extremal_search if cyclic else extremal_search)(n, k)
     assert report.max_sw == max_sw
     for conv in IsoConvention:
@@ -323,32 +355,41 @@ def test_search_forms_match_reference(n, k, cyclic):
     (6, 2, True), (7, 2, True), (4, 3, True),
 ])
 def test_kernel_matches_scalar_engine(n, k, cyclic):
+    # symbol 0 is the n-cycle, or a random permutation and three random
+    # maps with 50 tables each
     rng = np.random.default_rng(n * 10 + k + cyclic)
-    fixed = np.roll(np.arange(n, dtype=np.int16), -1) if cyclic else None
-    free = rng.integers(0, n, size=(200, n, k - 1 if cyclic else k), dtype=np.int16)
-    sw, injective = search._switch_counts_batch(n, free, fixed)
-    expected, perms = [], []
-    for cols in free.tolist():
-        rows = [([int(fixed[q])] if cyclic else []) + cols[q] for q in range(n)]
-        perms.append(all(len(set(col)) == n for col in zip(*rows)))
-        try:
-            expected.append(min_switch_count(Dfa(rows)))
-        except NotSynchronizingError:
-            expected.append(-1)
-    assert sw.tolist() == expected
-    assert injective.tolist() == perms
-    assert -1 in expected and max(expected) >= 3
+    cycle = np.roll(np.arange(n, dtype=np.int16), -1)
+    maps = [cycle] if cyclic else [rng.permutation(n).astype(np.int16)] + list(
+        rng.integers(0, n, size=(3, n), dtype=np.int16))
+    got, expected = [], []
+    for fixed in maps:
+        free = rng.integers(0, n, size=(200 // len(maps), n, k - 1), dtype=np.int16)
+        sw, injective = search._switch_counts_batch(n, free, fixed)
+        got += zip(sw.tolist(), injective.tolist())
+        for cols in free.tolist():
+            rows = [[int(fixed[q])] + cols[q] for q in range(n)]
+            perm = all(len(set(col)) == n for col in zip(*rows))
+            try:
+                expected.append((min_switch_count(Dfa(rows)), perm))
+            except NotSynchronizingError:
+                expected.append((-1, perm))
+    assert got == expected
+    assert min(expected)[0] == -1 and max(expected)[0] >= 3
 
 
 def test_kernel_histogram_all_binary_n4():
-    index = np.arange(4 ** 8)
-    digits = np.stack([(index // 4 ** (7 - pos)) % 4 for pos in range(8)], axis=1)
-    sw, injective = search._switch_counts_batch(4, digits.astype(np.int16).reshape(-1, 4, 2))
-    counts = dict(zip(*np.unique(sw, return_counts=True)))
-    assert {int(v): int(c) for v, c in counts.items()} == {
+    # every binary 4-state table: each of the 256 columns as symbol 0,
+    # beside all 256 columns as symbol 1
+    cols = np.array(list(product(range(4), repeat=4)), dtype=np.int16)
+    counts, injective = Counter(), 0
+    for col in cols:
+        sw, inj = search._switch_counts_batch(4, cols[:, :, None], col)
+        counts.update(sw.tolist())
+        injective += int(inj.sum())
+    assert dict(counts) == {
         -1: 14016, 1: 28672, 2: 9216, 3: 10224, 4: 1488, 5: 1824, 7: 96,
     }
-    assert injective.sum() == 576  # (4!)**2 tables with two permutation symbols
+    assert injective == 576  # (4!)**2 tables with two permutation symbols
 
 
 @pytest.mark.parametrize("k", [2, 3])
