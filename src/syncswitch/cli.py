@@ -128,12 +128,13 @@ def _progress(line: str) -> None:
 
 def _print_search(search, *args, **kwargs) -> int:
     """Run a search and print its report.  The header line gains the call's
-    wall time, `wall_s`, beside `worker_s`, the shards' summed seconds."""
+    wall time, `wall_s`, beside `worker_s`, the shards' summed seconds, and
+    `workers`, the processes that scanned (1: no pool was started)."""
     t0 = time.perf_counter()
     report = search(*args, progress=_progress, **kwargs)
     wall_s = time.perf_counter() - t0
     header, rest = format_report(report).split("\n", 1)
-    sys.stdout.write(f"{header} wall_s={wall_s:.1f}\n{rest}")
+    sys.stdout.write(f"{header} wall_s={wall_s:.1f} workers={report.workers}\n{rest}")
     return 0
 
 

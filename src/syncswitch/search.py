@@ -35,6 +35,11 @@ class SearchSpaceError(ValueError):
 
 # Searches that enumerate more tables than this need long=True.
 LONG_THRESHOLD = 20_000_000
+# Searches that enumerate fewer tables than this run in the calling
+# process, one job per symbol-0 map: below it, starting a worker pool costs
+# more than it saves (with 2 workers on a 2-vCPU host the crossover lies
+# between 65,536 and 146,875 tables).
+POOL_GRAIN = 1 << 17
 # Gathered extremal tables (orbit representatives) per shard before the
 # report is marked incomplete.
 _COLLECT_CAP = 100_000
@@ -58,7 +63,9 @@ class ExtremalReport:
     worker seconds, the shards' scans and the final canonicalization, so
     with parallel workers it exceeds the wall time.  `complete` is False
     when a shard reaching the maximum hit the per-shard collection cap
-    (never expected for the published search sizes).
+    (never expected for the published search sizes).  `workers` is the
+    number of processes that scanned: 1 when the search ran in the calling
+    process, else the pool size.
     """
 
     n: int
@@ -68,6 +75,7 @@ class ExtremalReport:
     scanned: int
     elapsed: float
     complete: bool = True
+    workers: int = 1
 
     def form_count(self, convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS) -> int:
         return len(self.forms[convention])
@@ -333,10 +341,12 @@ def canonical_form(dfa: Dfa, convention: IsoConvention = IsoConvention.STATES_AN
 # Drivers
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
 def _class_representatives(n: int) -> dict[tuple[int, ...], int]:
     """One transformation of [n] per conjugacy class under relabeling, in
     canonical form, mapped to its class size n!/|C(map)|, largest
-    centralizers (the slowest scans) first.
+    centralizers (the slowest scans) first.  The dict is cached, so
+    callers only read it.
 
     Every class holds a map whose cyclic states are 0..c-1, each cycle a
     block q -> q+1 of consecutive states, longest block first, and whose
@@ -377,9 +387,14 @@ def _canonical_job(job):
 
 def _search(n, k, classes, representatives, shards, parallelism, long, progress) -> ExtremalReport:
     """Scan the tables whose symbol 0 is a map of `representatives()`, a
-    dict {map: weight}, in shards on `parallelism` worker processes; keep
-    the tables at the running maximum and canonicalize them once, in the
-    same pool, one part per worker.
+    dict {map: weight}, keep the tables at the running maximum and
+    canonicalize them once.
+
+    `parallelism` is an upper bound on the worker processes.  A space of
+    fewer than POOL_GRAIN tables runs in the calling process, one job per
+    map unless `shards` says otherwise.  A larger one runs on a pool of
+    `parallelism` workers, 8 shards per worker by default, and the final
+    canonicalization runs in the same pool, one part per worker.
 
     Each map's tables count `weight` times in `scanned`, `injective` and
     `nonsync`.  `classes`, a lower bound on the number of maps, sizes the
@@ -395,14 +410,16 @@ def _search(n, k, classes, representatives, shards, parallelism, long, progress)
             "pass long=True (--long on the command line)"
         )
     maps = representatives()
+    pooled = free * len(maps) >= POOL_GRAIN
     if shards is None:
-        shards = max(1, min(workers * 8, free))
+        shards = max(1, min(workers * 8, free)) if pooled else 1
     ranges = [r for r in shard_space(free, -(-shards // len(maps))) if r[0] < r[1]]
     jobs = [(n, k, fixed, lo, hi) for fixed in maps for lo, hi in ranges]
+    if not pooled or len(jobs) == 1:
+        workers = 1
     best, kept, truncated, scanned, elapsed = -1, [], False, 0, 0.0
-    parallel = workers > 1 and len(jobs) > 1
-    with Pool(workers) if parallel else nullcontext() as pool:
-        run = pool.imap_unordered if parallel else map
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
+        run = pool.imap_unordered if workers > 1 else map
         for (*_, fixed, lo, hi), (max_sw, tables, trunc, injective, nonsync), seconds in run(_scan_job, jobs):
             weight = maps[fixed]
             scanned += (hi - lo) * weight
@@ -424,7 +441,7 @@ def _search(n, k, classes, representatives, shards, parallelism, long, progress)
     return ExtremalReport(
         n=n, k=k, max_sw=best if best >= 0 else None,
         forms={c: frozenset(Dfa(rows) for forms, _ in parts for rows in forms[c]) for c in IsoConvention},
-        scanned=scanned, elapsed=elapsed, complete=not truncated,
+        scanned=scanned, elapsed=elapsed, complete=not truncated, workers=workers,
     )
 
 
@@ -443,8 +460,10 @@ def extremal_search(
     the class size, so `scanned` still counts all n^(nk) tables.  Spaces
     past LONG_THRESHOLD need long=True, the one size confirmation of every
     search; it counts n^(n(k-1)) tables per class for ceil(n^n / n!)
-    classes, a lower bound on their number.  n > 9 is refused.  Returns the
-    maximum together with the canonical extremal automata.
+    classes, a lower bound on their number.  n > 9 is refused.
+    `parallelism` is an upper bound on the worker processes: a space below
+    POOL_GRAIN tables starts no pool.  Returns the maximum together with
+    the canonical extremal automata.
     """
     if n < 2 or k < 1:
         raise SearchSpaceError("extremal_search needs n >= 2 and k >= 1")
@@ -469,7 +488,8 @@ def cyclic_extremal_search(
     standard cycle, so only the remaining k-1 columns are enumerated, and
     of those tables only one per orbit under the n rotations that commute
     with the cycle is scanned and canonicalized.  `scanned` still counts
-    all n^(n(k-1)) tables.
+    all n^(n(k-1)) tables.  `parallelism` is an upper bound on the worker
+    processes: a space below POOL_GRAIN tables starts no pool.
     """
     if not 2 <= n <= _CANONICAL_MAX_STATES:
         raise SearchSpaceError(f"cyclic search supports 2 <= n <= {_CANONICAL_MAX_STATES}")

@@ -144,6 +144,10 @@ def test_search_command(capsys):
     assert "SHARD" in err
     header = out.splitlines()[0]
     assert " worker_s=" in header and " wall_s=" in header and "elapsed=" not in header
+    assert header.endswith(" workers=1")
+    # 5,103 tables are below the pool grain: two jobs allowed, none started
+    code, out, _ = run_cli(capsys, "search", "--n", "3", "--k", "3", "--jobs", "2")
+    assert code == 0 and out.splitlines()[0].endswith(" workers=1")
 
 
 def test_cyclic_search_command(capsys):

@@ -237,6 +237,33 @@ def test_cyclic_shards_agree(n, k):
     assert seven.forms == one.forms
 
 
+_GRAIN_SPACES = [(extremal_search, 4, 2), (extremal_search, 3, 3), (cyclic_extremal_search, 5, 2)]
+
+
+def _outcome(report):
+    return report.max_sw, report.scanned, report.complete, report.forms
+
+
+@pytest.mark.parametrize("fn, n, k", _GRAIN_SPACES)
+def test_small_search_starts_no_pool(monkeypatch, fn, n, k):
+    # below the grain a second worker is allowed but never started
+    one = fn(n, k, parallelism=1)
+    monkeypatch.setattr(search, "Pool", lambda *args: pytest.fail("pool started"))
+    two = fn(n, k, parallelism=2)
+    assert _outcome(two) == _outcome(one)
+    assert one.workers == two.workers == 1
+
+
+@pytest.mark.parametrize("fn, n, k", _GRAIN_SPACES)
+def test_pool_path_agrees(monkeypatch, fn, n, k):
+    # a grain of 0 sends the same spaces through the worker pool
+    one = fn(n, k, parallelism=1)
+    monkeypatch.setattr(search, "POOL_GRAIN", 0)
+    two = fn(n, k, parallelism=2)
+    assert _outcome(two) == _outcome(one)
+    assert two.workers == 2
+
+
 def test_cyclic_forms_recheck():
     report = cyclic_extremal_search(4, 2)
     assert report.max_sw <= 7  # cannot beat the overall binary n=4 maximum
