@@ -107,8 +107,10 @@ def distance(ctx: DistanceContext, p: int, q: int) -> int:
 def measure(ctx: DistanceContext, bits: int) -> int:
     """Max-min distance of a nonempty set contained in S or in -S.
 
-    Equals the largest gap of the set's projection on the cycle C; 1 for S
-    itself, 2n/3 for singletons.
+    Computed as the largest gap of the set's projection on the cycle C: the
+    distance from a member to its nearest other member is the gap from its
+    projected position to the next distinct one.  1 for S itself, 2n/3 when
+    all members project to one position.
     """
     if bits == 0:
         raise ValueError("measure of the empty set is undefined")
@@ -118,13 +120,11 @@ def measure(ctx: DistanceContext, bits: int) -> int:
         members = [negate_index(i, ctx.n) for i in set_members(bits)]
     else:
         raise ValueError("measure needs a set inside S or inside -S")
-    dmat = ctx.dmat
-    best = 0
-    for i in members:
-        closest = min(dmat[(i, j)] for j in members)
-        if closest > best:
-            best = closest
-    return best
+    cl = ctx.cycle_len
+    points = sorted({ctx.pos_on_cycle[ctx.proj[i]] for i in members})
+    if len(points) == 1:
+        return cl
+    return max(b - a for a, b in zip(points, points[1:] + [points[0] + cl]))
 
 
 def min_sc_pair_increase(ctx: DistanceContext, k: int) -> int:

@@ -339,7 +339,7 @@ def brute_force_optima(dfa: Dfa, max_len: int) -> tuple[int | None, int | None]:
     """
     k = dfa.k
     full = full_set(dfa.n)
-    images = subset_images(dfa)(range(full + 1))
+    images = [image(range(full + 1)) for image in subset_images(dfa)]
     best_len: int | None = None
     best_sw: int | None = None
     stack = [(full, 0, 0, -1)]  # subset, length, switches, last symbol

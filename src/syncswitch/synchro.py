@@ -4,9 +4,12 @@ optimal-word counting and enumeration.
 
 Every engine searches forward from the full state set and keeps state only
 for the subsets it reaches, computing their images from byte-sliced lookup
-tables (`subset_images`).  Switch counting is realized as a 0/1-weighted
-graph on (state set, last symbol) nodes: the edge labeled s out of (V, t)
-leads to (Vs, s) and costs 0 if s == t, else 1.
+tables (`subset_images`).  The two scalar optima are a level search over
+plain subsets (`_levels`): one level is one symbol for the shortest length
+and one whole symbol run for the minimal switch count.  Optimal words and
+their counts come from Dial's buckets over (state set, last symbol) nodes
+(`_Search`): the edge labeled s out of (V, t) leads to (Vs, s) and costs no
+switch if s == t, else one.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice, repeat
-from typing import Callable, Collection, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .automaton import Dfa, Word, full_set
 
@@ -44,9 +47,8 @@ class SyncResult:
 _MAX_SEARCH_STATES = 24
 
 
-def subset_images(dfa: Dfa) -> Callable[[Collection[int]], list[list[int]]]:
-    """images(vs)[s][i] = the image under symbol s of the i-th state set in vs,
-    which is iterated once per symbol.
+def subset_images(dfa: Dfa) -> list[Callable[[Iterable[int]], list[int]]]:
+    """images[s](vs)[i] = the image under symbol s of the i-th state set in vs.
 
     States are cut into slices of 8.  Per symbol and slice, a table of at
     most 256 entries maps the slice's bits of a set to their image, and the
@@ -58,7 +60,11 @@ def subset_images(dfa: Dfa) -> Callable[[Collection[int]], list[list[int]]]:
         raise ValueError(
             f"subset search over {n} states needs 2**{n} nodes; refusing"
         )
-    tables = []
+
+    def by_slices(t0: list[int], t1: list[int], t2: list[int]) -> Callable[[Iterable[int]], list[int]]:
+        return lambda vs: [t0[v & 255] | t1[v >> 8 & 255] | t2[v >> 16] for v in vs]
+
+    images = []
     for s in range(dfa.k):
         sliced = []
         for lo in range(0, _MAX_SEARCH_STATES, 8):
@@ -67,14 +73,7 @@ def subset_images(dfa: Dfa) -> Callable[[Collection[int]], list[list[int]]]:
                 bit = 1 << row[s]
                 table += [image | bit for image in table]
             sliced.append(table)
-        tables.append(sliced)
-
-    def images(vs: Collection[int]) -> list[list[int]]:
-        return [
-            [t0[v & 255] | t1[v >> 8 & 255] | t2[v >> 16] for v in vs]
-            for t0, t1, t2 in tables
-        ]
-
+        images.append(by_slices(*sliced))
     return images
 
 
@@ -115,9 +114,56 @@ def is_synchronizing(dfa: Dfa) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Level search for the scalar optima
+#
+# The minimal switch count is the number of runs in a reset word, so it is
+# a breadth-first distance over state subsets in which one step is one whole
+# run of one symbol; the shortest length is the same distance with one
+# letter a step.  Per level and symbol, a run applies the symbol again and
+# again and stops at a set seen at an earlier level or already reached by
+# this symbol in this level: the rest of its forward orbit is covered either
+# way.  A set that only another symbol reached in this level is no stop: the
+# run goes on through it, as its images under this symbol are in this level
+# too.  This is the rule of the batch kernel `search._switch_counts_batch`.
+# ---------------------------------------------------------------------------
+
+
+def _levels(dfa: Dfa, runs: bool) -> int:
+    """The first level, counted from the full state set, that holds a
+    singleton; a step is one symbol run if `runs`, else one letter."""
+    if dfa.n == 1:
+        return 0
+    images = subset_images(dfa)
+    singletons = {1 << q for q in range(dfa.n)}
+    frontier = {full_set(dfa.n)}
+    seen = frontier.copy()
+    level = 0
+    while frontier:
+        level += 1
+        found: set[int] = set()
+        for image in images:
+            reached: set[int] = set()
+            sets = frontier
+            while sets:
+                sets = set(image(sets)).difference(seen, reached)
+                reached |= sets
+                if not runs:
+                    break
+            if not singletons.isdisjoint(reached):
+                return level
+            found |= reached
+        seen |= found
+        frontier = found
+    raise NotSynchronizingError("no singleton reachable from the full state set")
+
+
+# ---------------------------------------------------------------------------
 # Forward search and the tight-edge DAG
 #
-# Both objectives search one graph of (V, tag) nodes.  Under
+# Dial's buckets serve the optimal words and their counts only
+# (`optimal_sync_word`, `count_optimal_words`, `optimal_words`); the scalar
+# optima need no last-symbol tag and take the level search above.  Both
+# objectives search one graph of (V, tag) nodes.  Under
 # SWITCH_THEN_LENGTH the tag is the last symbol applied (s + 1 after symbol
 # s, 0 before the first), and an edge costs (switches, length) = (0, 1) when
 # it repeats the last symbol and (1, 1) otherwise.  Under LENGTH the tag is
@@ -145,9 +191,9 @@ def is_synchronizing(dfa: Dfa) -> bool:
 class _Search:
     """Forward search from the full state set over the reachable nodes only.
 
-    After construction `optimum` is the optimal length (LENGTH) or switch
-    count, `best` its encoded cost, `sinks` the optimal singletons by tag,
-    and `order` the expanded nodes grouped by cost and tag.
+    After construction `best` is the encoded optimal cost, `sinks` the
+    optimal singletons by tag, and `order` the expanded nodes grouped by
+    cost and tag.
     """
 
     def __init__(self, dfa: Dfa, objective: Objective):
@@ -192,16 +238,16 @@ class _Search:
                         synced = synced or not singletons.isdisjoint(vs)
                 if synced:
                     self.best = cost
-                    self.optimum = cost // big
                     self.sinks = [(tag, vs & singletons) for tag, vs in found]
                     return
                 if by_switch:
                     fresh = set().union(*[vs for _, vs in found]).difference(cache)
                     if fresh:
-                        cache.update(zip(fresh, zip(*images(fresh))))
+                        cache.update(zip(fresh, zip(*[image(fresh) for image in images])))
                 for tag, vs in found:
                     vs = list(vs)
-                    columns = list(zip(*map(cache.__getitem__, vs))) if by_switch else images(vs)
+                    columns = (list(zip(*map(cache.__getitem__, vs))) if by_switch
+                               else [image(vs) for image in images])
                     self.order.append((cost, tag, vs, columns))
                     for s, ws in enumerate(columns):
                         step = steps[tag][s]
@@ -235,7 +281,7 @@ class _Search:
             if v & (v - 1) == 0:
                 yield Word(prefix)
                 continue
-            targets = [column[0] for column in self.images([v])]
+            targets = [image([v])[0] for image in self.images]
             for s in reversed(range(len(targets))):
                 reach, t, w = cost + self.steps[tag][s], self.tags[s], targets[s]
                 if w in ways.get((reach, t), ()):
@@ -244,16 +290,16 @@ class _Search:
 
 def shortest_sync_length(dfa: Dfa) -> int:
     """Breadth-first distance from the full set to any singleton."""
-    return _Search(dfa, Objective.LENGTH).optimum
+    return _levels(dfa, runs=False)
 
 
 def min_switch_count(dfa: Dfa) -> int:
     """Minimal switch count of a synchronizing word.
 
-    0/1 BFS over (subset, last symbol) nodes; equals the shortest
-    synchronizing word length of the power closure.
+    Breadth-first distance over subsets with one symbol run a step; equals
+    the shortest synchronizing word length of the power closure.
     """
-    return _Search(dfa, Objective.SWITCH_THEN_LENGTH).optimum
+    return _levels(dfa, runs=True)
 
 
 def optimal_sync_word(dfa: Dfa, objective: Objective = Objective.SWITCH_THEN_LENGTH) -> SyncResult:

@@ -68,6 +68,29 @@ def test_measure_negation_invariance(ctx6):
         assert measure(ctx6, bits) == measure(ctx6, neg)
 
 
+def _measure_by_pairs(ctx, bits):
+    """Reference for `measure`, the max-min over pairs of members: a set in
+    -S is measured by its negation in S."""
+    members = set_members(bits)
+    if bits & ~ctx.s_bits:
+        members = [negate_index(i, ctx.n) for i in members]
+    return max(min(ctx.dmat[(i, j)] for j in members) for i in members)
+
+
+def test_measure_matches_pairwise_definition(ctx6):
+    s_members = set_members(ctx6.s_bits)
+    for bits in _subsets_of(s_members):
+        assert measure(ctx6, bits) == _measure_by_pairs(ctx6, bits)
+    for n in (12, 18):
+        ctx = distance_context(n)
+        rng = random.Random(n)
+        s_members = set_members(ctx.s_bits)
+        for _ in range(2000):
+            sample = rng.sample(s_members, rng.randint(1, len(s_members)))
+            for bits in (state_set(sample), state_set(negate_index(i, n) for i in sample)):
+                assert measure(ctx, bits) == _measure_by_pairs(ctx, bits)
+
+
 def test_measure_errors(ctx6):
     with pytest.raises(ValueError):
         measure(ctx6, 0)

@@ -15,7 +15,7 @@ from oracles import (
 from syncswitch.analysis import canonical_word
 from syncswitch.automaton import Dfa, Word, apply_set, full_set, is_singleton
 from syncswitch.closure import power_closure
-from syncswitch.families import a_family, cerny, cyclic_counterexample, fixture, p_variant, r_family
+from syncswitch.families import a_family, cerny, cyclic_counterexample, fixture, p_variant, q_family, r_family
 from syncswitch.synchro import (
     NotSynchronizingError,
     Objective,
@@ -42,9 +42,10 @@ def test_subset_images_match_apply_set(n, k):
     rng = random.Random(1000 * n + k)
     dfa = random_dfa(rng, n, k)
     subsets = range(1 << n)
-    images = subset_images(dfa)(subsets)
-    for s in range(k):
-        assert images[s] == [apply_set(dfa, v, [s]) for v in subsets]
+    images = subset_images(dfa)
+    assert len(images) == k
+    for s, image in enumerate(images):
+        assert image(subsets) == [apply_set(dfa, v, [s]) for v in subsets]
 
 
 def test_is_synchronizing():
@@ -133,6 +134,31 @@ def test_optimal_word_is_lexicographically_minimal():
             all_best = optimal_words(dfa, objective)
             assert res.word == all_best[0]
             assert len(all_best) == count_optimal_words(dfa, objective)
+
+
+def _outcome(value):
+    try:
+        return value()
+    except NotSynchronizingError:
+        return None
+
+
+def test_level_search_matches_bucket_search():
+    """The scalar optima (level search) against the optimal words of the
+    bucket search, which tracks the last symbol instead of closing runs."""
+    rng = random.Random(29)
+    subjects = [random_dfa(rng, rng.randint(1, 10), rng.choice((2, 3))) for _ in range(600)]
+    for family, lo, step in ((cerny, 2, 1), (p_variant, 2, 1), (r_family, 5, 1), (q_family, 4, 2), (a_family, 3, 1)):
+        subjects += [family(n) for n in range(lo, 15, step)]
+    nonsync = 0
+    for dfa in subjects:
+        ssl = _outcome(lambda: shortest_sync_length(dfa))
+        sw = _outcome(lambda: min_switch_count(dfa))
+        assert ssl == _outcome(lambda: optimal_sync_word(dfa, Objective.LENGTH).length)
+        assert sw == _outcome(lambda: optimal_sync_word(dfa, Objective.SWITCH_THEN_LENGTH).switch)
+        assert (ssl is None) == (sw is None) == (not is_synchronizing(dfa))
+        nonsync += ssl is None
+    assert 50 <= nonsync < 600
 
 
 # ---------------------------------------------------------------------
