@@ -8,16 +8,19 @@ cyclic permutation.  The asymmetric distance d and the max-min measure mu
 defined from it control how fast any synchronizing word can make progress;
 `verify_lemmas` checks the published structural facts exhaustively where
 feasible and by fixed-seed sampling elsewhere, within `_CLOSURE_CAP` nodes.
+The pair-increase bound and the lemma closures walk state pairs and sets
+with the level search of `synchro` (`_levels`), the one that computes the
+shortest length and the minimal switch count.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .automaton import Dfa, Word, apply_set, set_members, state_set
 from .families import b_family, negate_index, s_set, signed_to_index
+from .synchro import _levels
 
 
 @dataclass
@@ -127,55 +130,37 @@ def measure(ctx: DistanceContext, bits: int) -> int:
     return max(b - a for a, b in zip(points, points[1:] + [points[0] + cl]))
 
 
+def _pair_images(dfa: Dfa) -> list:
+    """images[s](pairs): the image under symbol s of each ordered state pair."""
+    rows = dfa.rows
+    return [lambda pairs, s=s: [(rows[p][s], rows[q][s]) for p, q in pairs] for s in range(dfa.k)]
+
+
 def min_sc_pair_increase(ctx: DistanceContext, k: int) -> int:
     """Minimal switch count of a word raising some admissible pair distance to k+1.
 
     Minimum over ordered pairs p, q in C with d(p, q) <= k-1 (exactly k-1
-    when k = 2n/3-1) and words w with d(pw, qw) = k+1, found by 0/1 BFS
-    over (ordered pair, last symbol) nodes.
+    when k = 2n/3-1) and words w with d(pw, qw) = k+1: the level search of
+    `synchro`, one symbol run a step, over ordered pairs, stopped at the
+    first pass that reaches a goal pair.  The goals are every pair of S x S
+    or -S x -S at distance k+1, merged pairs included when k+1 = 2n/3.
+    Computing them up front answers as testing each reached pair does: the
+    reached pairs lie in L3's closure of C x C, where no pair mixes S and -S
+    (L3 takes the distance of each of them at n = 6, 12 and 18).
     """
     cl = ctx.cycle_len
     if not 2 <= k <= cl - 1:
         raise ValueError(f"k must be in [2, {cl - 1}], got {k}")
-    n2 = 2 * ctx.n
-    rows = ctx.dfa.rows
-    width = 3  # last symbol: 0 = none, 1 = a, 2 = b
-
-    def pair_d(i: int, j: int) -> int:
-        return ctx.distance_by_index(i, j)
-
+    d = ctx.distance_by_index
     c_members = set_members(ctx.c_bits)
-    dist = {}
-    dq: deque[tuple[int, int]] = deque()
-    for p in c_members:
-        for q in c_members:
-            if p != q and pair_d(p, q) <= k - 1 and (k < cl - 1 or pair_d(p, q) == k - 1):
-                node = (p * n2 + q) * width
-                dist[node] = 0
-                dq.append((0, node))
-    best = None
-    while dq:
-        d, node = dq.popleft()
-        if dist.get(node) != d:
-            continue
-        pq, last = divmod(node, width)
-        p, q = divmod(pq, n2)
-        if pair_d(p, q) == k + 1:
-            best = d
-            break
-        for s in range(2):
-            np_, nq = rows[p][s], rows[q][s]
-            nd = d if last == s + 1 else d + 1
-            t = (np_ * n2 + nq) * width + s + 1
-            if t not in dist or nd < dist[t]:
-                dist[t] = nd
-                if nd == d:
-                    dq.appendleft((nd, t))
-                else:
-                    dq.append((nd, t))
-    if best is None:
-        raise ValueError(f"no word increases an admissible pair distance to {k + 1}")
-    return best
+    starts = [(p, q) for p in c_members for q in c_members
+              if p != q and d(p, q) <= k - 1 and (k < cl - 1 or d(p, q) == k - 1)]
+    goals = {(p, q) for bits in (ctx.s_bits, ctx.neg_s_bits)
+             for p in set_members(bits) for q in set_members(bits) if d(p, q) == k + 1}
+    for level, pairs in _levels(starts, _pair_images(ctx.dfa), runs=True):
+        if not goals.isdisjoint(pairs):
+            return level
+    raise ValueError(f"no word increases an admissible pair distance to {k + 1}")
 
 
 def pair_increase_bound(n: int, k: int) -> int:
@@ -240,27 +225,24 @@ class LemmaReport:
 _CLOSURE_CAP = 200_000
 
 
-def _closure(starts, successors, max_depth=None) -> set:
+def _closure(starts, images, max_depth=None) -> set:
     """Every node within max_depth steps (any number if None) of some start.
 
-    One breadth-first search from all starts at once: a node's distance from
-    the nearest start is at most max_depth exactly when some start's own
-    search of that depth reaches it.  Raises ValueError past _CLOSURE_CAP.
+    The level search of `synchro`, one letter a step, from all starts at
+    once: a node's distance from the nearest start is at most max_depth
+    exactly when some start's own search of that depth reaches it.
+    `images[s]` maps a batch of nodes to their images under symbol s.
+    Raises ValueError past _CLOSURE_CAP, checked after each symbol pass:
+    that raises on the same inputs as a check before each added node, and
+    overshoots the cap by at most one pass, at most one frontier.
     """
     seen = set(starts)
-    frontier = list(seen)
-    depth = 0
-    while frontier and depth != max_depth:
-        nxt = []
-        for node in frontier:
-            for succ in successors(node):
-                if succ not in seen:
-                    if len(seen) >= _CLOSURE_CAP:
-                        raise ValueError(f"closure exceeded its cap of {_CLOSURE_CAP:,} nodes")
-                    seen.add(succ)
-                    nxt.append(succ)
-        frontier = nxt
-        depth += 1
+    for level, nodes in _levels(seen, images, runs=False):
+        if max_depth is not None and level > max_depth:
+            break
+        seen |= nodes
+        if nodes and len(seen) > _CLOSURE_CAP:
+            raise ValueError(f"closure exceeded its cap of {_CLOSURE_CAP:,} nodes")
     return seen
 
 
@@ -301,8 +283,8 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
     subset_pool = _subsets_of(c_members)
     if len(subset_pool) > samples:
         subset_pool = rng.sample(subset_pool, samples)
-    symbols = range(dfa.k)
-    images = _closure(subset_pool, lambda bits: [apply_set(dfa, bits, (s,)) for s in symbols], 4 * n)
+    images = _closure(subset_pool, [lambda sets, s=s: [apply_set(dfa, bits, (s,)) for bits in sets]
+                                    for s in range(dfa.k)], 4 * n)
     failures = 0
     for img in images:
         if (img >> n_idx) & 1 and img & ~ctx.c_bits:
@@ -333,9 +315,7 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
                              f"states={len(s_members)} violations={failures}"))
 
     # L3: a C-pair whose distance reaches 2n/3 has actually merged.
-    rows = dfa.rows
-    pairs = _closure([(p, q) for p in c_members for q in c_members],
-                     lambda pq: [(rows[pq[0]][s], rows[pq[1]][s]) for s in symbols])
+    pairs = _closure([(p, q) for p in c_members for q in c_members], _pair_images(dfa))
     failures = sum(1 for p, q in pairs if p != q and ctx.distance_by_index(p, q) == cl)
     checks.append(LemmaCheck("L3", failures == 0,
                              f"pairs={len(pairs)} violations={failures}"))
@@ -381,6 +361,7 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
     # bound applies it.  On arbitrary subsets of S the statement can fail:
     # a member equivalent to the top state takes the exceptional distance
     # jump under b, which the accompanying case analysis does not cover.
+    rows = dfa.rows
     failures = 0
     tested = 0
     pool = _subsets_of(c_members)

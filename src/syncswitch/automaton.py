@@ -187,12 +187,6 @@ def is_singleton(bits: int) -> bool:
     return bits != 0 and bits & (bits - 1) == 0
 
 
-def _check_word(dfa: Dfa, word: Iterable[int]) -> None:
-    for s in word:
-        if not 0 <= s < dfa.k:
-            raise WordSymbolError(f"symbol index {s} out of range [0, {dfa.k})")
-
-
 def apply_state(dfa: Dfa, q: int, word: Iterable[int]) -> int:
     """Fold the transition table over `word` starting at state q."""
     if not 0 <= q < dfa.n:

@@ -140,15 +140,13 @@ def _print_search(search, *args, **kwargs) -> int:
 
 def _cmd_search(args) -> int:
     return _print_search(
-        extremal_search, args.n, args.k, shards=args.shards, parallelism=args.jobs,
-        long=args.long,
+        extremal_search, args.n, args.k, parallelism=args.jobs, long=args.long,
     )
 
 
 def _cmd_cyclic_search(args) -> int:
     return _print_search(
-        cyclic_extremal_search, args.n, args.k, shards=args.shards,
-        parallelism=args.jobs, long=args.long,
+        cyclic_extremal_search, args.n, args.k, parallelism=args.jobs, long=args.long,
     )
 
 
@@ -216,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--long", action="store_true", help="allow searches past the quick threshold")
-    p.add_argument("--shards", type=int, default=None)
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_search)
 
@@ -224,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True, choices=[2, 3])
     p.add_argument("--long", action="store_true")
-    p.add_argument("--shards", type=int, default=None)
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_cyclic_search)
 

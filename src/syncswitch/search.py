@@ -385,16 +385,16 @@ def _canonical_job(job):
     return _canonical_tables(*job), time.monotonic() - t0
 
 
-def _search(n, k, classes, representatives, shards, parallelism, long, progress) -> ExtremalReport:
+def _search(n, k, classes, representatives, parallelism, long, progress) -> ExtremalReport:
     """Scan the tables whose symbol 0 is a map of `representatives()`, a
     dict {map: weight}, keep the tables at the running maximum and
     canonicalize them once.
 
     `parallelism` is an upper bound on the worker processes.  A space of
     fewer than POOL_GRAIN tables runs in the calling process, one job per
-    map unless `shards` says otherwise.  A larger one runs on a pool of
-    `parallelism` workers, 8 shards per worker by default, and the final
-    canonicalization runs in the same pool, one part per worker.
+    map.  A larger one runs on a pool of `parallelism` workers, 8 shards
+    per worker, and the final canonicalization runs in the same pool, one
+    part per worker.
 
     Each map's tables count `weight` times in `scanned`, `injective` and
     `nonsync`.  `classes`, a lower bound on the number of maps, sizes the
@@ -411,9 +411,9 @@ def _search(n, k, classes, representatives, shards, parallelism, long, progress)
         )
     maps = representatives()
     pooled = free * len(maps) >= POOL_GRAIN
-    if shards is None:
-        shards = max(1, min(workers * 8, free)) if pooled else 1
-    ranges = [r for r in shard_space(free, -(-shards // len(maps))) if r[0] < r[1]]
+    # at most `free` ranges per map, so none is empty
+    per_map = -(-min(workers * 8, free) // len(maps)) if pooled else 1
+    ranges = shard_space(free, per_map)
     jobs = [(n, k, fixed, lo, hi) for fixed in maps for lo, hi in ranges]
     if not pooled or len(jobs) == 1:
         workers = 1
@@ -448,7 +448,6 @@ def _search(n, k, classes, representatives, shards, parallelism, long, progress)
 def extremal_search(
     n: int,
     k: int = 2,
-    shards: int | None = None,
     parallelism: int | None = None,
     *,
     long: bool = False,
@@ -470,13 +469,12 @@ def extremal_search(
     if n > _CANONICAL_MAX_STATES:
         raise SearchSpaceError(f"extremal searches beyond {_CANONICAL_MAX_STATES} states are not supported")
     classes = -(-n ** n // factorial(n))
-    return _search(n, k, classes, lambda: _class_representatives(n), shards, parallelism, long, progress)
+    return _search(n, k, classes, lambda: _class_representatives(n), parallelism, long, progress)
 
 
 def cyclic_extremal_search(
     n: int,
     k: int = 2,
-    shards: int | None = None,
     parallelism: int | None = None,
     *,
     long: bool = False,
@@ -496,4 +494,4 @@ def cyclic_extremal_search(
     if k not in (2, 3):
         raise SearchSpaceError("cyclic search supports k in {2, 3}")
     cycle = tuple((q + 1) % n for q in range(n))
-    return _search(n, k, 1, lambda: {cycle: 1}, shards, parallelism, long, progress)
+    return _search(n, k, 1, lambda: {cycle: 1}, parallelism, long, progress)

@@ -6,10 +6,12 @@ Every engine searches forward from the full state set and keeps state only
 for the subsets it reaches, computing their images from byte-sliced lookup
 tables (`subset_images`).  The two scalar optima are a level search over
 plain subsets (`_levels`): one level is one symbol for the shortest length
-and one whole symbol run for the minimal switch count.  Optimal words and
-their counts come from Dial's buckets over (state set, last symbol) nodes
-(`_Search`): the edge labeled s out of (V, t) leads to (Vs, s) and costs no
-switch if s == t, else one.
+and one whole symbol run for the minimal switch count.  The same level
+search, over state pairs and sets, serves the pair-increase bound and the
+lemma closures of `analysis`.  Optimal words and their counts come from
+Dial's buckets over (state set, last symbol) nodes (`_Search`): the edge
+labeled s out of (V, t) leads to (Vs, s) and costs no switch if s == t,
+else one.
 """
 
 from __future__ import annotations
@@ -114,46 +116,63 @@ def is_synchronizing(dfa: Dfa) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Level search for the scalar optima
+# Level search
 #
 # The minimal switch count is the number of runs in a reset word, so it is
 # a breadth-first distance over state subsets in which one step is one whole
 # run of one symbol; the shortest length is the same distance with one
-# letter a step.  Per level and symbol, a run applies the symbol again and
-# again and stops at a set seen at an earlier level or already reached by
+# letter a step.  The search runs over any hashable nodes with one image
+# function per symbol, so `analysis` walks state pairs and lemma closures
+# with it too.  Per level and symbol, a run applies the symbol again and
+# again and stops at a node seen at an earlier level or already reached by
 # this symbol in this level: the rest of its forward orbit is covered either
-# way.  A set that only another symbol reached in this level is no stop: the
-# run goes on through it, as its images under this symbol are in this level
-# too.  This is the rule of the batch kernel `search._switch_counts_batch`.
+# way.  A node that only another symbol reached in this level is no stop:
+# the run goes on through it, as its images under this symbol are in this
+# level too.  This is the rule of the batch kernel
+# `search._switch_counts_batch`.
 # ---------------------------------------------------------------------------
 
 
-def _levels(dfa: Dfa, runs: bool) -> int:
-    """The first level, counted from the full state set, that holds a
-    singleton; a step is one symbol run if `runs`, else one letter."""
-    if dfa.n == 1:
-        return 0
-    images = subset_images(dfa)
-    singletons = {1 << q for q in range(dfa.n)}
-    frontier = {full_set(dfa.n)}
+def _levels(
+    starts: Iterable, images: list[Callable[[Iterable], list]], runs: bool
+) -> Iterator[tuple[int, set]]:
+    """Breadth-first levels from `starts`, a step one run of a symbol if
+    `runs`, else one letter.  `images[s]` maps a batch of nodes to their
+    images under symbol s, like `subset_images`.
+
+    Yields (level, nodes) once per level and symbol pass, counting levels
+    from 1: the nodes of that level which this pass reached first.  Stops
+    when a level reaches no new node.
+    """
+    frontier = set(starts)
     seen = frontier.copy()
     level = 0
     while frontier:
         level += 1
-        found: set[int] = set()
+        found: set = set()
         for image in images:
-            reached: set[int] = set()
-            sets = frontier
-            while sets:
-                sets = set(image(sets)).difference(seen, reached)
-                reached |= sets
+            reached: set = set()
+            nodes = frontier
+            while nodes:
+                nodes = set(image(nodes)).difference(seen, reached)
+                reached |= nodes
                 if not runs:
                     break
-            if not singletons.isdisjoint(reached):
-                return level
+            yield level, reached.difference(found)
             found |= reached
         seen |= found
         frontier = found
+
+
+def _sync_level(dfa: Dfa, runs: bool) -> int:
+    """The first level, counted from the full state set, that holds a
+    singleton; a step is one symbol run if `runs`, else one letter."""
+    if dfa.n == 1:
+        return 0
+    singletons = {1 << q for q in range(dfa.n)}
+    for level, sets in _levels([full_set(dfa.n)], subset_images(dfa), runs):
+        if not singletons.isdisjoint(sets):
+            return level
     raise NotSynchronizingError("no singleton reachable from the full state set")
 
 
@@ -290,7 +309,7 @@ class _Search:
 
 def shortest_sync_length(dfa: Dfa) -> int:
     """Breadth-first distance from the full set to any singleton."""
-    return _levels(dfa, runs=False)
+    return _sync_level(dfa, runs=False)
 
 
 def min_switch_count(dfa: Dfa) -> int:
@@ -299,7 +318,7 @@ def min_switch_count(dfa: Dfa) -> int:
     Breadth-first distance over subsets with one symbol run a step; equals
     the shortest synchronizing word length of the power closure.
     """
-    return _levels(dfa, runs=True)
+    return _sync_level(dfa, runs=True)
 
 
 def optimal_sync_word(dfa: Dfa, objective: Objective = Objective.SWITCH_THEN_LENGTH) -> SyncResult:

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -104,6 +105,51 @@ def test_pair_increase_frozen_values(ctx6):
     assert min_sc_pair_increase(ctx6, 3) == 7
     ctx12 = distance_context(12)
     assert min_sc_pair_increase(ctx12, 4) == 15
+
+
+def _pair_increase_by_01_bfs(ctx, k):
+    """Reference for `min_sc_pair_increase`: a 0/1 BFS over (ordered pair,
+    last symbol) nodes, where a symbol that repeats the last one costs no
+    switch; the goal test d(p, q) = k+1 runs on each node as it is popped."""
+    cl = ctx.cycle_len
+    n2 = 2 * ctx.n
+    rows = ctx.dfa.rows
+    width = 3  # last symbol: 0 = none, 1 = a, 2 = b
+    d = ctx.distance_by_index
+    c_members = set_members(ctx.c_bits)
+    dist = {}
+    dq = deque()
+    for p in c_members:
+        for q in c_members:
+            if p != q and d(p, q) <= k - 1 and (k < cl - 1 or d(p, q) == k - 1):
+                node = (p * n2 + q) * width
+                dist[node] = 0
+                dq.append((0, node))
+    while dq:
+        cost, node = dq.popleft()
+        if dist.get(node) != cost:
+            continue
+        pq, last = divmod(node, width)
+        p, q = divmod(pq, n2)
+        if d(p, q) == k + 1:
+            return cost
+        for s in range(2):
+            nc = cost if last == s + 1 else cost + 1
+            t = (rows[p][s] * n2 + rows[q][s]) * width + s + 1
+            if t not in dist or nc < dist[t]:
+                dist[t] = nc
+                if nc == cost:
+                    dq.appendleft((nc, t))
+                else:
+                    dq.append((nc, t))
+    return None
+
+
+@pytest.mark.parametrize("n", [6, 12, 18, 24])
+def test_pair_increase_matches_01_bfs(n):
+    ctx = distance_context(n)
+    for k in range(2, ctx.cycle_len):
+        assert min_sc_pair_increase(ctx, k) == _pair_increase_by_01_bfs(ctx, k)
 
 
 def test_pair_increase_closed_form(ctx6):
@@ -220,18 +266,20 @@ def test_closure_matches_per_start_searches(n, images, pairs):
     c_members = set_members(ctx.c_bits)
     pool = _subsets_of(c_members)
     union = set().union(*(_reachable_sets(dfa, bits, 4 * n) for bits in pool))
-    closed = _closure(pool, lambda bits: [apply_set(dfa, bits, (s,)) for s in range(dfa.k)], 4 * n)
+    by_symbol = [lambda sets, s=s: [apply_set(dfa, bits, (s,)) for bits in sets] for s in range(dfa.k)]
+    closed = _closure(pool, by_symbol, 4 * n)
     assert closed == union and len(closed) == images
 
     starts = [(p, q) for p in c_members for q in c_members]
     rows = dfa.rows
-    closed = _closure(starts, lambda pq: [(rows[pq[0]][s], rows[pq[1]][s]) for s in range(dfa.k)])
+    by_symbol = [lambda batch, s=s: [(rows[p][s], rows[q][s]) for p, q in batch] for s in range(dfa.k)]
+    closed = _closure(starts, by_symbol)
     assert closed == _reachable_pairs(dfa, starts) and len(closed) == pairs
 
 
 def test_closure_cap():
     with pytest.raises(ValueError, match="cap of 200,000 nodes"):
-        _closure([0], lambda x: [x + 1])
+        _closure([0], [lambda xs: [x + 1 for x in xs]])
 
 
 def test_verify_lemmas_sampled_branches():

@@ -99,8 +99,6 @@ def test_shard_space_partitions():
             assert a[1] == b[0] and a[0] <= a[1]
     with pytest.raises(ValueError):
         shard_space(3 ** 6, 0)
-    with pytest.raises(ValueError):
-        extremal_search(3, shards=0)
     with pytest.raises(ValueError, match="at least one worker"):
         extremal_search(3, parallelism=0)
 
@@ -203,13 +201,16 @@ def test_driver_completeness_follows_the_winner(monkeypatch):
     kept = [_scan_numpy(3, 2, 0, 27, f)[:2] for f in search._class_representatives(3)]
     assert max(len(t) for sw, t in kept if sw == 3) == 4
     assert max(len(t) for sw, t in kept if sw < 3) > 4
-    full = extremal_search(3, shards=1)
-    assert full.complete and extremal_search(3, shards=40).forms == full.forms
+    full = extremal_search(3)
+    with monkeypatch.context() as m:
+        # the pool path splits each map's 27 tables into 3 shards
+        m.setattr(search, "POOL_GRAIN", 0)
+        assert full.complete and extremal_search(3, parallelism=2).forms == full.forms
     monkeypatch.setattr(search, "_COLLECT_CAP", 4)
-    capped = extremal_search(3, shards=1)
+    capped = extremal_search(3)
     assert capped.complete and capped.forms == full.forms
     monkeypatch.setattr(search, "_COLLECT_CAP", 3)
-    assert not extremal_search(3, shards=1).complete
+    assert not extremal_search(3).complete
 
 
 def test_truncation_resets_when_the_maximum_rises(monkeypatch):
@@ -229,15 +230,8 @@ def test_cyclic_small():
     assert r.scanned == 5 ** 5
 
 
-@pytest.mark.parametrize("n, k", [(5, 2), (4, 3)])
-def test_cyclic_shards_agree(n, k):
-    one = cyclic_extremal_search(n, k, shards=1)
-    seven = cyclic_extremal_search(n, k, shards=7)
-    assert (seven.max_sw, seven.scanned, seven.complete) == (one.max_sw, one.scanned, one.complete)
-    assert seven.forms == one.forms
-
-
-_GRAIN_SPACES = [(extremal_search, 4, 2), (extremal_search, 3, 3), (cyclic_extremal_search, 5, 2)]
+_GRAIN_SPACES = [(extremal_search, 4, 2), (extremal_search, 3, 3), (cyclic_extremal_search, 5, 2),
+                 (cyclic_extremal_search, 4, 3)]
 
 
 def _outcome(report):
@@ -314,8 +308,8 @@ def test_format_report_truncation_warning(monkeypatch):
 
 def test_progress_lines():
     lines = []
-    extremal_search(3, shards=4, progress=lines.append)
-    # ceil(4 / 7) shards for each of the 7 symbol-0 maps, named on its line
+    extremal_search(3, progress=lines.append)
+    # one shard for each of the 7 symbol-0 maps, named on its line
     reps = search._class_representatives(3)
     assert sorted(line.split()[1] for line in lines) == sorted("a=" + ",".join(map(str, f)) for f in reps)
     assert all(line.startswith("SHARD a=") and " [0,27) DONE max=" in line for line in lines)
@@ -330,12 +324,14 @@ def test_progress_lines():
 
 
 @pytest.mark.parametrize("n, k", [(4, 2), (3, 3)])
-def test_cyclic_progress_counts(n, k):
+def test_cyclic_progress_counts(monkeypatch, n, k):
     # each shard weights its orbit representatives by their orbit sizes,
-    # so the sums count every cyclic table of the space
+    # so the sums count every cyclic table of the space; the pool path
+    # splits it into 8 shards per worker
+    monkeypatch.setattr(search, "POOL_GRAIN", 0)
     lines = []
-    cyclic_extremal_search(n, k, shards=5, progress=lines.append)
-    assert len(lines) == 5
+    cyclic_extremal_search(n, k, parallelism=2, progress=lines.append)
+    assert len(lines) == 16
     fields = [dict(f.split("=") for f in line.split() if "=" in f) for line in lines]
     tables = [Dfa(_table(_cycle(n), k, i)) for i in range(n ** (n * (k - 1)))]
     injective = sum(all(len(set(col)) == n for col in zip(*d.rows)) for d in tables)
