@@ -230,6 +230,18 @@ def test_cyclic_small():
     assert r.scanned == 5 ** 5
 
 
+@pytest.mark.parametrize("n, k", [(5, 2), (4, 3)])
+def test_cyclic_shards_agree(monkeypatch, n, k):
+    # one shard per map in-process against 24 shards over 3 pool workers
+    one = cyclic_extremal_search(n, k)
+    monkeypatch.setattr(search, "POOL_GRAIN", 0)
+    lines = []
+    many = cyclic_extremal_search(n, k, parallelism=3, progress=lines.append)
+    assert len(lines) > len({line.split()[1] for line in lines})
+    assert (many.max_sw, many.scanned, many.complete) == (one.max_sw, one.scanned, one.complete)
+    assert many.forms == one.forms
+
+
 _GRAIN_SPACES = [(extremal_search, 4, 2), (extremal_search, 3, 3), (cyclic_extremal_search, 5, 2),
                  (cyclic_extremal_search, 4, 3)]
 
