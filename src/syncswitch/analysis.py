@@ -5,9 +5,12 @@ The signed automaton `b_family(n)` carries a distinguished set S (even
 positive and odd negative states) whose synchronization mirrors that of
 `a_family(n)`, and a (2n/3)-state cycle C on which the word ab acts as a
 cyclic permutation.  The asymmetric distance d and the max-min measure mu
-defined from it control how fast any synchronizing word can make progress;
-`verify_lemmas` checks the published structural facts exhaustively where
-feasible and by fixed-seed sampling elsewhere, within `_CLOSURE_CAP` nodes.
+defined from it control how fast any synchronizing word can make progress.
+Both come from one signed cycle position per state (`DistanceContext.pos`):
+d is a difference of positions mod 2n/3, and mu is the largest cyclic gap
+of a set's positions, in S and in -S alike.  `verify_lemmas` checks the
+published structural facts exhaustively where feasible and by fixed-seed
+sampling elsewhere, within `_CLOSURE_CAP` nodes.
 The pair-increase bound and the lemma closures walk state pairs and sets
 with the level search of `synchro` (`_levels`), the one that computes the
 shortest length and the minimal switch count.
@@ -16,7 +19,7 @@ shortest length and the minimal switch count.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automaton import Dfa, Word, apply_set, set_members, state_set
 from .families import b_family, negate_index, s_set, signed_to_index
@@ -25,39 +28,41 @@ from .synchro import _levels
 
 @dataclass
 class DistanceContext:
-    """Precomputed structure for distance and measure queries at one n."""
+    """The distance model of `b_family(n)`: the classes S and -S, the cycle C,
+    and one cycle position per state.
+
+    For i in S, pos[i] is the position on C of i(ab)^(n/3), numbered along
+    the ab-cycle from state 2; for i in -S it is minus the position of -i.
+    Then d(i, j) = (pos[j] - pos[i]) mod 2n/3, read as 2n/3 when 0, in both
+    classes.
+    """
 
     n: int
     dfa: Dfa                       # b_family(n)
     cycle_len: int                 # 2n/3
     s_bits: int                    # the set S
-    neg_s_bits: int                # -S
+    neg_s_bits: int                # -S, the complement of S
     c_bits: int                    # the cycle C = [-n/3+1, n]
-    proj: list[int]                # state after (ab)^(n/3), per index
-    step_ab: list[int]             # one application of ab, per index
-    pos_on_cycle: dict[int, int]   # cycle position of each C member index
-    dmat: dict[tuple[int, int], int] = field(repr=False, default_factory=dict)
+    pos: list[int]                 # signed cycle position, per index
 
     def distance_by_index(self, i: int, j: int) -> int:
-        s = self.s_bits
-        if (s >> i) & 1 and (s >> j) & 1:
-            return self.dmat[(i, j)]
-        ns = self.neg_s_bits
-        if (ns >> i) & 1 and (ns >> j) & 1:
-            n = self.n
-            return self.dmat[(negate_index(j, n), negate_index(i, n))]
-        raise ValueError("distance needs both states in S or both in -S")
+        """Asymmetric distance d(i, j) of two states both in S or both in -S.
+
+        On S, d(i, j) is the least k >= 1 with i(ab)^(n/3+k) = j(ab)^(n/3);
+        values lie in [1, 2n/3] with d(i, i) = 2n/3.  On -S,
+        d(i, j) = d(-j, -i).
+        """
+        if (self.s_bits >> i ^ self.s_bits >> j) & 1:
+            raise ValueError("distance needs both states in S or both in -S")
+        return (self.pos[j] - self.pos[i] - 1) % self.cycle_len + 1
 
 
 def distance_context(n: int) -> DistanceContext:
     if n < 6 or n % 6:
         raise ValueError("the analysis is defined for n divisible by 6")
     dfa = b_family(n)
-    m = 2 * n
-    step_ab = [dfa.rows[dfa.rows[i][0]][1] for i in range(m)]
-    proj = list(range(m))
-    for _ in range(n // 3):
-        proj = [step_ab[i] for i in proj]
+    rows = dfa.rows
+    step_ab = [rows[rows[i][0]][1] for i in range(2 * n)]
 
     cycle_len = 2 * n // 3
     # C = even positives 2..n plus odd negatives -1..-n/3+1
@@ -65,68 +70,47 @@ def distance_context(n: int) -> DistanceContext:
     c_states += [signed_to_index(-q, n) for q in range(1, n // 3, 2)]
     c_bits = state_set(c_states)
 
-    # walk the ab-cycle through C to assign positions
+    # walk the ab-cycle through C to number its states
     start = signed_to_index(2, n)
-    pos_on_cycle = {}
+    on_cycle = {}
     cur = start
     for p in range(cycle_len):
-        pos_on_cycle[cur] = p
+        on_cycle[cur] = p
         cur = step_ab[cur]
-    if cur != start or len(pos_on_cycle) != cycle_len:
+    if cur != start or len(on_cycle) != cycle_len:
         raise AssertionError("ab does not cycle C as expected")
 
     s_bits = s_set(n)
-    ctx = DistanceContext(
-        n=n, dfa=dfa, cycle_len=cycle_len, s_bits=s_bits,
-        neg_s_bits=_negate_bits(s_bits, n), c_bits=c_bits,
-        proj=proj, step_ab=step_ab, pos_on_cycle=pos_on_cycle,
-    )
+    pos = [0] * (2 * n)
     for i in set_members(s_bits):
-        pi = pos_on_cycle[proj[i]]
-        for j in set_members(s_bits):
-            delta = (pos_on_cycle[proj[j]] - pi) % cycle_len
-            ctx.dmat[(i, j)] = delta if delta else cycle_len
-    return ctx
+        cur = i
+        for _ in range(n // 3):
+            cur = step_ab[cur]
+        pos[i] = on_cycle[cur]
+        pos[negate_index(i, n)] = -pos[i]
+    return DistanceContext(n=n, dfa=dfa, cycle_len=cycle_len, s_bits=s_bits,
+                           neg_s_bits=_negate_bits(s_bits, n), c_bits=c_bits, pos=pos)
 
 
 def _negate_bits(bits: int, n: int) -> int:
-    out = 0
-    for i in set_members(bits):
-        out |= 1 << negate_index(i, n)
-    return out
-
-
-def distance(ctx: DistanceContext, p: int, q: int) -> int:
-    """Asymmetric distance between signed states, both in S or both in -S.
-
-    d(p, q) is the least k >= 1 with p(ab)^(n/3+k) = q(ab)^(n/3); values lie
-    in [1, 2n/3] with d(q, q) = 2n/3.  For negative-class arguments,
-    d(p, q) = d(-q, -p).
-    """
-    n = ctx.n
-    return ctx.distance_by_index(signed_to_index(p, n), signed_to_index(q, n))
+    """The negated set: index i -> (i + n) mod 2n rotates the 2n-bit set by n."""
+    return (bits >> n | bits << n) & ((1 << 2 * n) - 1)
 
 
 def measure(ctx: DistanceContext, bits: int) -> int:
     """Max-min distance of a nonempty set contained in S or in -S.
 
-    Computed as the largest gap of the set's projection on the cycle C: the
-    distance from a member to its nearest other member is the gap from its
-    projected position to the next distinct one.  1 for S itself, 2n/3 when
-    all members project to one position.
+    Computed as the largest cyclic gap of the members' positions mod 2n/3:
+    the distance from a member to its nearest other member is the gap from
+    its position to the next distinct one.  1 for S itself, 2n/3 when all
+    members share one position.
     """
     if bits == 0:
         raise ValueError("measure of the empty set is undefined")
-    if bits & ~ctx.s_bits == 0:
-        members = set_members(bits)
-    elif bits & ~ctx.neg_s_bits == 0:
-        members = [negate_index(i, ctx.n) for i in set_members(bits)]
-    else:
+    if bits & ~ctx.s_bits and bits & ~ctx.neg_s_bits:
         raise ValueError("measure needs a set inside S or inside -S")
     cl = ctx.cycle_len
-    points = sorted({ctx.pos_on_cycle[ctx.proj[i]] for i in members})
-    if len(points) == 1:
-        return cl
+    points = sorted({ctx.pos[i] % cl for i in set_members(bits)})
     return max(b - a for a, b in zip(points, points[1:] + [points[0] + cl]))
 
 
@@ -263,8 +247,11 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
     Exhaustive over pairs, triples, subsets of C, and subsets of S while
     they fit in the sample budget; uniformly sampled (fixed seed) beyond
     that.  Failures come back as report entries, not exceptions.  Refuses,
-    before building anything, n whose subsets of C pass _CLOSURE_CAP (n >= 30).
+    before building anything, samples < 1 and n whose subsets of C pass
+    _CLOSURE_CAP (n >= 30).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     pool_size = (1 << 2 * n // 3) - 1 if n >= 6 and n % 6 == 0 else 0
     if pool_size > _CLOSURE_CAP:
         raise ValueError(f"the {pool_size:,} subsets of C pass the closure cap of {_CLOSURE_CAP:,} nodes")
@@ -296,27 +283,28 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
 
     # L2: the four distance identities, exhaustive over S^3.
     s_members = set_members(ctx.s_bits)
+    d = ctx.distance_by_index
     failures = 0
     for i in s_members:
-        if ctx.dmat[(i, i)] != cl:
+        if d(i, i) != cl:
             failures += 1
         for j in s_members:
-            if ctx.proj[i] == ctx.proj[j]:
+            if ctx.pos[i] == ctx.pos[j]:  # one projection: d = 2n/3 both ways
                 continue
-            dij = ctx.dmat[(i, j)]
+            dij = d(i, j)
             if not 0 < dij < cl:
                 failures += 1
-            if dij + ctx.dmat[(j, i)] != cl:
+            if dij + d(j, i) != cl:
                 failures += 1
             for r in s_members:
-                if dij < ctx.dmat[(i, r)] and dij + ctx.dmat[(j, r)] != ctx.dmat[(i, r)]:
+                if dij < d(i, r) and dij + d(j, r) != d(i, r):
                     failures += 1
     checks.append(LemmaCheck("L2", failures == 0,
                              f"states={len(s_members)} violations={failures}"))
 
     # L3: a C-pair whose distance reaches 2n/3 has actually merged.
     pairs = _closure([(p, q) for p in c_members for q in c_members], _pair_images(dfa))
-    failures = sum(1 for p, q in pairs if p != q and ctx.distance_by_index(p, q) == cl)
+    failures = sum(1 for p, q in pairs if p != q and d(p, q) == cl)
     checks.append(LemmaCheck("L3", failures == 0,
                              f"pairs={len(pairs)} violations={failures}"))
 
@@ -371,7 +359,7 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
         pool.append(state_set(rng.sample(c_members, size)))
     for bits in pool[:samples]:
         wlen = rng.randint(1, 4 * n)
-        w = [rng.randint(0, 1) for _ in range(wlen)]
+        w = rng.choices((0, 1), k=wlen)
         # one state map per word: follow each member through the word
         members = set_members(bits)
         targets = members
@@ -383,8 +371,7 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
         ok = False
         for p in members:
             for q in members:
-                if (ctx.distance_by_index(p, q) <= mu_a
-                        and ctx.distance_by_index(image_of[p], image_of[q]) == mu_w):
+                if d(p, q) <= mu_a and d(image_of[p], image_of[q]) == mu_w:
                     ok = True
                     break
             if ok:

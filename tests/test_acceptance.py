@@ -87,6 +87,14 @@ def test_criterion_09_exhaustive_table():
     _run(checks.check_exhaustive_table, jobs=_jobs())
 
 
+def test_criterion_09_counts_forms_up_to_states_and_symbols(monkeypatch):
+    """The published counts are forms up to renaming states and symbols:
+    the 12 forms of n=3 up to renaming states alone do not pass for them."""
+    monkeypatch.setattr(checks, "_SEARCH_TABLE", {3: (3, 12)})
+    result = checks.check_exhaustive_table(jobs=1)
+    assert (result.passed, result.got) == (False, "forms(n=3): expected 12, got 6")
+
+
 def test_criterion_10_fixtures():
     _run(checks.check_fixtures)
 

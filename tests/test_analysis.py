@@ -7,7 +7,6 @@ from syncswitch.analysis import (
     _closure,
     _subsets_of,
     canonical_word,
-    distance,
     distance_context,
     measure,
     min_sc_pair_increase,
@@ -15,13 +14,47 @@ from syncswitch.analysis import (
     verify_lemmas,
 )
 from syncswitch.automaton import apply_set, full_set, is_singleton, set_members, state_set
-from syncswitch.families import a_family, negate_index, signed_to_index
+from syncswitch.families import a_family, negate_index, s_set, signed_to_index
 from syncswitch.synchro import min_switch_count
 
 
 @pytest.fixture(scope="module")
 def ctx6():
     return distance_context(6)
+
+
+def distance(ctx, p, q):
+    """`distance_by_index` on signed state labels."""
+    return ctx.distance_by_index(signed_to_index(p, ctx.n), signed_to_index(q, ctx.n))
+
+
+def _distances_by_definition(ctx):
+    """Reference for `distance_by_index`, walking ab on ctx.dfa straight from
+    the definition: on S, d(p, q) is the least k >= 1 with
+    p(ab)^(n/3+k) = q(ab)^(n/3); on -S, d(p, q) = d(-q, -p).  Returns
+    {(p, q): d} over every pair of S and every pair of -S."""
+    n = ctx.n
+    rows = ctx.dfa.rows
+
+    def ab(q, times):
+        for _ in range(times):
+            q = rows[rows[q][0]][1]
+        return q
+
+    s_members = set_members(s_set(n))
+    table = {}
+    for p in s_members:
+        for q in s_members:
+            here, goal = ab(p, n // 3), ab(q, n // 3)
+            for k in range(1, 2 * n + 1):
+                here = ab(here, 1)
+                if here == goal:
+                    table[p, q] = k
+                    table[negate_index(q, n), negate_index(p, n)] = k
+                    break
+            else:
+                raise AssertionError(f"{q}(ab)^(n/3) is not on the ab-orbit of {p}")
+    return table
 
 
 def test_distance_examples(ctx6):
@@ -32,12 +65,21 @@ def test_distance_examples(ctx6):
     assert distance(ctx6, -1, 6) == 3
 
 
+@pytest.mark.parametrize("n", [6, 12, 18, 24])
+def test_distance_matches_definition(n):
+    ctx = distance_context(n)
+    table = _distances_by_definition(ctx)
+    assert len(table) == 2 * n * n
+    assert {pair: ctx.distance_by_index(*pair) for pair in table} == table
+
+
 def test_distance_antisymmetry(ctx6):
+    table = _distances_by_definition(ctx6)
     members = [2, 4, 6, -1, -3, -5]
     for p in members:
         for q in members:
-            if ctx6.proj[signed_to_index(p, 6)] == ctx6.proj[signed_to_index(q, 6)]:
-                continue
+            if table[signed_to_index(p, 6), signed_to_index(q, 6)] == 4:
+                continue  # one projection
             assert distance(ctx6, p, q) + distance(ctx6, q, p) == 4
             assert 0 < distance(ctx6, p, q) < 4
 
@@ -69,27 +111,27 @@ def test_measure_negation_invariance(ctx6):
         assert measure(ctx6, bits) == measure(ctx6, neg)
 
 
-def _measure_by_pairs(ctx, bits):
-    """Reference for `measure`, the max-min over pairs of members: a set in
-    -S is measured by its negation in S."""
+def _measure_by_pairs(table, bits):
+    """Reference for `measure`, the max-min over pairs of members of the
+    distances in `table` (from `_distances_by_definition`)."""
     members = set_members(bits)
-    if bits & ~ctx.s_bits:
-        members = [negate_index(i, ctx.n) for i in members]
-    return max(min(ctx.dmat[(i, j)] for j in members) for i in members)
+    return max(min(table[i, j] for j in members) for i in members)
 
 
 def test_measure_matches_pairwise_definition(ctx6):
+    table = _distances_by_definition(ctx6)
     s_members = set_members(ctx6.s_bits)
     for bits in _subsets_of(s_members):
-        assert measure(ctx6, bits) == _measure_by_pairs(ctx6, bits)
+        assert measure(ctx6, bits) == _measure_by_pairs(table, bits)
     for n in (12, 18):
         ctx = distance_context(n)
+        table = _distances_by_definition(ctx)
         rng = random.Random(n)
         s_members = set_members(ctx.s_bits)
         for _ in range(2000):
             sample = rng.sample(s_members, rng.randint(1, len(s_members)))
             for bits in (state_set(sample), state_set(negate_index(i, n) for i in sample)):
-                assert measure(ctx, bits) == _measure_by_pairs(ctx, bits)
+                assert measure(ctx, bits) == _measure_by_pairs(table, bits)
 
 
 def test_measure_errors(ctx6):

@@ -171,6 +171,12 @@ def test_verify_paper_needs_a_worker(capsys):
     assert "at least one worker" in _refusal(capsys, "verify-paper", "--jobs", "0")
 
 
+def test_verify_lemmas_refuses_samples_below_one(capsys):
+    for samples in ("0", "-1"):
+        err = _refusal(capsys, "verify-lemmas", "--n", "6", "--samples", samples)
+        assert f"samples must be at least 1, got {samples}" in err
+
+
 def test_verify_lemmas_command(capsys):
     code, out, _ = run_cli(capsys, "verify-lemmas", "--n", "6", "--samples", "300")
     assert code == 0
