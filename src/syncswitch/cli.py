@@ -37,12 +37,6 @@ from .synchro import (
 from .search import cyclic_extremal_search, extremal_search, format_report
 from .analysis import verify_lemmas
 
-_OBJECTIVES = {
-    "length": Objective.LENGTH,
-    "switch": Objective.SWITCH,
-    "switch-then-length": Objective.SWITCH_THEN_LENGTH,
-}
-
 _FAMILIES = {
     "cerny": cerny,
     "p": p_family,
@@ -97,13 +91,13 @@ def _cmd_sw(args) -> int:
 
 
 def _cmd_opt(args) -> int:
-    result = optimal_sync_word(_read_dfa(args.file), _OBJECTIVES[args.objective])
+    result = optimal_sync_word(_read_dfa(args.file), Objective(args.objective))
     print(f"word={result.word.letters()} len={result.length} sw={result.switch}")
     return 0
 
 
 def _cmd_count(args) -> int:
-    print(count_optimal_words(_read_dfa(args.file), _OBJECTIVES[args.objective]))
+    print(count_optimal_words(_read_dfa(args.file), Objective(args.objective)))
     return 0
 
 
@@ -126,28 +120,17 @@ def _progress(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _print_search(search, *args, **kwargs) -> int:
-    """Run a search and print its report.  The header line gains the call's
-    wall time, `wall_s`, beside `worker_s`, the shards' summed seconds, and
-    `workers`, the processes that scanned (1: no pool was started)."""
+def _cmd_search(args) -> int:
+    """Run `args.search`, the exhaustive or the cyclic search, and print its
+    report.  The header line gains the call's wall time, `wall_s`, beside
+    `worker_s`, the shards' summed seconds, and `workers`, the processes that
+    scanned (1: no pool was started)."""
     t0 = time.perf_counter()
-    report = search(*args, progress=_progress, **kwargs)
+    report = args.search(args.n, args.k, parallelism=args.jobs, long=args.long, progress=_progress)
     wall_s = time.perf_counter() - t0
     header, rest = format_report(report).split("\n", 1)
     sys.stdout.write(f"{header} wall_s={wall_s:.1f} workers={report.workers}\n{rest}")
     return 0
-
-
-def _cmd_search(args) -> int:
-    return _print_search(
-        extremal_search, args.n, args.k, parallelism=args.jobs, long=args.long,
-    )
-
-
-def _cmd_cyclic_search(args) -> int:
-    return _print_search(
-        cyclic_extremal_search, args.n, args.k, parallelism=args.jobs, long=args.long,
-    )
 
 
 def _cmd_verify_lemmas(args) -> int:
@@ -193,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("opt", help="an optimal synchronizing word")
     p.add_argument("file", help="DFA file, or - for stdin")
-    p.add_argument("--objective", choices=sorted(_OBJECTIVES), default="switch-then-length")
+    p.add_argument("--objective", choices=[o.value for o in Objective], default="switch-then-length")
     p.set_defaults(func=_cmd_opt)
 
     p = sub.add_parser("count", help="number of optimal synchronizing words")
@@ -215,14 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--long", action="store_true", help="allow searches past the quick threshold")
     p.add_argument("--jobs", type=int, default=_default_jobs())
-    p.set_defaults(func=_cmd_search)
+    p.set_defaults(func=_cmd_search, search=extremal_search)
 
     p = sub.add_parser("cyclic-search", help="extremal search over cyclic automata")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True, choices=[2, 3])
     p.add_argument("--long", action="store_true")
     p.add_argument("--jobs", type=int, default=_default_jobs())
-    p.set_defaults(func=_cmd_cyclic_search)
+    p.set_defaults(func=_cmd_search, search=cyclic_extremal_search)
 
     p = sub.add_parser("verify-lemmas", help="check the distance/measure lemmas")
     p.add_argument("--n", type=int, required=True)

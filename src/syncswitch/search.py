@@ -43,6 +43,9 @@ POOL_GRAIN = 1 << 17
 # Gathered extremal tables (orbit representatives) per shard before the
 # report is marked incomplete.
 _COLLECT_CAP = 100_000
+# A scan batch holds min(32768, _SCAN_ENTRIES >> n) tables: 4,096 at n = 9,
+# the most states a search takes.
+_SCAN_ENTRIES = 1 << 21
 
 
 def shard_space(total: int, count: int) -> list[tuple[int, int]]:
@@ -186,10 +189,10 @@ def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray"):
     return result, injective
 
 
-def _scan_numpy(n: int, k: int, lo: int, hi: int, fixed: tuple[int, ...], chunk: int | None = None):
+def _scan_numpy(n: int, k: int, lo: int, hi: int, fixed: tuple[int, ...]):
     """Scan the index range [lo, hi) of the tables whose symbol 0 is the
-    transformation `fixed`, in batches of `chunk` tables; an index encodes
-    the k-1 free columns.
+    transformation `fixed`, in batches of at most 32,768 tables; an index
+    encodes the k-1 free columns.
 
     Returns (max_sw, tables, truncated, injective, nonsync): the maximal
     switch count (-1 if no table synchronizes), the tables attaining it as
@@ -202,8 +205,7 @@ def _scan_numpy(n: int, k: int, lo: int, hi: int, fixed: tuple[int, ...], chunk:
     `injective` and `nonsync`, so those still count every table of the
     range.
     """
-    if chunk is None:
-        chunk = max(2048, min(32768, (1 << 21) >> n))
+    chunk = min(32768, _SCAN_ENTRIES >> n)
     free_k = k - 1
     powers = np.array([n ** e for e in range(n * free_k - 1, -1, -1)], dtype=np.int64)
     perms, ranks = _perm_arrays(n)

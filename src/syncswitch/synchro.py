@@ -9,9 +9,9 @@ plain subsets (`_levels`): one level is one symbol for the shortest length
 and one whole symbol run for the minimal switch count.  The same level
 search, over state pairs and sets, serves the pair-increase bound and the
 lemma closures of `analysis`.  Optimal words and their counts come from
-Dial's buckets over (state set, last symbol) nodes (`_Search`): the edge
-labeled s out of (V, t) leads to (Vs, s) and costs no switch if s == t,
-else one.
+one cost-ordered bucket queue over (state set, last symbol) nodes
+(`_Search`, Dial's algorithm): the edge labeled s out of (V, t) leads to
+(Vs, s) and costs no switch if s == t, else one.
 """
 
 from __future__ import annotations
@@ -191,12 +191,14 @@ def _sync_level(dfa: Dfa, runs: bool) -> int:
 # the length of every path the search keeps, so integer order is the
 # lexicographic order and `cost // big` is the optimal length or switch count.
 #
-# The search is Dial's algorithm: a bucket of candidate nodes per cost, taken
-# in increasing order without a heap.  A switch edge leads to the next level
-# of `cost // big` and a repeat edge to the next bucket of the same level, so
-# each level is scanned one length at a time.  A bucket is expanded as a
-# whole, with set operations, and the search stops at the first bucket that
-# holds a singleton: its cost is optimal.
+# The search is Dial's algorithm: one bucket of candidate nodes per pending
+# cost, and each step pops the least.  An edge of cost (0, 1) adds 1, less
+# than `big`, so it stays in the level of `cost // big`; an edge of cost
+# (1, 1) adds big + 1 and leads to the next level.  The pending costs thus
+# lie in two adjacent levels, and taking `min` over them needs no heap.  A
+# bucket is expanded as a whole, with set operations, skipping the subsets
+# already expanded under the same tag at a lower cost, and the search stops
+# at the first bucket that holds a singleton: its cost is optimal.
 #
 # An edge u -> w is tight when cost(u) + c(u, w) = cost(w).  Every optimal
 # word follows tight edges only, and tight edges raise the cost, so the
@@ -233,46 +235,35 @@ class _Search:
         ]
         singletons = {1 << q for q in range(n)}
         self.full = full_set(n)
-        dist: list[dict[int, int]] = [{} for _ in range(k + 1)]  # dist[tag][V] = cost
+        seen: list[set[int]] = [set() for _ in range(k + 1)]  # seen[tag]: expanded subsets
         # (cost, tag, subsets, their images by symbol), in increasing cost
         self.order: list[tuple[int, int, list[int], list]] = []
-        # cost -> tag -> candidate subsets, for the current and the next level
-        level = defaultdict(lambda: defaultdict(set))
-        level[0][0].add(self.full)
-        while level:
-            nxt = defaultdict(lambda: defaultdict(set))
-            cost = min(level)
-            while level:
-                groups = level.pop(cost, None)
-                if groups is None:
-                    cost += 1
-                    continue
-                found = []
-                synced = False
-                for tag, vs in groups.items():
-                    vs = vs.difference(dist[tag])
-                    if vs:
-                        dist[tag].update(dict.fromkeys(vs, cost))
-                        found.append((tag, vs))
-                        synced = synced or not singletons.isdisjoint(vs)
-                if synced:
-                    self.best = cost
-                    self.sinks = [(tag, vs & singletons) for tag, vs in found]
-                    return
-                if by_switch:
-                    fresh = set().union(*[vs for _, vs in found]).difference(cache)
-                    if fresh:
-                        cache.update(zip(fresh, zip(*[image(fresh) for image in images])))
-                for tag, vs in found:
-                    vs = list(vs)
-                    columns = (list(zip(*map(cache.__getitem__, vs))) if by_switch
-                               else [image(vs) for image in images])
-                    self.order.append((cost, tag, vs, columns))
-                    for s, ws in enumerate(columns):
-                        step = steps[tag][s]
-                        (level if step == 1 else nxt)[cost + step][tags[s]].update(ws)
-                cost += 1
-            level = nxt
+        # cost -> tag -> candidate subsets
+        buckets = defaultdict(lambda: defaultdict(set))
+        buckets[0][0].add(self.full)
+        while buckets:
+            cost = min(buckets)
+            found = []
+            for tag, vs in buckets.pop(cost).items():
+                vs = vs.difference(seen[tag])
+                if vs:
+                    seen[tag] |= vs
+                    found.append((tag, vs))
+            self.sinks = [(tag, vs & singletons) for tag, vs in found]
+            if any(sink for _, sink in self.sinks):
+                self.best = cost
+                return
+            if by_switch:
+                fresh = set().union(*[vs for _, vs in found]).difference(cache)
+                if fresh:
+                    cache.update(zip(fresh, zip(*[image(fresh) for image in images])))
+            for tag, vs in found:
+                vs = list(vs)
+                columns = (list(zip(*map(cache.__getitem__, vs))) if by_switch
+                           else [image(vs) for image in images])
+                self.order.append((cost, tag, vs, columns))
+                for s, ws in enumerate(columns):
+                    buckets[cost + steps[tag][s]][tags[s]].update(ws)
         raise NotSynchronizingError("no singleton reachable from the full state set")
 
     def tight_dag(self) -> dict[tuple[int, int], dict[int, int]]:
@@ -357,4 +348,6 @@ def optimal_words(dfa: Dfa, objective: Objective = Objective.LENGTH, limit: int 
     """
     if objective is Objective.SWITCH:
         raise ValueError("the set of minimal-switch words is infinite; use SWITCH_THEN_LENGTH")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     return list(islice(_Search(dfa, objective).optimal_words(), limit))

@@ -214,11 +214,12 @@ def test_driver_completeness_follows_the_winner(monkeypatch):
 
 
 def test_truncation_resets_when_the_maximum_rises(monkeypatch):
-    # symbol 0 is 0 <-> 1, 2 -> 0, whose centralizer is trivial; in chunks
-    # of 2 tables the first holds two tables with switch count 1, over the
-    # cap, and the second holds the only table with 2
+    # symbol 0 is 0 <-> 1, 2 -> 0, whose centralizer is trivial; in batches
+    # of 2 tables (16 >> 3) the first holds two tables with switch count 1,
+    # over the cap, and the second holds the only table with 2
     monkeypatch.setattr(search, "_COLLECT_CAP", 1)
-    max_sw, tables, truncated, *_ = _scan_numpy(3, 2, 0, 4, (1, 0, 0), chunk=2)
+    monkeypatch.setattr(search, "_SCAN_ENTRIES", 16)
+    max_sw, tables, truncated, *_ = _scan_numpy(3, 2, 0, 4, (1, 0, 0))
     assert (max_sw, len(tables), truncated) == (2, 1, False)
 
 

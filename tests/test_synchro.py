@@ -11,9 +11,11 @@ from oracles import (
     brute_min_switch,
     brute_min_switch_by_runs,
     brute_shortest_length,
+    enumerate_sync_words,
 )
+from syncswitch import synchro
 from syncswitch.analysis import canonical_word
-from syncswitch.automaton import Dfa, Word, apply_set, full_set, is_singleton
+from syncswitch.automaton import Dfa, Word, apply_set, full_set, is_singleton, switch_count
 from syncswitch.closure import power_closure
 from syncswitch.families import a_family, cerny, cyclic_counterexample, fixture, p_variant, q_family, r_family
 from syncswitch.synchro import (
@@ -107,12 +109,51 @@ def test_count_switch_objective_rejected():
         optimal_words(cerny(3), Objective.SWITCH)
 
 
-def test_optimal_words_limit():
+def test_optimal_words_limit(monkeypatch):
     dfa = fixture("t7")  # three shortest words
     assert optimal_words(dfa, Objective.LENGTH, limit=0) == []
     assert optimal_words(dfa, Objective.LENGTH, limit=1) == optimal_words(dfa, Objective.LENGTH)[:1]
-    with pytest.raises(ValueError):
+
+    def no_search(*args):
+        raise AssertionError("a negative limit must be refused before the search")
+
+    monkeypatch.setattr(synchro, "_Search", no_search)
+    with pytest.raises(ValueError, match=r"^limit must be at least 0, got -1$"):
         optimal_words(dfa, Objective.LENGTH, limit=-1)
+
+
+def _brute_optimal_words(dfa, max_len):
+    """objective -> its optimal words, sorted, from every synchronizing word
+    of length <= max_len.  An objective whose optimum may lie past max_len is
+    left out: LENGTH when no word that short synchronizes, and
+    SWITCH_THEN_LENGTH when no word that short attains the minimal switch
+    count."""
+    words = list(enumerate_sync_words(dfa, max_len))
+    if not words:
+        return {}
+    shortest = min(map(len, words))
+    optima = {Objective.LENGTH: sorted(w for w in words if len(w) == shortest)}
+    best = min((switch_count(w), len(w)) for w in words)
+    if brute_min_switch_by_runs(dfa, best[0]) == best[0]:
+        optima[Objective.SWITCH_THEN_LENGTH] = sorted(
+            w for w in words if (switch_count(w), len(w)) == best
+        )
+    return optima
+
+
+def test_optimal_words_match_brute_force():
+    rng = random.Random(23)
+    cases = [cyclic_counterexample()]
+    while len(cases) < 40:
+        dfa = random_dfa(rng, rng.choice((2, 3, 4, 4)), rng.choice((2, 3)))
+        if is_synchronizing(dfa):
+            cases.append(dfa)
+    checked = 0
+    for dfa in cases:
+        for objective, expected in _brute_optimal_words(dfa, 9 if dfa.k == 2 else 7).items():
+            assert [w.symbols for w in optimal_words(dfa, objective)] == expected
+            checked += 1
+    assert checked >= 70
 
 
 def test_optimal_words_enumeration_matches_count():
