@@ -10,7 +10,6 @@ from .automaton import (
     Word,
     WordSymbolError,
     apply_set,
-    apply_state,
     full_set,
     is_singleton,
     parse_dfa,
@@ -50,7 +49,6 @@ __all__ = [
     "NotSynchronizingError",
     "AlphabetMismatchError",
     "switch_count",
-    "apply_state",
     "apply_set",
     "canonical_form",
     "parse_dfa",

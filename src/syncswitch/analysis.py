@@ -207,6 +207,8 @@ class LemmaReport:
 # Most nodes a `_closure` may hold.  L1's start pool is every subset of C,
 # 2^(2n/3) - 1 of them, so `verify_lemmas` refuses n whose pool alone is larger.
 _CLOSURE_CAP = 200_000
+# Sample budget of L6 and L-setpair past exhaustive reach, drawn with seed 0.
+_SAMPLES = 10_000
 
 
 def _closure(starts, images, max_depth=None) -> set:
@@ -241,22 +243,19 @@ def _subsets_of(members: list[int]) -> list[int]:
     return out
 
 
-def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
+def verify_lemmas(n: int) -> LemmaReport:
     """Check the structural lemmas behind the a_family switch count.
 
-    Exhaustive over pairs, triples, subsets of C, and subsets of S while
-    they fit in the sample budget; uniformly sampled (fixed seed) beyond
-    that.  Failures come back as report entries, not exceptions.  Refuses,
-    before building anything, samples < 1 and n whose subsets of C pass
-    _CLOSURE_CAP (n >= 30).
+    Exhaustive over pairs, triples and subsets of C, and over subsets of S
+    while they fit in _SAMPLES; uniformly sampled (seed 0) beyond that.
+    Failures come back as report entries, not exceptions.  Refuses, before
+    building anything, n whose subsets of C pass _CLOSURE_CAP (n >= 30).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     pool_size = (1 << 2 * n // 3) - 1 if n >= 6 and n % 6 == 0 else 0
     if pool_size > _CLOSURE_CAP:
         raise ValueError(f"the {pool_size:,} subsets of C pass the closure cap of {_CLOSURE_CAP:,} nodes")
     ctx = distance_context(n)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     dfa = ctx.dfa
     cl = ctx.cycle_len
     checks: list[LemmaCheck] = []
@@ -268,8 +267,6 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
     # L1: images of subsets of C that contain the top state stay inside C.
     c_members = set_members(ctx.c_bits)
     subset_pool = _subsets_of(c_members)
-    if len(subset_pool) > samples:
-        subset_pool = rng.sample(subset_pool, samples)
     images = _closure(subset_pool, [lambda sets, s=s: [apply_set(dfa, bits, (s,)) for bits in sets]
                                     for s in range(dfa.k)], 4 * n)
     failures = 0
@@ -310,10 +307,10 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
 
     # L6: measure is a-invariant and grows by at most 1 under b.
     failures = 0
-    if (1 << n) <= samples:
+    if (1 << n) <= _SAMPLES:
         s_subsets = _subsets_of(s_members)
     else:
-        s_subsets = _subsets_of_sampled(s_members, rng, samples)
+        s_subsets = _subsets_of_sampled(s_members, rng)
     for bits in s_subsets:
         mu = measure(ctx, bits)
         if measure(ctx, apply_set(dfa, bits, (0,))) != mu:
@@ -354,10 +351,10 @@ def verify_lemmas(n: int, samples: int = 10_000, seed: int = 0) -> LemmaReport:
     tested = 0
     pool = _subsets_of(c_members)
     pool += [_negate_bits(bits, n) for bits in pool]
-    while len(pool) < samples:
+    while len(pool) < _SAMPLES:
         size = rng.randint(2, len(c_members))
         pool.append(state_set(rng.sample(c_members, size)))
-    for bits in pool[:samples]:
+    for bits in pool[:_SAMPLES]:
         wlen = rng.randint(1, 4 * n)
         w = rng.choices((0, 1), k=wlen)
         # one state map per word: follow each member through the word
@@ -397,9 +394,9 @@ def _subsets_of_small(members: list[int]) -> list[int]:
     return out
 
 
-def _subsets_of_sampled(members: list[int], rng: random.Random, samples: int) -> list[int]:
+def _subsets_of_sampled(members: list[int], rng: random.Random) -> list[int]:
     out = _subsets_of_small(members)
-    while len(out) < samples:
+    while len(out) < _SAMPLES:
         size = rng.randint(1, len(members))
         out.append(state_set(rng.sample(members, size)))
-    return out[:samples]
+    return out[:_SAMPLES]

@@ -187,19 +187,6 @@ def is_singleton(bits: int) -> bool:
     return bits != 0 and bits & (bits - 1) == 0
 
 
-def apply_state(dfa: Dfa, q: int, word: Iterable[int]) -> int:
-    """Fold the transition table over `word` starting at state q."""
-    if not 0 <= q < dfa.n:
-        raise ValueError(f"state {q} out of range [0, {dfa.n})")
-    rows = dfa.rows
-    k = dfa.k
-    for s in word:
-        if not 0 <= s < k:
-            raise WordSymbolError(f"symbol index {s} out of range [0, {k})")
-        q = rows[q][s]
-    return q
-
-
 def apply_set(dfa: Dfa, bits: int, word: Iterable[int]) -> int:
     """Elementwise image of a state set under a word."""
     if bits >> dfa.n:

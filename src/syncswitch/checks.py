@@ -38,6 +38,7 @@ from .synchro import (
     is_synchronizing,
     min_switch_count,
     optimal_sync_word,
+    optimal_words,
     shortest_sync_length,
     subset_images,
 )
@@ -218,7 +219,7 @@ def check_closure_equivalence() -> CheckResult:
 _SEARCH_TABLE = {2: (1, None), 3: (3, 6), 4: (7, 2), 5: (11, 6), 6: (19, 2)}
 
 
-def check_exhaustive_table(jobs: int | None = None, long: bool = False,
+def check_exhaustive_table(jobs: int = 1, long: bool = False,
                            progress: Callable[[str], None] | None = None) -> CheckResult:
     """Binary exhaustive search maxima (and extremal form counts, up to
     renaming states and symbols) for n = 2..6; `long` adds n = 7: maximum 25,
@@ -272,13 +273,12 @@ def check_fixtures() -> CheckResult:
         c.true(f"t7 word {i} syncs", is_singleton(apply_set(t7, full_set(7), w)))
         c.eq(f"t7 word {i} sw", w.switch_count, 25)
         c.eq(f"t7 word {i} len", len(w), 32)
-    from .synchro import optimal_words
     c.eq("t7 optimal set", sorted(w.letters() for w in optimal_words(t7, Objective.LENGTH)),
          sorted(w.letters() for w in words))
     return c.result("10", "fixture (sw, ssl, witness) table incl. t8a (33,42)/(31,43)", t0)
 
 
-def check_cyclic(jobs: int | None = None,
+def check_cyclic(jobs: int = 1,
                  progress: Callable[[str], None] | None = None) -> CheckResult:
     """Cyclic maxima 2n-3 at n=5,7 (binary) and n=3 (ternary); the 4-state example."""
     t0 = time.time()
@@ -301,7 +301,7 @@ def check_lemma_suite() -> CheckResult:
     t0 = time.time()
     c = _Collector()
     for n in (6, 12):
-        report = verify_lemmas(n, samples=10_000, seed=0)
+        report = verify_lemmas(n)
         for chk in report.checks:
             c.true(f"n={n} {chk.lemma}", chk.passed)
         ctx = distance_context(n)
@@ -406,9 +406,9 @@ _CHECKS: list[Callable[..., CheckResult]] = [
 ]
 
 
-def run_checks(long: bool = False, jobs: int | None = None,
+def run_checks(long: bool = False, jobs: int = 1,
                progress: Callable[[str], None] | None = None) -> list[CheckResult]:
-    if jobs is not None and jobs < 1:
+    if jobs < 1:
         raise ValueError("need at least one worker")
     results = []
     for fn in _CHECKS:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 from .automaton import Dfa, DfaParseError, parse_dfa, serialize_dfa
 from .closure import f2_transform, f_transform, power_closure
@@ -121,20 +120,14 @@ def _progress(line: str) -> None:
 
 
 def _cmd_search(args) -> int:
-    """Run `args.search`, the exhaustive or the cyclic search, and print its
-    report.  The header line gains the call's wall time, `wall_s`, beside
-    `worker_s`, the shards' summed seconds, and `workers`, the processes that
-    scanned (1: no pool was started)."""
-    t0 = time.perf_counter()
+    """Run `args.search`, the exhaustive or the cyclic search, and print its report."""
     report = args.search(args.n, args.k, parallelism=args.jobs, long=args.long, progress=_progress)
-    wall_s = time.perf_counter() - t0
-    header, rest = format_report(report).split("\n", 1)
-    sys.stdout.write(f"{header} wall_s={wall_s:.1f} workers={report.workers}\n{rest}")
+    sys.stdout.write(format_report(report))
     return 0
 
 
 def _cmd_verify_lemmas(args) -> int:
-    report = verify_lemmas(args.n, samples=args.samples, seed=args.seed)
+    report = verify_lemmas(args.n)
     sys.stdout.write(report.to_text())
     return 0 if report.all_pass else 1
 
@@ -181,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="number of optimal synchronizing words")
     p.add_argument("file", help="DFA file, or - for stdin")
-    p.add_argument("--objective", choices=["length", "switch-then-length"], default="length")
+    p.add_argument("--objective", choices=[o.value for o in Objective], default="length")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("closure", help="print the power closure")
@@ -209,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemmas", help="check the distance/measure lemmas")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_lemmas)
 
     p = sub.add_parser("verify-paper", help="run the full verification battery")

@@ -64,11 +64,11 @@ class ExtremalReport:
     one set each in `forms`; `form_count` and `sorted_forms` read
     STATES_AND_SYMBOLS unless given the other.  `elapsed` is the sum of the
     worker seconds, the shards' scans and the final canonicalization, so
-    with parallel workers it exceeds the wall time.  `complete` is False
-    when a shard reaching the maximum hit the per-shard collection cap
-    (never expected for the published search sizes).  `workers` is the
-    number of processes that scanned: 1 when the search ran in the calling
-    process, else the pool size.
+    with parallel workers it exceeds `wall_s`, the wall time of the whole
+    call.  `complete` is False when a shard reaching the maximum hit the
+    per-shard collection cap (never expected for the published search
+    sizes).  `workers` is the number of processes that scanned: 1 when the
+    search ran in the calling process, else the pool size.
     """
 
     n: int
@@ -77,6 +77,7 @@ class ExtremalReport:
     forms: dict[IsoConvention, frozenset[Dfa]]
     scanned: int
     elapsed: float
+    wall_s: float
     complete: bool = True
     workers: int = 1
 
@@ -88,12 +89,18 @@ class ExtremalReport:
 
 
 def format_report(report: ExtremalReport) -> str:
-    """Summary header followed by the extremal automata as DFA blocks."""
+    """Summary header followed by the extremal automata as DFA blocks.
+
+    The header ends with the call's wall time, `wall_s`, beside
+    `worker_s`, the shards' summed seconds, and `workers`, the processes
+    that scanned (1: no pool was started).
+    """
     lines = [
         f"n={report.n} k={report.k} scanned={report.scanned} "
         f"max_sw={report.max_sw if report.max_sw is not None else 'none'} "
         f"forms={report.form_count()} convention={IsoConvention.STATES_AND_SYMBOLS.value} "
-        f"worker_s={report.elapsed:.1f} forms_states_only={report.form_count(IsoConvention.STATES_ONLY)}"
+        f"worker_s={report.elapsed:.1f} forms_states_only={report.form_count(IsoConvention.STATES_ONLY)} "
+        f"wall_s={report.wall_s:.1f} workers={report.workers}"
     ]
     if not report.complete:
         lines.append("# warning: extremal collection was truncated")
@@ -387,14 +394,14 @@ def _canonical_job(job):
     return _canonical_tables(*job), time.monotonic() - t0
 
 
-def _search(n, k, classes, representatives, parallelism, long, progress) -> ExtremalReport:
+def _search(n, k, classes, representatives, workers, long, progress) -> ExtremalReport:
     """Scan the tables whose symbol 0 is a map of `representatives()`, a
     dict {map: weight}, keep the tables at the running maximum and
     canonicalize them once.
 
-    `parallelism` is an upper bound on the worker processes.  A space of
+    `workers` is an upper bound on the worker processes.  A space of
     fewer than POOL_GRAIN tables runs in the calling process, one job per
-    map.  A larger one runs on a pool of `parallelism` workers, 8 shards
+    map.  A larger one runs on a pool of `workers` processes, 8 shards
     per worker, and the final canonicalization runs in the same pool, one
     part per worker.
 
@@ -402,7 +409,7 @@ def _search(n, k, classes, representatives, parallelism, long, progress) -> Extr
     `nonsync`.  `classes`, a lower bound on the number of maps, sizes the
     space for the LONG_THRESHOLD check before any map is made.
     """
-    workers = 1 if parallelism is None else parallelism
+    t0 = time.perf_counter()
     if workers < 1:
         raise ValueError("need at least one worker")
     free = n ** (n * (k - 1))
@@ -443,14 +450,15 @@ def _search(n, k, classes, representatives, parallelism, long, progress) -> Extr
     return ExtremalReport(
         n=n, k=k, max_sw=best if best >= 0 else None,
         forms={c: frozenset(Dfa(rows) for forms, _ in parts for rows in forms[c]) for c in IsoConvention},
-        scanned=scanned, elapsed=elapsed, complete=not truncated, workers=workers,
+        scanned=scanned, elapsed=elapsed, wall_s=time.perf_counter() - t0,
+        complete=not truncated, workers=workers,
     )
 
 
 def extremal_search(
     n: int,
     k: int = 2,
-    parallelism: int | None = None,
+    parallelism: int = 1,
     *,
     long: bool = False,
     progress: Callable[[str], None] | None = None,
@@ -477,7 +485,7 @@ def extremal_search(
 def cyclic_extremal_search(
     n: int,
     k: int = 2,
-    parallelism: int | None = None,
+    parallelism: int = 1,
     *,
     long: bool = False,
     progress: Callable[[str], None] | None = None,

@@ -31,7 +31,6 @@ class NotSynchronizingError(Exception):
 
 class Objective(Enum):
     LENGTH = "length"
-    SWITCH = "switch"
     SWITCH_THEN_LENGTH = "switch-then-length"
 
 
@@ -223,7 +222,7 @@ class _Search:
         # Under LENGTH each subset is expanded once; under SWITCH_THEN_LENGTH
         # it recurs with up to k + 1 tags, so its images are computed once and
         # cached.
-        by_switch = objective is not Objective.LENGTH
+        by_switch = objective is Objective.SWITCH_THEN_LENGTH
         cache: dict[int, tuple[int, ...]] = {}
         big = (k + 1) << n
         # tags[s]: the tag of the nodes symbol s leads to; steps[tag][s]: the
@@ -315,27 +314,16 @@ def min_switch_count(dfa: Dfa) -> int:
 def optimal_sync_word(dfa: Dfa, objective: Objective = Objective.SWITCH_THEN_LENGTH) -> SyncResult:
     """An optimal synchronizing word under the objective.
 
-    LENGTH gives a shortest word; SWITCH a word of minimal switch count;
-    SWITCH_THEN_LENGTH additionally the shortest among those.  Ties are
-    broken toward the lexicographically smallest word.  For SWITCH the word
-    returned is the SWITCH_THEN_LENGTH optimum (pure minimal-switch words
-    can be padded arbitrarily, so no lexicographic minimum exists).
+    LENGTH gives a shortest word; SWITCH_THEN_LENGTH a shortest word among
+    those of minimal switch count.  Ties are broken toward the
+    lexicographically smallest word.
     """
     word = next(_Search(dfa, objective).optimal_words())
     return SyncResult(word, len(word), word.switch_count)
 
 
 def count_optimal_words(dfa: Dfa, objective: Objective = Objective.LENGTH) -> int:
-    """Number of distinct words attaining the objective's optimum.
-
-    Counting is only meaningful for LENGTH and SWITCH_THEN_LENGTH; a word of
-    minimal switch count can repeat symbols arbitrarily, so that set is
-    infinite and the SWITCH objective is rejected.
-    """
-    if objective is Objective.SWITCH:
-        raise ValueError(
-            "count is infinite for the pure switch objective; use SWITCH_THEN_LENGTH"
-        )
+    """Number of distinct words attaining the objective's optimum."""
     ways = _Search(dfa, objective).tight_dag()
     return ways[0, 0][full_set(dfa.n)]  # the start node: cost 0, tag 0
 
@@ -346,8 +334,6 @@ def optimal_words(dfa: Dfa, objective: Objective = Objective.LENGTH, limit: int 
     `limit` caps the number of words returned; the full set can be large.
     A negative limit raises ValueError.
     """
-    if objective is Objective.SWITCH:
-        raise ValueError("the set of minimal-switch words is infinite; use SWITCH_THEN_LENGTH")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
     return list(islice(_Search(dfa, objective).optimal_words(), limit))

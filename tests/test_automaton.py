@@ -10,7 +10,6 @@ from syncswitch.automaton import (
     IsoConvention,
     Word,
     apply_set,
-    apply_state,
     full_set,
     is_singleton,
     parse_dfa,
@@ -77,19 +76,20 @@ def test_switch_count_bounds(w):
 # ---------------------------------------------------------------------
 
 def test_apply_state_cerny():
+    # one state is the singleton set {q}
     c4 = cerny(4)
-    assert apply_state(c4, 0, Word()) == 0
-    assert apply_state(c4, 0, Word.from_letters("a")) == 1
+    assert apply_set(c4, 1 << 0, Word()) == 1 << 0
+    assert apply_set(c4, 1 << 0, Word.from_letters("a")) == 1 << 1
     word = Word.from_letters("baaabaaab")
-    targets = {apply_state(c4, q, word) for q in range(4)}
-    assert targets == {1}
+    targets = {apply_set(c4, 1 << q, word) for q in range(4)}
+    assert targets == {1 << 1}
 
 
 def test_apply_state_rejects_bad_symbol():
     from syncswitch.automaton import WordSymbolError
 
     with pytest.raises(WordSymbolError):
-        apply_state(cerny(4), 0, [2])
+        apply_set(cerny(4), 1 << 0, [2])
 
 
 def test_apply_set_cerny():

@@ -1,9 +1,11 @@
+import argparse
 import io
 
 import pytest
 
+from syncswitch import Objective
 from syncswitch.automaton import Dfa, parse_dfa
-from syncswitch.cli import main
+from syncswitch.cli import build_parser, main
 from syncswitch.families import cerny
 from syncswitch.automaton import serialize_dfa
 
@@ -78,6 +80,23 @@ def test_usage_error_exit():
 def test_domain_error_exit(capsys):
     code, _, err = run_cli(capsys, "gen", "cerny", "1")
     assert code == 1 and "error" in err
+
+
+def _choices(command, dest):
+    """The choice list of one option of one subcommand."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_cli_vocabularies():
+    # `opt` and `count` take every objective the library has
+    values = {o.value for o in Objective}
+    assert set(_choices("opt", "objective")) == values
+    assert set(_choices("count", "objective")) == values
+    # the lemma sample budget is fixed: no --samples flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemmas", "--n", "6", "--samples", "5"])
+    assert exc.value.code == 2
 
 
 def _refusal(capsys, *argv, stdin=None, monkeypatch=None):
@@ -171,14 +190,8 @@ def test_verify_paper_needs_a_worker(capsys):
     assert "at least one worker" in _refusal(capsys, "verify-paper", "--jobs", "0")
 
 
-def test_verify_lemmas_refuses_samples_below_one(capsys):
-    for samples in ("0", "-1"):
-        err = _refusal(capsys, "verify-lemmas", "--n", "6", "--samples", samples)
-        assert f"samples must be at least 1, got {samples}" in err
-
-
 def test_verify_lemmas_command(capsys):
-    code, out, _ = run_cli(capsys, "verify-lemmas", "--n", "6", "--samples", "300")
+    code, out, _ = run_cli(capsys, "verify-lemmas", "--n", "6")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 6 and all(line.startswith("LEMMA ") for line in lines)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from syncswitch.automaton import Word, apply_set, apply_state, full_set, is_singleton, set_members
+from syncswitch.automaton import Word, apply_set, full_set, is_singleton, set_members
 from syncswitch.families import (
     FIXTURE_NAMES,
     a_family,
@@ -118,8 +118,8 @@ def test_b_family_sign_symmetry():
     for _ in range(50):
         word = [rng.randrange(2) for _ in range(rng.randrange(1, 20))]
         for q in range(1, n + 1):
-            pos = apply_state(b6, signed_to_index(q, n), word)
-            neg = apply_state(b6, signed_to_index(-q, n), word)
+            (pos,) = set_members(apply_set(b6, 1 << signed_to_index(q, n), word))
+            (neg,) = set_members(apply_set(b6, 1 << signed_to_index(-q, n), word))
             assert index_to_signed(pos, n) == -index_to_signed(neg, n)
 
 

@@ -305,8 +305,8 @@ def test_format_report():
          "n=5 k=2 scanned=3125 max_sw=7 forms=112 convention=states+symbols forms_states_only=112"),
     ]:
         text = format_report(report)
-        fields = [f for f in text.splitlines()[0].split() if not f.startswith("worker_s=")]
-        assert fields == header.split()
+        fields = [f for f in text.splitlines()[0].split() if not f.startswith(("worker_s=", "wall_s="))]
+        assert fields == header.split() + ["workers=1"]
         assert text.count("# extremal form") == report.form_count()
         assert "# warning" not in text
 

@@ -94,19 +94,11 @@ def test_optimal_word_objectives_on_t8a():
     assert (by_len.length, by_len.switch) == (42, 33)
     best = optimal_sync_word(dfa, Objective.SWITCH_THEN_LENGTH)
     assert (best.switch, best.length) == (31, 43)
-    by_switch = optimal_sync_word(dfa, Objective.SWITCH)
-    assert by_switch.switch == min_switch_count(dfa) == 31
-    for res in (by_len, best, by_switch):
+    assert best.switch == min_switch_count(dfa)
+    for res in (by_len, best):
         assert is_singleton(apply_set(dfa, full_set(dfa.n), res.word))
         assert res.word.switch_count == res.switch
         assert len(res.word) == res.length
-
-
-def test_count_switch_objective_rejected():
-    with pytest.raises(ValueError):
-        count_optimal_words(cerny(3), Objective.SWITCH)
-    with pytest.raises(ValueError):
-        optimal_words(cerny(3), Objective.SWITCH)
 
 
 def test_optimal_words_limit(monkeypatch):
