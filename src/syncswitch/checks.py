@@ -56,11 +56,13 @@ class CheckResult:
 
 
 class _Collector:
-    """Accumulates expected/got pairs; the check passes when all match."""
+    """Accumulates expected/got pairs; the check passes when all match.
+    `result` reports the seconds since the collector was made."""
 
     def __init__(self):
         self.mismatches: list[str] = []
         self.count = 0
+        self.t0 = time.perf_counter()
 
     def eq(self, label: str, got, expected) -> None:
         self.count += 1
@@ -70,63 +72,57 @@ class _Collector:
     def true(self, label: str, flag: bool) -> None:
         self.eq(label, bool(flag), True)
 
-    def result(self, check_id: str, summary: str, t0: float) -> CheckResult:
+    def result(self, check_id: str, summary: str) -> CheckResult:
+        seconds = time.perf_counter() - self.t0
         if self.mismatches:
-            return CheckResult(check_id, False, summary,
-                               "; ".join(self.mismatches[:4]), time.time() - t0)
-        return CheckResult(check_id, True, summary, f"all {self.count} values match",
-                           time.time() - t0)
+            return CheckResult(check_id, False, summary, "; ".join(self.mismatches[:4]), seconds)
+        return CheckResult(check_id, True, summary, f"all {self.count} values match", seconds)
 
 
 def check_cerny_family() -> CheckResult:
     """ssl(C_n) = (n-1)^2 and sw(C_n) = 2n-3 for 2 <= n <= 16."""
-    t0 = time.time()
     c = _Collector()
     for n in range(2, 17):
         dfa = cerny(n)
         c.eq(f"ssl(C_{n})", shortest_sync_length(dfa), (n - 1) ** 2)
         c.eq(f"sw(C_{n})", min_switch_count(dfa), 2 * n - 3)
-    return c.result("1", "ssl=(n-1)^2, sw=2n-3 for n=2..16", t0)
+    return c.result("1", "ssl=(n-1)^2, sw=2n-3 for n=2..16")
 
 
 def check_p_family() -> CheckResult:
     """sw(P_n) = ssl(P_n) = n(n-1)/2 for 2 <= n <= 12."""
-    t0 = time.time()
     c = _Collector()
     for n in range(2, 13):
         dfa = p_family(n)
         c.eq(f"sw(P_{n})", min_switch_count(dfa), n * (n - 1) // 2)
         c.eq(f"ssl(P_{n})", shortest_sync_length(dfa), n * (n - 1) // 2)
-    return c.result("2", "sw=ssl=n(n-1)/2 for n=2..12", t0)
+    return c.result("2", "sw=ssl=n(n-1)/2 for n=2..12")
 
 
 def check_p_variant() -> CheckResult:
     """sw of the p variant is (n^2+n-4)/2 for 2 <= n <= 12."""
-    t0 = time.time()
     c = _Collector()
     for n in range(2, 13):
         c.eq(f"sw(variant_{n})", min_switch_count(p_variant(n)), (n * n + n - 4) // 2)
-    return c.result("3", "sw=(n^2+n-4)/2 for n=2..12", t0)
+    return c.result("3", "sw=(n^2+n-4)/2 for n=2..12")
 
 
 def check_r_family() -> CheckResult:
     """sw(R_n) = n(n+1)/2 for 5 <= n <= 12; ssl(R_5) = 16."""
-    t0 = time.time()
     c = _Collector()
     for n in range(5, 13):
         c.eq(f"sw(R_{n})", min_switch_count(r_family(n)), n * (n + 1) // 2)
     c.eq("ssl(R_5)", shortest_sync_length(r_family(5)), 16)
     c.eq("sw(R_5)", min_switch_count(r_family(5)), 15)
-    return c.result("4", "sw=n(n+1)/2 for n=5..12, ssl(R_5)=16", t0)
+    return c.result("4", "sw=n(n+1)/2 for n=5..12, ssl(R_5)=16")
 
 
 def check_q_family() -> CheckResult:
     """sw(Q_n) = (n^2-6n+10)/2 for even 4 <= n <= 16."""
-    t0 = time.time()
     c = _Collector()
     for n in range(4, 17, 2):
         c.eq(f"sw(Q_{n})", min_switch_count(q_family(n)), (n * n - 6 * n + 10) // 2)
-    return c.result("5", "sw=(n^2-6n+10)/2 for even n=4..16", t0)
+    return c.result("5", "sw=(n^2-6n+10)/2 for even n=4..16")
 
 
 _A_TABLE = {3: 1, 4: 5, 5: 9, 6: 15, 7: 23, 8: 31, 9: 41, 10: 53, 11: 65, 12: 79}
@@ -134,14 +130,13 @@ _A_TABLE = {3: 1, 4: 5, 5: 9, 6: 15, 7: 23, 8: 31, 9: 41, 10: 53, 11: 65, 12: 79
 
 def check_a_family() -> CheckResult:
     """sw(A_n) = ceil(2/3 n(n-2) - 1) for 3 <= n <= 18, with the n=3..12 table."""
-    t0 = time.time()
     c = _Collector()
     for n in range(3, 19):
         got = min_switch_count(a_family(n))
         c.eq(f"sw(A_{n})", got, math.ceil(2 * n * (n - 2) / 3 - 1))
         if n in _A_TABLE:
             c.eq(f"table(A_{n})", got, _A_TABLE[n])
-    return c.result("6", "sw=ceil(2/3 n(n-2)-1) for n=3..18 incl. table 1,5,...,79", t0)
+    return c.result("6", "sw=ceil(2/3 n(n-2)-1) for n=3..18 incl. table 1,5,...,79")
 
 
 def check_transforms() -> CheckResult:
@@ -157,7 +152,6 @@ def check_transforms() -> CheckResult:
     `f2_transform`.  This check stays faithful to the criterion as stated
     rather than excluding the two false sub-items.
     """
-    t0 = time.time()
     c = _Collector()
     subjects = [(f"C_{n}", cerny(n)) for n in range(2, 8)]
     subjects += [(name, fixture(name)) for name in ("t3", "t4", "t5")]
@@ -168,7 +162,7 @@ def check_transforms() -> CheckResult:
     for name, dfa in binary:
         c.eq(f"sw(F2({name}))", min_switch_count(f2_transform(dfa)), 2 * shortest_sync_length(dfa))
     c.eq("sw(F(C_4))", min_switch_count(f_transform(cerny(4))), 18)
-    return c.result("7", "sw(F)=2ssl on C_2..C_7+t3..t5; sw(F2)=2ssl on C_2..C_6+t3..t5; F(C_4)=18", t0)
+    return c.result("7", "sw(F)=2ssl on C_2..C_7+t3..t5; sw(F2)=2ssl on C_2..C_6+t3..t5; F(C_4)=18")
 
 
 def _family_members(max_states: int) -> list[tuple[str, Dfa]]:
@@ -202,7 +196,6 @@ def random_synchronizing_binary(n: int, rng: random.Random) -> Dfa:
 
 def check_closure_equivalence() -> CheckResult:
     """sw(A) = ssl(power_closure(A)) across families and 500 random automata."""
-    t0 = time.time()
     c = _Collector()
     for name, dfa in _family_members(10):
         closed, _ = power_closure(dfa)
@@ -213,7 +206,7 @@ def check_closure_equivalence() -> CheckResult:
         dfa = random_synchronizing_binary(n, rng)
         closed, _ = power_closure(dfa)
         c.eq(f"closure(random {i})", shortest_sync_length(closed), min_switch_count(dfa))
-    return c.result("8", "sw = ssl of power closure on families (n<=10) + 500 random (n<=8)", t0)
+    return c.result("8", "sw = ssl of power closure on families (n<=10) + 500 random (n<=8)")
 
 
 _SEARCH_TABLE = {2: (1, None), 3: (3, 6), 4: (7, 2), 5: (11, 6), 6: (19, 2)}
@@ -224,7 +217,6 @@ def check_exhaustive_table(jobs: int = 1, long: bool = False,
     """Binary exhaustive search maxima (and extremal form counts, up to
     renaming states and symbols) for n = 2..6; `long` adds n = 7: maximum 25,
     with t7 among the extremal forms."""
-    t0 = time.time()
     c = _Collector()
     for n, (max_sw, count) in _SEARCH_TABLE.items():
         report = extremal_search(n, 2, parallelism=jobs, progress=progress)
@@ -239,12 +231,11 @@ def check_exhaustive_table(jobs: int = 1, long: bool = False,
         c.eq("scanned(n=7)", report.scanned, 7 ** 14)
         c.true("t7 extremal", canonical_form(fixture("t7")) in report.forms[IsoConvention.STATES_AND_SYMBOLS])
         summary += "; n=7 maximum 25 reached by t7"
-    return c.result("9", summary, t0)
+    return c.result("9", summary)
 
 
 def check_fixtures() -> CheckResult:
     """Every fixture reproduces its published (sw, ssl, witness) data."""
-    t0 = time.time()
     c = _Collector()
     for name in FIXTURE_NAMES:
         dfa = fixture(name)
@@ -275,13 +266,12 @@ def check_fixtures() -> CheckResult:
         c.eq(f"t7 word {i} len", len(w), 32)
     c.eq("t7 optimal set", sorted(w.letters() for w in optimal_words(t7, Objective.LENGTH)),
          sorted(w.letters() for w in words))
-    return c.result("10", "fixture (sw, ssl, witness) table incl. t8a (33,42)/(31,43)", t0)
+    return c.result("10", "fixture (sw, ssl, witness) table incl. t8a (33,42)/(31,43)")
 
 
 def check_cyclic(jobs: int = 1,
                  progress: Callable[[str], None] | None = None) -> CheckResult:
     """Cyclic maxima 2n-3 at n=5,7 (binary) and n=3 (ternary); the 4-state example."""
-    t0 = time.time()
     c = _Collector()
     for n, k in [(5, 2), (7, 2), (3, 3)]:
         report = cyclic_extremal_search(n, k, parallelism=jobs, progress=progress)
@@ -293,12 +283,11 @@ def check_cyclic(jobs: int = 1,
     cycle = example.column(0)
     c.true("symbol a cyclic", sorted(cycle) == list(range(4)) and
            all(cycle[q] == (q + 1) % 4 for q in range(4)))
-    return c.result("11", "cyclic maxima 7,11,3 at (5,2),(7,2),(3,3); example sw=6", t0)
+    return c.result("11", "cyclic maxima 7,11,3 at (5,2),(7,2),(3,3); example sw=6")
 
 
 def check_lemma_suite() -> CheckResult:
     """verify_lemmas all-pass at n=6,12; pair-increase closed form; canonical word."""
-    t0 = time.time()
     c = _Collector()
     for n in (6, 12):
         report = verify_lemmas(n)
@@ -315,7 +304,7 @@ def check_lemma_suite() -> CheckResult:
         c.eq(f"n={n} unique optimum", count_optimal_words(dfa, Objective.SWITCH_THEN_LENGTH), 1)
         best = optimal_sync_word(dfa, Objective.SWITCH_THEN_LENGTH)
         c.eq(f"n={n} optimum is canonical", best.word, word)
-    return c.result("12", "lemma suite + Lemma-4 closed form + canonical word at n=6,12", t0)
+    return c.result("12", "lemma suite + Lemma-4 closed form + canonical word at n=6,12")
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +349,6 @@ def _all_binary_tables(n: int):
 
 def check_oracle_agreement() -> CheckResult:
     """Engines agree with brute-force enumeration: all binary n<=3 + 200 random n=4."""
-    t0 = time.time()
     c = _Collector()
     subjects: list[tuple[str, Dfa]] = []
     for n in (2, 3):
@@ -386,7 +374,7 @@ def check_oracle_agreement() -> CheckResult:
         c.true(f"{name} witness syncs",
                is_singleton(apply_set(dfa, full_set(dfa.n), best.word)))
     c.true("enough synchronizing subjects", checked > 400)
-    return c.result("13", "engine = brute force on all binary n<=3 and 200 random n=4", t0)
+    return c.result("13", "engine = brute force on all binary n<=3 and 200 random n=4")
 
 
 _CHECKS: list[Callable[..., CheckResult]] = [

@@ -19,7 +19,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, permutations
+from itertools import permutations
 from math import factorial
 from multiprocessing import Pool
 from typing import Callable
@@ -280,14 +280,18 @@ def _perm_arrays(n: int):
     return p, np.argsort(p, axis=1).astype(np.uint8)
 
 
+def _conjugates(n: int, fixed) -> "np.ndarray":
+    """The relabelings of the transformation `fixed`, shape (n!, n): row j
+    is `fixed` under permutation j of `_perm_arrays(n)`."""
+    perms, ranks = _perm_arrays(n)
+    return ranks[np.arange(perms.shape[0])[:, None], np.asarray(fixed)[perms]]
+
+
 @lru_cache(maxsize=8)
 def _centralizer(n: int, fixed: tuple[int, ...]) -> tuple[int, ...]:
     """Indices into `_perm_arrays(n)` of the relabelings that map the
     transformation `fixed` to itself, in order (the identity first)."""
-    perms, ranks = _perm_arrays(n)
-    f = np.array(fixed, dtype=np.uint8)
-    moved = ranks[np.arange(perms.shape[0])[:, None], f[perms]]
-    return tuple(np.nonzero((moved == f).all(axis=1))[0].tolist())
+    return tuple(np.nonzero((_conjugates(n, fixed) == fixed).all(axis=1))[0].tolist())
 
 
 def _lesser(best, cand):
@@ -357,29 +361,21 @@ def _class_representatives(n: int) -> dict[tuple[int, ...], int]:
     centralizers (the slowest scans) first.  The dict is cached, so
     callers only read it.
 
-    Every class holds a map whose cyclic states are 0..c-1, each cycle a
-    block q -> q+1 of consecutive states, longest block first, and whose
-    other states are numbered breadth-first from the cycles, so that each
-    maps below itself and their targets never decrease; the canonical
-    forms of these maps are one per class.
+    The maps are walked in index order (big-endian digits, as the scan
+    reads them), holding one flag per map of [n]^n: the first unmarked
+    map is the least of its class, so its canonical form, and all its
+    conjugates are marked at once.
     """
-    def partitions(c, most):
-        if c == 0:
-            yield ()
-        for part in range(min(c, most), 0, -1):
-            yield from ((part,) + rest for rest in partitions(c - part, part))
-
-    candidates = []
-    for c in range(1, n + 1):
-        for sizes in partitions(c, c):
-            cycles = tuple(s + (i + 1) % size for s, size in zip(accumulate((0,) + sizes), sizes)
-                           for i in range(size))
-            for tail in combinations_with_replacement(range(n - 1), n - c):
-                if all(t < q for q, t in zip(range(c, n), tail)):
-                    candidates.append([(t,) for t in cycles + tail])
-    forms = _canonical_tables(n, 1, candidates)[IsoConvention.STATES_ONLY]
-    maps = (tuple(t for (t,) in form) for form in forms)
-    sizes = {f: factorial(n) // len(_centralizer(n, f)) for f in maps}
+    total = n ** n
+    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    unmarked = np.ones(total + 1, dtype=bool)  # the last flag ends the walk
+    sizes, i = {}, 0
+    while i < total:
+        f = i // powers % n
+        conj = _conjugates(n, f) @ powers
+        unmarked[conj] = False
+        sizes[tuple(f.tolist())] = factorial(n) // int(np.count_nonzero(conj == i))
+        i += int(unmarked[i:].argmax())
     return dict(sorted(sizes.items(), key=lambda item: (item[1], item[0])))
 
 
@@ -469,7 +465,8 @@ def extremal_search(
     the class size, so `scanned` still counts all n^(nk) tables.  Spaces
     past LONG_THRESHOLD need long=True, the one size confirmation of every
     search; it counts n^(n(k-1)) tables per class for ceil(n^n / n!)
-    classes, a lower bound on their number.  n > 9 is refused.
+    classes, a lower bound on their number, and the n^n maps that the
+    class list marks (past it only at n = 9).  n > 9 is refused.
     `parallelism` is an upper bound on the worker processes: a space below
     POOL_GRAIN tables starts no pool.  Returns the maximum together with
     the canonical extremal automata.
@@ -478,6 +475,9 @@ def extremal_search(
         raise SearchSpaceError("extremal_search needs n >= 2 and k >= 1")
     if n > _CANONICAL_MAX_STATES:
         raise SearchSpaceError(f"extremal searches beyond {_CANONICAL_MAX_STATES} states are not supported")
+    if n ** n > LONG_THRESHOLD and not long:
+        raise SearchSpaceError(f"{n ** n} maps of the class list exceed the quick-search threshold; "
+                               "pass long=True (--long on the command line)")
     classes = -(-n ** n // factorial(n))
     return _search(n, k, classes, lambda: _class_representatives(n), parallelism, long, progress)
 

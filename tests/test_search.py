@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -108,6 +109,10 @@ def test_class_representatives():
     for n, classes in enumerate([1, 3, 7, 19, 47, 130, 343], start=1):
         reps = search._class_representatives(n)
         assert len(reps) == classes and sum(reps.values()) == n ** n
+        # each class size is n! over the map's centralizer, and the
+        # dict is ordered by (size, map)
+        assert all(size * len(search._centralizer(n, f)) == factorial(n) for f, size in reps.items())
+        assert list(reps.items()) == sorted(reps.items(), key=lambda item: (item[1], item[0]))
         if n <= 5:
             forms = Counter(canonical_form(Dfa([(t,) for t in f])).rows for f in product(range(n), repeat=n))
             assert dict(forms) == {tuple((t,) for t in f): size for f, size in reps.items()}
@@ -280,7 +285,7 @@ def test_cyclic_forms_recheck():
 
 
 def test_search_guards(monkeypatch):
-    # each call is refused by its own guard: three need long=True, checked
+    # each call is refused by its own guard: four need long=True, checked
     # before any class representative is made
     monkeypatch.setattr(search, "_class_representatives", lambda n: pytest.fail("representatives made"))
     threshold = "exceed the quick-search threshold"
@@ -288,6 +293,9 @@ def test_search_guards(monkeypatch):
         extremal_search(7, 2)
     with pytest.raises(SearchSpaceError, match=threshold):
         extremal_search(5, 3)
+    # the class list of [9]^9 marks 9^9 maps, so n=9 needs long=True even for k=1
+    with pytest.raises(SearchSpaceError, match=threshold):
+        extremal_search(9, 1)
     with pytest.raises(SearchSpaceError, match="beyond 9 states"):
         extremal_search(10, 2)
     with pytest.raises(SearchSpaceError, match=threshold):
