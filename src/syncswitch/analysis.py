@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .automaton import Dfa, Word, apply_set, set_members, state_set
 from .families import b_family, negate_index, s_set, signed_to_index
@@ -243,6 +244,15 @@ def _subsets_of(members: list[int]) -> list[int]:
     return out
 
 
+def _sampled(pool: list[int], members: list[int], smallest: int, rng: random.Random) -> list[int]:
+    """The first _SAMPLES sets of `pool`, which is topped up in place to
+    _SAMPLES with random subsets of `members`: a size drawn uniformly from
+    [smallest, len(members)], then that many members."""
+    while len(pool) < _SAMPLES:
+        pool.append(state_set(rng.sample(members, rng.randint(smallest, len(members)))))
+    return pool[:_SAMPLES]
+
+
 def verify_lemmas(n: int) -> LemmaReport:
     """Check the structural lemmas behind the a_family switch count.
 
@@ -310,7 +320,8 @@ def verify_lemmas(n: int) -> LemmaReport:
     if (1 << n) <= _SAMPLES:
         s_subsets = _subsets_of(s_members)
     else:
-        s_subsets = _subsets_of_sampled(s_members, rng)
+        s_subsets = _sampled([state_set(c) for size in (2, 3) for c in combinations(s_members, size)],
+                             s_members, 1, rng)
     for bits in s_subsets:
         mu = measure(ctx, bits)
         if measure(ctx, apply_set(dfa, bits, (0,))) != mu:
@@ -349,12 +360,8 @@ def verify_lemmas(n: int) -> LemmaReport:
     rows = dfa.rows
     failures = 0
     tested = 0
-    pool = _subsets_of(c_members)
-    pool += [_negate_bits(bits, n) for bits in pool]
-    while len(pool) < _SAMPLES:
-        size = rng.randint(2, len(c_members))
-        pool.append(state_set(rng.sample(c_members, size)))
-    for bits in pool[:_SAMPLES]:
+    pool = _sampled(subset_pool + [_negate_bits(bits, n) for bits in subset_pool], c_members, 2, rng)
+    for bits in pool:
         wlen = rng.randint(1, 4 * n)
         w = rng.choices((0, 1), k=wlen)
         # one state map per word: follow each member through the word
@@ -381,22 +388,3 @@ def verify_lemmas(n: int) -> LemmaReport:
 
     return LemmaReport(n, tuple(checks))
 
-
-def _subsets_of_small(members: list[int]) -> list[int]:
-    """All pairs and triples of `members` as bit masks."""
-    out = []
-    m = len(members)
-    for i in range(m):
-        for j in range(i + 1, m):
-            out.append((1 << members[i]) | (1 << members[j]))
-            for l in range(j + 1, m):
-                out.append((1 << members[i]) | (1 << members[j]) | (1 << members[l]))
-    return out
-
-
-def _subsets_of_sampled(members: list[int], rng: random.Random) -> list[int]:
-    out = _subsets_of_small(members)
-    while len(out) < _SAMPLES:
-        size = rng.randint(1, len(members))
-        out.append(state_set(rng.sample(members, size)))
-    return out[:_SAMPLES]

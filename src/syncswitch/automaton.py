@@ -128,12 +128,6 @@ class Word:
     def __iter__(self) -> Iterator[int]:
         return iter(self.symbols)
 
-    def __getitem__(self, i):
-        return self.symbols[i]
-
-    def __add__(self, other: "Word") -> "Word":
-        return Word(self.symbols + other.symbols)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self.symbols == other.symbols
 

@@ -160,12 +160,6 @@ def signed_to_index(q: int, n: int) -> int:
     return q - 1 if q > 0 else n - q - 1
 
 
-def index_to_signed(i: int, n: int) -> int:
-    if not 0 <= i < 2 * n:
-        raise ValueError(f"index {i} out of range for n={n}")
-    return i + 1 if i < n else -(i - n + 1)
-
-
 def negate_index(i: int, n: int) -> int:
     return (i + n) % (2 * n)
 
@@ -173,35 +167,23 @@ def negate_index(i: int, n: int) -> int:
 def b_family(n: int) -> Dfa:
     """Signed double cover of `a_family(n)` on 2n states, for n divisible by 6.
 
-    States carry labels 1..n and -1..-n.  Transitions from 2..n-1 match
-    `a_family`; 1a = -1, 1b = 2, and the last state maps to -n/3; negated
-    states mirror everything: (-q)x = -(qx).  Not synchronizing as a plain
-    DFA (images of q and -q stay negatives of each other); a word w
-    synchronizes `a_family(n)` iff it maps the set S of even positive and
-    odd negative states to a single state.
+    States carry labels 1..n and -1..-n (indices 0..n-1 and n..2n-1, see
+    `signed_to_index`).  Transitions from 2..n-1 match `a_family`; 1a = -1,
+    1b = 2, and the last state maps to -n/3; negated states mirror
+    everything: (-q)x = -(qx).  So the positive half is `a_family(n)`'s
+    table with the two negative targets, 1a and the last state's n/3 under
+    both symbols, shifted by n, and the negative half is that block mapped
+    through `negate_index`.  Not synchronizing as a plain DFA (images of q
+    and -q stay negatives of each other); a word w synchronizes
+    `a_family(n)` iff it maps the set S of even positive and odd negative
+    states to a single state.
     """
     if n < 6 or n % 6:
         raise ValueError("b_family needs n divisible by 6")
-
-    def pos_step(q: int, s: int) -> int:
-        # signed successor of positive state q (1-indexed) under symbol s
-        if q == 1:
-            return -1 if s == 0 else 2
-        if q == n:
-            return -(n // 3)
-        if q % 2 == 0:
-            return q + 1 if s == 0 else q - 1
-        return q - 1 if s == 0 else q + 1
-
-    rows = []
-    for i in range(2 * n):
-        q = index_to_signed(i, n)
-        row = []
-        for s in range(2):
-            t = pos_step(q, s) if q > 0 else -pos_step(-q, s)
-            row.append(signed_to_index(t, n))
-        rows.append(row)
-    return Dfa(rows)
+    pos = [list(row) for row in a_family(n).rows]
+    pos[0][0] += n
+    pos[-1] = [t + n for t in pos[-1]]
+    return Dfa(pos + [[negate_index(t, n) for t in row] for row in pos])
 
 
 def s_set(n: int) -> int:
@@ -299,7 +281,7 @@ _FIXTURE_EXPECTATIONS: dict[str, FixtureExpectation] = {
         + "ab" * 2 + "bb" + "ab" * 2),
 }
 
-FIXTURE_NAMES = ("t3", "t4", "t5", "t6", "t7", "t8a", "t8b", "t9a", "t9b", "t10", "t11")
+FIXTURE_NAMES = tuple(_FIXTURE_EXPECTATIONS)
 
 
 def fixture(name: str) -> Dfa:

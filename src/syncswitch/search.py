@@ -61,8 +61,8 @@ class ExtremalReport:
     """Maximum switch count over a scanned space plus the extremal automata.
 
     Extremal forms are kept canonically under both isomorphism conventions,
-    one set each in `forms`; `form_count` and `sorted_forms` read
-    STATES_AND_SYMBOLS unless given the other.  `elapsed` is the sum of the
+    one set each in `forms`; `form_count` reads STATES_AND_SYMBOLS unless
+    given the other, `sorted_forms` always.  `elapsed` is the sum of the
     worker seconds, the shards' scans and the final canonicalization, so
     with parallel workers it exceeds `wall_s`, the wall time of the whole
     call.  `complete` is False when a shard reaching the maximum hit the
@@ -84,8 +84,8 @@ class ExtremalReport:
     def form_count(self, convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS) -> int:
         return len(self.forms[convention])
 
-    def sorted_forms(self, convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS) -> list[Dfa]:
-        return sorted(self.forms[convention], key=lambda d: d.rows)
+    def sorted_forms(self) -> list[Dfa]:
+        return sorted(self.forms[IsoConvention.STATES_AND_SYMBOLS], key=lambda d: d.rows)
 
 
 def format_report(report: ExtremalReport) -> str:
@@ -262,10 +262,11 @@ def _scan_numpy(n: int, k: int, lo: int, hi: int, fixed: tuple[int, ...]):
 # maximum (the cyclic spaces especially), so the n!-candidate minimization
 # is vectorized: all relabeled tables of a chunk are built at once, and each
 # candidate's n*k uint8 entries are compared as one fixed-width byte string,
-# which orders exactly as the row tuples do.  The gather that builds the
-# candidates reads them as 8-byte indices, so one gather holds at most
-# _CANONICAL_BUDGET entries (32 MiB of indices): whole tables when one
-# table's n! candidates fit, else a slice of one table's permutations.
+# which orders exactly as the row tuples do, so the least keys, read back as
+# bytes, are the forms.  The gather that builds the candidates reads them
+# as 8-byte indices, so one gather holds at most _CANONICAL_BUDGET entries
+# (32 MiB of indices): whole tables when one table's n! candidates fit,
+# else a slice of one table's permutations.
 # `_perm_arrays` holds all n! permutations, so `canonical_form` and both
 # searches refuse tables past _CANONICAL_MAX_STATES states (9! = 362,880).
 # ---------------------------------------------------------------------------
@@ -294,14 +295,6 @@ def _centralizer(n: int, fixed: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(np.nonzero((_conjugates(n, fixed) == fixed).all(axis=1))[0].tolist())
 
 
-def _lesser(best, cand):
-    """Elementwise smaller of two (keys, tables) minima; None is no minimum."""
-    if best is None:
-        return cand
-    better = cand[0] < best[0]
-    return np.where(better, cand[0], best[0]), np.where(better[:, None, None], cand[1], best[1])
-
-
 def _canonical_tables(n: int, k: int, tables) -> dict[IsoConvention, set[tuple]]:
     """Canonical forms of many n-state k-symbol tables under both conventions.
 
@@ -328,13 +321,18 @@ def _canonical_tables(n: int, k: int, tables) -> dict[IsoConvention, set[tuple]]
                 jidx = np.arange(lo, min(lo + piece, nperm))[None, :, None, None]
                 cand = ranks[jidx, cols[:, perms[lo:lo + piece], :]]  # (ms, piece, n, k)
                 keys = np.ascontiguousarray(cand).reshape(len(rows), -1, width).view(f"S{width}")[:, :, 0]
-                jmin = keys.argmin(axis=1)
-                least = _lesser(least, (keys[rows, jmin], cand[rows, jmin]))
+                keys = keys[rows, keys.argmin(axis=1)]
+                least = keys if least is None else np.where(keys < least, keys, least)
             if best is None:  # the identity symbol order comes first
-                out[IsoConvention.STATES_ONLY].update(tuple(map(tuple, t)) for t in least[1].tolist())
-            best = _lesser(best, least)
-        out[IsoConvention.STATES_AND_SYMBOLS].update(tuple(map(tuple, t)) for t in best[1].tolist())
+                out[IsoConvention.STATES_ONLY].update(_forms(least, n, k))
+            best = least if best is None else np.where(least < best, least, best)
+        out[IsoConvention.STATES_AND_SYMBOLS].update(_forms(best, n, k))
     return out
+
+
+def _forms(keys, n: int, k: int):
+    """The tables whose entries are the bytes of `keys`, as row tuples."""
+    return (tuple(map(tuple, t)) for t in keys.view(np.uint8).reshape(-1, n, k).tolist())
 
 
 def canonical_form(dfa: Dfa, convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS) -> Dfa:

@@ -11,7 +11,7 @@ from syncswitch.families import (
     cyclic_counterexample,
     fixture,
     fixture_expectation,
-    index_to_signed,
+    negate_index,
     p_family,
     p_variant,
     q_family,
@@ -98,13 +98,29 @@ def test_signed_index_map():
     assert signed_to_index(1, n) == 0
     assert signed_to_index(-1, n) == 6
     assert signed_to_index(-6, n) == 11
-    for i in range(2 * n):
-        assert signed_to_index(index_to_signed(i, n), n) == i
 
 
 def test_b_family_top_state():
     b6 = b_family(6)
     assert b6.rows[5] == (7, 7)  # state 6 maps to -2 under both symbols
+
+
+def test_b_family_matches_signed_rules():
+    # the documented signed rules, written out state by state
+    def pos_step(q, s, n):
+        if q == 1:
+            return -1 if s == 0 else 2
+        if q == n:
+            return -(n // 3)
+        if q % 2 == 0:
+            return q + 1 if s == 0 else q - 1
+        return q - 1 if s == 0 else q + 1
+
+    for n in range(6, 49, 6):
+        labels = list(range(1, n + 1)) + [-q for q in range(1, n + 1)]
+        rows = [tuple(signed_to_index(pos_step(q, s, n) if q > 0 else -pos_step(-q, s, n), n)
+                      for s in range(2)) for q in labels]
+        assert b_family(n).rows == tuple(rows)
 
 
 def test_b_family_not_synchronizing():
@@ -120,7 +136,7 @@ def test_b_family_sign_symmetry():
         for q in range(1, n + 1):
             (pos,) = set_members(apply_set(b6, 1 << signed_to_index(q, n), word))
             (neg,) = set_members(apply_set(b6, 1 << signed_to_index(-q, n), word))
-            assert index_to_signed(pos, n) == -index_to_signed(neg, n)
+            assert neg == negate_index(pos, n)
 
 
 def test_b_family_s_sync_iff_a_sync():
