@@ -2,13 +2,9 @@
 
 from .automaton import (
     Dfa,
-    DfaEntryError,
-    DfaHeaderError,
     DfaParseError,
-    DfaShapeError,
     IsoConvention,
     Word,
-    WordSymbolError,
     apply_set,
     full_set,
     is_singleton,
@@ -18,7 +14,7 @@ from .automaton import (
     state_set,
     switch_count,
 )
-from .closure import AlphabetMismatchError, ClosureMap, f2_transform, f_transform, power_closure
+from .closure import f2_transform, f_transform, power_closure
 from .synchro import (
     NotSynchronizingError,
     Objective,
@@ -40,14 +36,8 @@ __all__ = [
     "IsoConvention",
     "Objective",
     "SyncResult",
-    "ClosureMap",
     "DfaParseError",
-    "DfaHeaderError",
-    "DfaShapeError",
-    "DfaEntryError",
-    "WordSymbolError",
     "NotSynchronizingError",
-    "AlphabetMismatchError",
     "switch_count",
     "apply_set",
     "canonical_form",

@@ -205,8 +205,8 @@ class LemmaReport:
         return "\n".join(lines) + "\n"
 
 
-# Most nodes a `_closure` may hold.  L1's start pool is every subset of C,
-# 2^(2n/3) - 1 of them, so `verify_lemmas` refuses n whose pool alone is larger.
+# Most nodes a `_closure` may hold.  L1's closure from every subset of C passes
+# it from n = 24 on, so `verify_lemmas` refuses those n up front.
 _CLOSURE_CAP = 200_000
 # Sample budget of L6 and L-setpair past exhaustive reach, drawn with seed 0.
 _SAMPLES = 10_000
@@ -258,12 +258,13 @@ def verify_lemmas(n: int) -> LemmaReport:
 
     Exhaustive over pairs, triples and subsets of C, and over subsets of S
     while they fit in _SAMPLES; uniformly sampled (seed 0) beyond that.
-    Failures come back as report entries, not exceptions.  Refuses, before
-    building anything, n whose subsets of C pass _CLOSURE_CAP (n >= 30).
+    Failures come back as report entries, not exceptions.  Refuses n >= 24
+    before building anything: L1's closure of the subsets of C passes
+    _CLOSURE_CAP there.
     """
-    pool_size = (1 << 2 * n // 3) - 1 if n >= 6 and n % 6 == 0 else 0
-    if pool_size > _CLOSURE_CAP:
-        raise ValueError(f"the {pool_size:,} subsets of C pass the closure cap of {_CLOSURE_CAP:,} nodes")
+    if n >= 24:
+        raise ValueError(f"verify_lemmas needs n < 24: from n = 24 on, L1's closure passes "
+                         f"the cap of {_CLOSURE_CAP:,} nodes")
     ctx = distance_context(n)
     rng = random.Random(0)
     dfa = ctx.dfa

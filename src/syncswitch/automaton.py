@@ -15,23 +15,7 @@ from typing import Iterable, Iterator
 
 
 class DfaParseError(ValueError):
-    """Base class for failures while parsing the DFA text format."""
-
-
-class DfaHeaderError(DfaParseError):
-    """The header line is not two positive integers."""
-
-
-class DfaShapeError(DfaParseError):
-    """Wrong number of rows, or wrong number of entries in a row."""
-
-
-class DfaEntryError(DfaParseError):
-    """A transition entry is not an integer in [0, n)."""
-
-
-class WordSymbolError(ValueError):
-    """A word contains a symbol index outside the automaton's alphabet."""
+    """Input that is not in the DFA text format."""
 
 
 class IsoConvention(Enum):
@@ -189,7 +173,7 @@ def apply_set(dfa: Dfa, bits: int, word: Iterable[int]) -> int:
     k = dfa.k
     for s in word:
         if not 0 <= s < k:
-            raise WordSymbolError(f"symbol index {s} out of range [0, {k})")
+            raise ValueError(f"symbol index {s} out of range [0, {k})")
         new = 0
         rest = bits
         while rest:
@@ -220,39 +204,33 @@ def parse_dfa(text: str) -> Dfa:
         if line:
             lines.append(line)
     if not lines:
-        raise DfaHeaderError("empty input")
+        raise DfaParseError("empty input")
     header = lines[0].split()
     if len(header) != 2:
-        raise DfaHeaderError(f"header must be 'n k', got {lines[0]!r}")
+        raise DfaParseError(f"header must be 'n k', got {lines[0]!r}")
     try:
         n, k = int(header[0]), int(header[1])
     except ValueError:
-        raise DfaHeaderError(f"header must be 'n k', got {lines[0]!r}") from None
+        raise DfaParseError(f"header must be 'n k', got {lines[0]!r}") from None
     if n < 1 or k < 1:
-        raise DfaHeaderError(f"n and k must be positive, got {n} {k}")
+        raise DfaParseError(f"n and k must be positive, got {n} {k}")
     body = lines[1:]
     if len(body) != n:
-        raise DfaShapeError(f"expected {n} rows, got {len(body)}")
+        raise DfaParseError(f"expected {n} rows, got {len(body)}")
     rows = []
     for i, line in enumerate(body):
         tokens = line.split()
         if len(tokens) != k:
-            raise DfaShapeError(f"row {i}: expected {k} entries, got {len(tokens)}")
+            raise DfaParseError(f"row {i}: expected {k} entries, got {len(tokens)}")
         row = []
         for tok in tokens:
             try:
                 t = int(tok)
             except ValueError:
-                raise DfaEntryError(f"row {i}: entry {tok!r} is not an integer") from None
+                raise DfaParseError(f"row {i}: entry {tok!r} is not an integer") from None
             if not 0 <= t < n:
-                raise DfaEntryError(f"row {i}: entry {t} out of range [0, {n})")
+                raise DfaParseError(f"row {i}: entry {t} out of range [0, {n})")
             row.append(t)
         rows.append(row)
     return Dfa(rows)
-
-
-def symbol_letter(s: int) -> str:
-    if not 0 <= s < 26:
-        raise ValueError("only symbols 0..25 have letter names")
-    return chr(ord("a") + s)
 

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .automaton import Dfa, DfaParseError, parse_dfa, serialize_dfa
+from .automaton import Dfa, DfaParseError, Word, parse_dfa, serialize_dfa
 from .closure import f2_transform, f_transform, power_closure
 from .families import (
     FIXTURE_NAMES,
@@ -101,10 +101,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    closed, cmap = power_closure(_read_dfa(args.file))
+    closed, provenance = power_closure(_read_dfa(args.file))
     sys.stdout.write(serialize_dfa(closed))
-    for line in cmap.comment_lines():
-        print(line)
+    for i, (base, exp) in enumerate(provenance):
+        if exp > 1:
+            print(f"# s{i} = {Word([base]).letters()}^{exp}")
     return 0
 
 
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cyclic-search", help="extremal search over cyclic automata")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, choices=[2, 3])
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--long", action="store_true")
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_search, search=cyclic_extremal_search)

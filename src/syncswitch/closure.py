@@ -7,40 +7,14 @@ the minimal switch count of the original automaton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .automaton import Dfa, symbol_letter
+from .automaton import Dfa
 
 # A symbol has up to n + g(n) distinct powers, each kept as a column; Landau's
 # g(32) = 5,460 keeps every n <= 32 inside this bound, but g(64) = 2,042,040.
 _MAX_POWERS = 1 << 16
 
 
-class AlphabetMismatchError(ValueError):
-    """The transform requires a different alphabet size."""
-
-
-@dataclass(frozen=True)
-class ClosureMap:
-    """Provenance of each closure symbol as (base symbol, exponent).
-
-    Exponent-1 entries are exactly the original symbols, in their original
-    order; added powers follow, grouped by base symbol with increasing
-    exponent.
-    """
-
-    provenance: tuple[tuple[int, int], ...]
-
-    def comment_lines(self) -> list[str]:
-        """Text-format comment lines describing the added symbols."""
-        lines = []
-        for i, (base, exp) in enumerate(self.provenance):
-            if exp > 1:
-                lines.append(f"# s{i} = {symbol_letter(base)}^{exp}")
-        return lines
-
-
-def power_closure(dfa: Dfa) -> tuple[Dfa, ClosureMap]:
+def power_closure(dfa: Dfa) -> tuple[Dfa, tuple[tuple[int, int], ...]]:
     """Extend the alphabet with all distinct non-identity powers a^e, e > 1.
 
     Original symbols are always kept, even when they act as the identity;
@@ -48,6 +22,10 @@ def power_closure(dfa: Dfa) -> tuple[Dfa, ClosureMap]:
     already present.  The result is power closed: any further power of a
     closure symbol is the identity or an existing column.  Refuses a
     symbol with more than _MAX_POWERS distinct powers.
+
+    Returns the closure and each closure symbol's provenance as (base
+    symbol, exponent): the original symbols first, with exponent 1, then
+    the added powers grouped by base symbol with increasing exponent.
     """
     n, k = dfa.n, dfa.k
     identity = tuple(range(n))
@@ -72,7 +50,7 @@ def power_closure(dfa: Dfa) -> tuple[Dfa, ClosureMap]:
                 provenance.append((s, exp))
                 present.add(power)
     rows = [[col[q] for col in columns] for q in range(n)]
-    return Dfa(rows), ClosureMap(tuple(provenance))
+    return Dfa(rows), tuple(provenance)
 
 
 def f_transform(dfa: Dfa) -> Dfa:
@@ -106,7 +84,7 @@ def f2_transform(dfa: Dfa) -> Dfa:
     trailing run that nothing absorbs.
     """
     if dfa.k != 2:
-        raise AlphabetMismatchError(f"f2_transform needs a binary automaton, got k={dfa.k}")
+        raise ValueError(f"f2_transform needs a binary automaton, got k={dfa.k}")
     n = dfa.n
     rows = []
     for q in range(n):

@@ -111,26 +111,16 @@ def q_family(n: int) -> Dfa:
     return Dfa(rows)
 
 
-def _a_target(n: int) -> int:
-    """1-indexed target of the last state's transitions in `a_family`."""
-    r = n % 3
-    if r == 0:
-        return n // 3
-    if r == 1:
-        return (n + 2) // 3
-    return (n + 4) // 3
-
-
 def a_family(n: int) -> Dfa:
     """Binary automaton with switch count ceil(2/3 n(n-2) - 1).
 
     In 1-indexed states: 1a = 1, 1b = 2; even states go a -> q+1, b -> q-1;
     odd states go a -> q-1, b -> q+1; the last state maps under both
-    symbols to a state about n/3 (exact target depends on n mod 3).
+    symbols to state n // 3 + n % 3.
     """
     if n < 3:
         raise ValueError("a_family needs n >= 3")
-    target = _a_target(n) - 1
+    target = n // 3 + n % 3 - 1
     rows = []
     for i in range(n):
         q = i + 1

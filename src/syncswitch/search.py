@@ -29,10 +29,6 @@ import numpy as np
 from .automaton import Dfa, IsoConvention, serialize_dfa
 
 
-class SearchSpaceError(ValueError):
-    """The requested enumeration is too large for the given flags."""
-
-
 # Searches that enumerate more tables than this need long=True.
 LONG_THRESHOLD = 20_000_000
 # Searches that enumerate fewer tables than this run in the calling
@@ -408,7 +404,7 @@ def _search(n, k, classes, representatives, workers, long, progress) -> Extremal
         raise ValueError("need at least one worker")
     free = n ** (n * (k - 1))
     if free * classes > LONG_THRESHOLD and not long:
-        raise SearchSpaceError(
+        raise ValueError(
             f"{free * classes} tables exceed the quick-search threshold; "
             "pass long=True (--long on the command line)"
         )
@@ -470,12 +466,12 @@ def extremal_search(
     the canonical extremal automata.
     """
     if n < 2 or k < 1:
-        raise SearchSpaceError("extremal_search needs n >= 2 and k >= 1")
+        raise ValueError("extremal_search needs n >= 2 and k >= 1")
     if n > _CANONICAL_MAX_STATES:
-        raise SearchSpaceError(f"extremal searches beyond {_CANONICAL_MAX_STATES} states are not supported")
+        raise ValueError(f"extremal searches beyond {_CANONICAL_MAX_STATES} states are not supported")
     if n ** n > LONG_THRESHOLD and not long:
-        raise SearchSpaceError(f"{n ** n} maps of the class list exceed the quick-search threshold; "
-                               "pass long=True (--long on the command line)")
+        raise ValueError(f"{n ** n} maps of the class list exceed the quick-search threshold; "
+                         "pass long=True (--long on the command line)")
     classes = -(-n ** n // factorial(n))
     return _search(n, k, classes, lambda: _class_representatives(n), parallelism, long, progress)
 
@@ -498,8 +494,8 @@ def cyclic_extremal_search(
     processes: a space below POOL_GRAIN tables starts no pool.
     """
     if not 2 <= n <= _CANONICAL_MAX_STATES:
-        raise SearchSpaceError(f"cyclic search supports 2 <= n <= {_CANONICAL_MAX_STATES}")
-    if k not in (2, 3):
-        raise SearchSpaceError("cyclic search supports k in {2, 3}")
+        raise ValueError(f"cyclic search supports 2 <= n <= {_CANONICAL_MAX_STATES}")
+    if k < 1:
+        raise ValueError("cyclic search needs k >= 1")
     cycle = tuple((q + 1) % n for q in range(n))
     return _search(n, k, 1, lambda: {cycle: 1}, parallelism, long, progress)

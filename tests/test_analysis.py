@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from syncswitch import analysis
 from syncswitch.analysis import (
     _closure,
     _subsets_of,
@@ -322,6 +323,15 @@ def test_closure_matches_per_start_searches(n, images, pairs):
 def test_closure_cap():
     with pytest.raises(ValueError, match="cap of 200,000 nodes"):
         _closure([0], [lambda xs: [x + 1 for x in xs]])
+
+
+def test_verify_lemmas_refuses_before_building(monkeypatch):
+    # from n = 24 on, L1's closure always passes the cap: refuse up front
+    monkeypatch.setattr(analysis, "distance_context", lambda n: pytest.fail("context built"))
+    monkeypatch.setattr(analysis, "_closure", lambda *args: pytest.fail("closure started"))
+    for n in (24, 30):
+        with pytest.raises(ValueError, match="needs n < 24"):
+            verify_lemmas(n)
 
 
 def test_verify_lemmas_sampled_branches():

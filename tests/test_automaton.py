@@ -4,9 +4,7 @@ from hypothesis import strategies as st
 
 from syncswitch.automaton import (
     Dfa,
-    DfaEntryError,
-    DfaHeaderError,
-    DfaShapeError,
+    DfaParseError,
     IsoConvention,
     Word,
     apply_set,
@@ -86,9 +84,7 @@ def test_apply_state_cerny():
 
 
 def test_apply_state_rejects_bad_symbol():
-    from syncswitch.automaton import WordSymbolError
-
-    with pytest.raises(WordSymbolError):
+    with pytest.raises(ValueError, match=r"symbol index 2 out of range \[0, 2\)"):
         apply_set(cerny(4), 1 << 0, [2])
 
 
@@ -189,21 +185,18 @@ def test_round_trip(dfa):
     assert parse_dfa(serialize_dfa(dfa)) == dfa
 
 
-def test_parse_errors_are_distinct():
-    with pytest.raises(DfaHeaderError):
-        parse_dfa("")
-    with pytest.raises(DfaHeaderError):
-        parse_dfa("x 2\n")
-    with pytest.raises(DfaHeaderError):
-        parse_dfa("2\n0 0\n1 1\n")
-    with pytest.raises(DfaShapeError):
-        parse_dfa("2 2\n0 0\n")
-    with pytest.raises(DfaShapeError):
-        parse_dfa("2 2\n0 0 1\n1 1\n")
-    with pytest.raises(DfaEntryError):
-        parse_dfa("2 2\n0 2\n1 1\n")
-    with pytest.raises(DfaEntryError):
-        parse_dfa("2 2\n0 zero\n1 1\n")
+def test_parse_errors():
+    for text, message in [
+        ("", "empty input"),
+        ("x 2\n", "header must be 'n k', got 'x 2'"),
+        ("2\n0 0\n1 1\n", "header must be 'n k', got '2'"),
+        ("2 2\n0 0\n", "expected 2 rows, got 1"),
+        ("2 2\n0 0 1\n1 1\n", "row 0: expected 2 entries, got 3"),
+        ("2 2\n0 2\n1 1\n", r"row 0: entry 2 out of range \[0, 2\)"),
+        ("2 2\n0 zero\n1 1\n", "row 0: entry 'zero' is not an integer"),
+    ]:
+        with pytest.raises(DfaParseError, match=message):
+            parse_dfa(text)
 
 
 def test_large_dfa_round_trip():

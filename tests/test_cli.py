@@ -120,8 +120,8 @@ def test_size_guards_exit(capsys, monkeypatch):
     text = serialize_dfa(Dfa([[t] for t in perm]))
     assert "distinct powers" in _refusal(capsys, "closure", "-", stdin=text, monkeypatch=monkeypatch)
 
-    assert "closure exceeded its cap" in _refusal(capsys, "verify-lemmas", "--n", "24")
-    assert "subsets of C" in _refusal(capsys, "verify-lemmas", "--n", "30")
+    assert "verify_lemmas needs n < 24" in _refusal(capsys, "verify-lemmas", "--n", "24")
+    assert "verify_lemmas needs n < 24" in _refusal(capsys, "verify-lemmas", "--n", "30")
 
 
 def test_opt_output(capsys, monkeypatch):

@@ -1,10 +1,13 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_min_switch_by_runs, decode_table
-from syncswitch.automaton import Dfa
-from syncswitch.closure import AlphabetMismatchError, f2_transform, f_transform, power_closure
+from syncswitch.automaton import Dfa, serialize_dfa
+from syncswitch.cli import main
+from syncswitch.closure import f2_transform, f_transform, power_closure
 from syncswitch.families import cerny, fixture, p_family
 from syncswitch.synchro import is_synchronizing, min_switch_count, shortest_sync_length
 
@@ -17,10 +20,10 @@ def small_dfas(draw, max_n=6, max_k=3):
 
 
 def test_closure_of_cerny4():
-    closed, cmap = power_closure(cerny(4))
+    closed, provenance = power_closure(cerny(4))
     # alphabet {a, b, a^2, a^3}: a^4 is the identity, b^2 = b
     assert closed.k == 4
-    assert cmap.provenance == ((0, 1), (1, 1), (0, 2), (0, 3))
+    assert provenance == ((0, 1), (1, 1), (0, 2), (0, 3))
     assert shortest_sync_length(closed) == 5
 
 
@@ -32,9 +35,9 @@ def test_closure_is_fixpoint():
 
 def test_closure_keeps_identity_symbols():
     dfa = Dfa([[1, 0], [0, 1]])  # symbol 1 is the identity
-    closed, cmap = power_closure(dfa)
+    closed, provenance = power_closure(dfa)
     assert closed.k == 2
-    assert cmap.provenance == ((0, 1), (1, 1))
+    assert provenance == ((0, 1), (1, 1))
 
 
 def test_closure_adds_nothing_for_involutions():
@@ -43,22 +46,24 @@ def test_closure_adds_nothing_for_involutions():
     assert closed.k == p_family(6).k
 
 
-def test_closure_comment_lines():
-    _, cmap = power_closure(cerny(4))
-    assert cmap.comment_lines() == ["# s2 = a^2", "# s3 = a^3"]
+def test_closure_comment_lines(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_dfa(cerny(4))))
+    assert main(["closure", "-"]) == 0
+    # exactly two comment lines, after the last table row
+    assert capsys.readouterr().out.endswith("0 3 1 2\n# s2 = a^2\n# s3 = a^3\n")
 
 
 @given(small_dfas())
 @settings(max_examples=60, deadline=None)
 def test_closure_is_power_closed(dfa):
-    closed, cmap = power_closure(dfa)
+    closed, provenance = power_closure(dfa)
     identity = tuple(range(closed.n))
     columns = [closed.column(s) for s in range(closed.k)]
     # added columns are pairwise distinct and never the identity
     added = columns[dfa.k:]
     assert len(set(added)) == len(added)
     assert identity not in added
-    assert all(exp >= 2 for _, exp in cmap.provenance[dfa.k:])
+    assert all(exp >= 2 for _, exp in provenance[dfa.k:])
     # every power of every closure symbol is the identity or already present
     present = set(columns)
     for col in columns:
@@ -108,7 +113,7 @@ def test_f2_transform_shape_and_values():
 
 
 def test_f2_requires_binary():
-    with pytest.raises(AlphabetMismatchError):
+    with pytest.raises(ValueError, match="f2_transform needs a binary automaton, got k=3"):
         f2_transform(p_family(4))
 
 

@@ -10,7 +10,6 @@ from oracles import brute_canonical_form, decode_table
 from syncswitch import search
 from syncswitch.automaton import Dfa, IsoConvention
 from syncswitch.search import (
-    SearchSpaceError,
     canonical_form,
     cyclic_extremal_search,
     extremal_search,
@@ -289,19 +288,22 @@ def test_search_guards(monkeypatch):
     # before any class representative is made
     monkeypatch.setattr(search, "_class_representatives", lambda n: pytest.fail("representatives made"))
     threshold = "exceed the quick-search threshold"
-    with pytest.raises(SearchSpaceError, match=threshold):
+    with pytest.raises(ValueError, match=threshold):
         extremal_search(7, 2)
-    with pytest.raises(SearchSpaceError, match=threshold):
+    with pytest.raises(ValueError, match=threshold):
         extremal_search(5, 3)
     # the class list of [9]^9 marks 9^9 maps, so n=9 needs long=True even for k=1
-    with pytest.raises(SearchSpaceError, match=threshold):
+    with pytest.raises(ValueError, match=threshold):
         extremal_search(9, 1)
-    with pytest.raises(SearchSpaceError, match="beyond 9 states"):
+    with pytest.raises(ValueError, match="beyond 9 states"):
         extremal_search(10, 2)
-    with pytest.raises(SearchSpaceError, match=threshold):
+    with pytest.raises(ValueError, match=threshold):
         cyclic_extremal_search(9, 2)
-    with pytest.raises(SearchSpaceError, match=r"k in \{2, 3\}"):
+    # the cyclic search takes any k >= 1: 5^15 tables need long=True
+    with pytest.raises(ValueError, match=threshold):
         cyclic_extremal_search(5, 4)
+    with pytest.raises(ValueError, match="needs k >= 1"):
+        cyclic_extremal_search(5, 0)
 
 
 def test_format_report():
@@ -377,7 +379,7 @@ def test_canonical_form_matches_reference_n8_k3():
         assert canonical_form(dfa, conv) == brute_canonical_form(dfa, conv)
 
 
-@pytest.mark.parametrize("n, k, cyclic", [(3, 2, False), (5, 2, True)])
+@pytest.mark.parametrize("n, k, cyclic", [(3, 2, False), (5, 2, True), (3, 4, True), (2, 5, True)])
 def test_search_forms_match_reference(n, k, cyclic):
     maps = [_cycle(n)] if cyclic else product(range(n), repeat=n)
     runs = [_scan_reference(n, k, 0, n ** (n * (k - 1)), f) for f in maps]
