@@ -26,9 +26,7 @@ from .synchro import (
     optimal_words,
     shortest_sync_length,
 )
-from . import analysis, families, search
-# after `analysis` and `families`: `search` is where numpy is first imported
-from .search import canonical_form
+from . import analysis, families
 
 __all__ = [
     "Dfa",
@@ -40,7 +38,6 @@ __all__ = [
     "NotSynchronizingError",
     "switch_count",
     "apply_set",
-    "canonical_form",
     "parse_dfa",
     "serialize_dfa",
     "full_set",
@@ -58,7 +55,6 @@ __all__ = [
     "f2_transform",
     "analysis",
     "families",
-    "search",
 ]
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from .families import (
     r_family,
     t7_shortest_words,
 )
-from .search import canonical_form, cyclic_extremal_search, extremal_search
 from .synchro import (
     Objective,
     count_optimal_words,
@@ -217,6 +216,8 @@ def check_exhaustive_table(jobs: int = 1, long: bool = False,
     """Binary exhaustive search maxima (and extremal form counts, up to
     renaming states and symbols) for n = 2..6; `long` adds n = 7: maximum 25,
     with t7 among the extremal forms."""
+    from .search import canonical_form, extremal_search
+
     c = _Collector()
     for n, (max_sw, count) in _SEARCH_TABLE.items():
         report = extremal_search(n, 2, parallelism=jobs, progress=progress)
@@ -272,6 +273,8 @@ def check_fixtures() -> CheckResult:
 def check_cyclic(jobs: int = 1,
                  progress: Callable[[str], None] | None = None) -> CheckResult:
     """Cyclic maxima 2n-3 at n=5,7 (binary) and n=3 (ternary); the 4-state example."""
+    from .search import cyclic_extremal_search
+
     c = _Collector()
     for n, k in [(5, 2), (7, 2), (3, 3)]:
         report = cyclic_extremal_search(n, k, parallelism=jobs, progress=progress)

@@ -33,7 +33,6 @@ from .synchro import (
     optimal_sync_word,
     shortest_sync_length,
 )
-from .search import cyclic_extremal_search, extremal_search, format_report
 from .analysis import verify_lemmas
 
 _FAMILIES = {
@@ -47,19 +46,27 @@ _FAMILIES = {
 }
 
 
+class _UsageError(Exception):
+    """Arguments that parse but do not fit the command; exit 2 like argparse's own."""
+
+
 def _read_dfa(path: str) -> Dfa:
-    if path == "-":
-        return parse_dfa(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dfa(fh.read())
+    """The DFA in file `path`, or on stdin for `-`; unreadable input exits 2."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DfaParseError(f"input is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_dfa(text)
 
 
 def _default_jobs() -> int:
     return os.cpu_count() or 1
-
-
-class _UsageError(Exception):
-    """Arguments that parse but do not fit the command; exit 2 like argparse's own."""
 
 
 def _cmd_gen(args) -> int:
@@ -121,9 +128,12 @@ def _progress(line: str) -> None:
 
 
 def _cmd_search(args) -> int:
-    """Run `args.search`, the exhaustive or the cyclic search, and print its report."""
-    report = args.search(args.n, args.k, parallelism=args.jobs, long=args.long, progress=_progress)
-    sys.stdout.write(format_report(report))
+    """Run the search that `args.search` names and print its report; only searches import numpy."""
+    from . import search
+
+    report = getattr(search, args.search)(args.n, args.k, parallelism=args.jobs, long=args.long,
+                                          progress=_progress)
+    sys.stdout.write(search.format_report(report))
     return 0
 
 
@@ -192,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--long", action="store_true", help="allow searches past the quick threshold")
     p.add_argument("--jobs", type=int, default=_default_jobs())
-    p.set_defaults(func=_cmd_search, search=extremal_search)
+    p.set_defaults(func=_cmd_search, search="extremal_search")
 
     p = sub.add_parser("cyclic-search", help="extremal search over cyclic automata")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--long", action="store_true")
     p.add_argument("--jobs", type=int, default=_default_jobs())
-    p.set_defaults(func=_cmd_search, search=cyclic_extremal_search)
+    p.set_defaults(func=_cmd_search, search="cyclic_extremal_search")
 
     p = sub.add_parser("verify-lemmas", help="check the distance/measure lemmas")
     p.add_argument("--n", type=int, required=True)

@@ -29,7 +29,8 @@ import numpy as np
 from .automaton import Dfa, IsoConvention, serialize_dfa
 
 
-# Searches that enumerate more tables than this need long=True.
+# Searches that enumerate more tables, or mark more maps, than this need
+# long=True.
 LONG_THRESHOLD = 20_000_000
 # Searches that enumerate fewer tables than this run in the calling
 # process, one job per symbol-0 map: below it, starting a worker pool costs
@@ -44,12 +45,11 @@ _COLLECT_CAP = 100_000
 _SCAN_ENTRIES = 1 << 21
 
 
-def shard_space(total: int, count: int) -> list[tuple[int, int]]:
-    """Partition the enumeration indices [0, total) into `count` half-open ranges."""
-    if count < 1:
-        raise ValueError("need at least one shard")
-    bounds = [total * i // count for i in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
+def _refuse_past_threshold(count: int, what: str, long: bool) -> None:
+    """Refuse `count` `what` past LONG_THRESHOLD unless `long`, the one size confirmation."""
+    if count > LONG_THRESHOLD and not long:
+        raise ValueError(f"{count} {what} exceed the quick-search threshold; "
+                         "pass long=True (--long on the command line)")
 
 
 @dataclass(frozen=True)
@@ -373,53 +373,38 @@ def _class_representatives(n: int) -> dict[tuple[int, ...], int]:
     return dict(sorted(sizes.items(), key=lambda item: (item[1], item[0])))
 
 
-def _scan_job(job):
-    n, k, fixed, lo, hi = job
+def _timed(job):
+    """Run `job`, a tuple (function, *args), and time it where it runs."""
     t0 = time.monotonic()
-    return job, _scan_numpy(n, k, lo, hi, fixed), time.monotonic() - t0
+    return job, job[0](*job[1:]), time.monotonic() - t0
 
 
-def _canonical_job(job):
-    t0 = time.monotonic()
-    return _canonical_tables(*job), time.monotonic() - t0
-
-
-def _search(n, k, classes, representatives, workers, long, progress) -> ExtremalReport:
-    """Scan the tables whose symbol 0 is a map of `representatives()`, a
-    dict {map: weight}, keep the tables at the running maximum and
-    canonicalize them once.
+def _search(n, k, maps, workers, progress) -> ExtremalReport:
+    """Scan the tables whose symbol 0 is a map of `maps`, a dict
+    {map: weight}, keep the tables at the running maximum and canonicalize
+    them once.  The entry points refuse every bad argument before `maps`
+    is made.
 
     `workers` is an upper bound on the worker processes.  A space of
     fewer than POOL_GRAIN tables runs in the calling process, one job per
     map.  A larger one runs on a pool of `workers` processes, 8 shards
     per worker, and the final canonicalization runs in the same pool, one
-    part per worker.
-
-    Each map's tables count `weight` times in `scanned`, `injective` and
-    `nonsync`.  `classes`, a lower bound on the number of maps, sizes the
-    space for the LONG_THRESHOLD check before any map is made.
+    part per worker.  Each map's tables count `weight` times in
+    `scanned`, `injective` and `nonsync`.
     """
     t0 = time.perf_counter()
-    if workers < 1:
-        raise ValueError("need at least one worker")
     free = n ** (n * (k - 1))
-    if free * classes > LONG_THRESHOLD and not long:
-        raise ValueError(
-            f"{free * classes} tables exceed the quick-search threshold; "
-            "pass long=True (--long on the command line)"
-        )
-    maps = representatives()
     pooled = free * len(maps) >= POOL_GRAIN
     # at most `free` ranges per map, so none is empty
     per_map = -(-min(workers * 8, free) // len(maps)) if pooled else 1
-    ranges = shard_space(free, per_map)
-    jobs = [(n, k, fixed, lo, hi) for fixed in maps for lo, hi in ranges]
+    bounds = [free * i // per_map for i in range(per_map + 1)]
+    jobs = [(_scan_numpy, n, k, lo, hi, fixed) for fixed in maps for lo, hi in zip(bounds, bounds[1:])]
     if not pooled or len(jobs) == 1:
         workers = 1
     best, kept, truncated, scanned, elapsed = -1, [], False, 0, 0.0
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         run = pool.imap_unordered if workers > 1 else map
-        for (*_, fixed, lo, hi), (max_sw, tables, trunc, injective, nonsync), seconds in run(_scan_job, jobs):
+        for (*_, lo, hi, fixed), (max_sw, tables, trunc, injective, nonsync), seconds in run(_timed, jobs):
             weight = maps[fixed]
             scanned += (hi - lo) * weight
             elapsed += seconds
@@ -435,11 +420,11 @@ def _search(n, k, classes, representatives, workers, long, progress) -> Extremal
                 kept.append(tables)
                 truncated |= trunc
         parts = np.array_split(np.concatenate(kept), workers)
-        parts = list(run(_canonical_job, [(n, k, part) for part in parts]))
-    elapsed += sum(seconds for _, seconds in parts)
+        parts = list(run(_timed, [(_canonical_tables, n, k, part) for part in parts]))
+    elapsed += sum(seconds for *_, seconds in parts)
     return ExtremalReport(
         n=n, k=k, max_sw=best if best >= 0 else None,
-        forms={c: frozenset(Dfa(rows) for forms, _ in parts for rows in forms[c]) for c in IsoConvention},
+        forms={c: frozenset(Dfa(rows) for _, forms, _ in parts for rows in forms[c]) for c in IsoConvention},
         scanned=scanned, elapsed=elapsed, wall_s=time.perf_counter() - t0,
         complete=not truncated, workers=workers,
     )
@@ -469,11 +454,12 @@ def extremal_search(
         raise ValueError("extremal_search needs n >= 2 and k >= 1")
     if n > _CANONICAL_MAX_STATES:
         raise ValueError(f"extremal searches beyond {_CANONICAL_MAX_STATES} states are not supported")
-    if n ** n > LONG_THRESHOLD and not long:
-        raise ValueError(f"{n ** n} maps of the class list exceed the quick-search threshold; "
-                         "pass long=True (--long on the command line)")
-    classes = -(-n ** n // factorial(n))
-    return _search(n, k, classes, lambda: _class_representatives(n), parallelism, long, progress)
+    _refuse_past_threshold(n ** n, "maps of the class list", long)
+    if parallelism < 1:
+        raise ValueError("need at least one worker")
+    # ceil(n^n / n!) classes, a lower bound on their number
+    _refuse_past_threshold(n ** (n * (k - 1)) * -(-n ** n // factorial(n)), "tables", long)
+    return _search(n, k, _class_representatives(n), parallelism, progress)
 
 
 def cyclic_extremal_search(
@@ -497,5 +483,7 @@ def cyclic_extremal_search(
         raise ValueError(f"cyclic search supports 2 <= n <= {_CANONICAL_MAX_STATES}")
     if k < 1:
         raise ValueError("cyclic search needs k >= 1")
-    cycle = tuple((q + 1) % n for q in range(n))
-    return _search(n, k, 1, lambda: {cycle: 1}, parallelism, long, progress)
+    if parallelism < 1:
+        raise ValueError("need at least one worker")
+    _refuse_past_threshold(n ** (n * (k - 1)), "tables", long)
+    return _search(n, k, {tuple((q + 1) % n for q in range(n)): 1}, parallelism, progress)

@@ -1,5 +1,9 @@
 import argparse
 import io
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -66,6 +70,50 @@ def test_non_synchronizing_exit(capsys, monkeypatch):
 def test_parse_error_exit(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "ssl", "-", stdin="junk\n", monkeypatch=monkeypatch)
     assert code == 2 and "parse error" in err
+
+
+@pytest.mark.parametrize("name", ["missing.dfa", "."])
+def test_unreadable_file_exit(capsys, tmp_path, name):
+    # a missing path or a directory prints the usage and exits 2
+    path = tmp_path / name
+    with pytest.raises(SystemExit) as exc:
+        main(["sw", str(path)])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2 and err.startswith("usage: ")
+    assert f"cannot read {path}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_input_exit(capsys, monkeypatch, tmp_path, source):
+    # bytes that are not UTF-8 are not in the DFA text format
+    path = tmp_path / "bad.dfa"
+    path.write_bytes(b"\xff\xfe")
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+        path = "-"
+    code, out, err = run_cli(capsys, "sw", str(path))
+    assert code == 2 and out == ""
+    assert err == "parse error: input is not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+def test_scalar_commands_leave_numpy_unloaded(tmp_path):
+    # in a fresh interpreter, since this one already holds numpy: only the
+    # searches import it
+    path = tmp_path / "c4.dfa"
+    path.write_text(serialize_dfa(cerny(4)))
+    script = textwrap.dedent(f"""
+        import sys
+        import syncswitch, syncswitch.cli, syncswitch.checks
+        assert syncswitch.cli.main(["sw", {str(path)!r}]) == 0
+        assert syncswitch.cli.main(["verify-lemmas", "--n", "6"]) == 0
+        assert "numpy" not in sys.modules
+        from syncswitch import search
+        assert "numpy" in sys.modules and search.canonical_form
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("5\n")
 
 
 def test_usage_error_exit():

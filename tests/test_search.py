@@ -14,7 +14,6 @@ from syncswitch.search import (
     cyclic_extremal_search,
     extremal_search,
     format_report,
-    shard_space,
     _scan_numpy,
 )
 from syncswitch.synchro import (
@@ -89,16 +88,9 @@ def _assert_orbits_cover(fast, ref, fixed):
     assert closure == set(ref[1])
 
 
-def test_shard_space_partitions():
-    for total in (3 ** 6, 5 ** 5, 3):
-        shards = shard_space(total, 5)
-        assert len(shards) == 5
-        assert shards[0][0] == 0 and shards[-1][1] == total
-        assert sum(hi - lo for lo, hi in shards) == total
-        for a, b in zip(shards, shards[1:]):
-            assert a[1] == b[0] and a[0] <= a[1]
-    with pytest.raises(ValueError):
-        shard_space(3 ** 6, 0)
+def test_search_needs_a_worker():
+    # the shard ranges' partition of each map's tables is pinned by the
+    # `scanned` equalities of the pool-path tests
     with pytest.raises(ValueError, match="at least one worker"):
         extremal_search(3, parallelism=0)
 
@@ -284,8 +276,8 @@ def test_cyclic_forms_recheck():
 
 
 def test_search_guards(monkeypatch):
-    # each call is refused by its own guard: four need long=True, checked
-    # before any class representative is made
+    # each call is refused by its own guard, before any class
+    # representative is made: five need long=True
     monkeypatch.setattr(search, "_class_representatives", lambda n: pytest.fail("representatives made"))
     threshold = "exceed the quick-search threshold"
     with pytest.raises(ValueError, match=threshold):
@@ -304,6 +296,9 @@ def test_search_guards(monkeypatch):
         cyclic_extremal_search(5, 4)
     with pytest.raises(ValueError, match="needs k >= 1"):
         cyclic_extremal_search(5, 0)
+    # a worker count below 1 is refused before the n=8 class list is made
+    with pytest.raises(ValueError, match="at least one worker"):
+        extremal_search(8, 1, parallelism=0)
 
 
 def test_format_report():
