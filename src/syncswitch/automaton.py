@@ -19,8 +19,8 @@ class DfaParseError(ValueError):
 
 
 class IsoConvention(Enum):
-    """Which relabelings count as isomorphisms for canonical forms
-    (`search.canonical_form`)."""
+    """Which relabelings count as isomorphisms for the canonical forms of
+    a search report (`search._canonical_tables`)."""
 
     STATES_ONLY = "states"
     STATES_AND_SYMBOLS = "states+symbols"

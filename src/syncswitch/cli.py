@@ -54,10 +54,11 @@ def _read_dfa(path: str) -> Dfa:
     """The DFA in file `path`, or on stdin for `-`; unreadable input exits 2."""
     try:
         if path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -331,16 +331,18 @@ def _forms(keys, n: int, k: int):
     return (tuple(map(tuple, t)) for t in keys.view(np.uint8).reshape(-1, n, k).tolist())
 
 
-def canonical_form(dfa: Dfa, convention: IsoConvention = IsoConvention.STATES_AND_SYMBOLS) -> Dfa:
-    """Lexicographically minimal transition table over all relabelings.
+def canonical_form(dfa: Dfa) -> Dfa:
+    """Lexicographically minimal transition table over all relabelings of
+    states and symbols.
 
-    Two automata are isomorphic under the convention iff their canonical
-    forms are equal.  Explicit minimization over n! (times k!) relabelings;
-    only intended for the small automata that come out of extremal searches.
+    Two automata are isomorphic up to renaming states and symbols iff their
+    canonical forms are equal.  Explicit minimization over n! k!
+    relabelings; only intended for the small automata that come out of
+    extremal searches.
     """
     if dfa.n > _CANONICAL_MAX_STATES:
         raise ValueError(f"canonical_form supports at most {_CANONICAL_MAX_STATES} states")
-    (rows,) = _canonical_tables(dfa.n, dfa.k, [dfa.rows])[convention]
+    (rows,) = _canonical_tables(dfa.n, dfa.k, [dfa.rows])[IsoConvention.STATES_AND_SYMBOLS]
     return Dfa(rows)
 
 
@@ -387,10 +389,10 @@ def _search(n, k, maps, workers, progress) -> ExtremalReport:
 
     `workers` is an upper bound on the worker processes.  A space of
     fewer than POOL_GRAIN tables runs in the calling process, one job per
-    map.  A larger one runs on a pool of `workers` processes, 8 shards
-    per worker, and the final canonicalization runs in the same pool, one
-    part per worker.  Each map's tables count `weight` times in
-    `scanned`, `injective` and `nonsync`.
+    map.  A larger one runs on a pool of `workers` processes, at most one
+    per job, 8 shards per worker, and the final canonicalization runs in
+    the same pool, one part per worker.  Each map's tables count `weight`
+    times in `scanned`, `injective` and `nonsync`.
     """
     t0 = time.perf_counter()
     free = n ** (n * (k - 1))
@@ -399,8 +401,7 @@ def _search(n, k, maps, workers, progress) -> ExtremalReport:
     per_map = -(-min(workers * 8, free) // len(maps)) if pooled else 1
     bounds = [free * i // per_map for i in range(per_map + 1)]
     jobs = [(_scan_numpy, n, k, lo, hi, fixed) for fixed in maps for lo, hi in zip(bounds, bounds[1:])]
-    if not pooled or len(jobs) == 1:
-        workers = 1
+    workers = min(workers, len(jobs)) if pooled else 1
     best, kept, truncated, scanned, elapsed = -1, [], False, 0, 0.0
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         run = pool.imap_unordered if workers > 1 else map

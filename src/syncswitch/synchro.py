@@ -2,21 +2,22 @@
 length, minimal switch count, composite (switch, length) optimization, and
 optimal-word counting and enumeration.
 
-Every engine searches forward from the full state set and keeps state only
-for the subsets it reaches, computing their images from byte-sliced lookup
-tables (`subset_images`).  The two scalar optima are a level search over
-plain subsets (`_levels`): one level is one symbol for the shortest length
-and one whole symbol run for the minimal switch count.  The same level
-search, over state pairs and sets, serves the pair-increase bound and the
-lemma closures of `analysis`.  Optimal words and their counts come from
-one cost-ordered bucket queue over (state set, last symbol) nodes
+Every subset engine searches forward from the full state set and keeps
+state only for the subsets it reaches, computing their images from
+byte-sliced lookup tables (`subset_images`).  The two scalar optima are a
+level search over plain subsets (`_levels`): one level is one symbol for the
+shortest length and one whole symbol run for the minimal switch count.  The
+same level search serves the pair criterion (backward over state pairs),
+and over state pairs and sets the pair-increase bound and the lemma
+closures of `analysis`.  Optimal words and their counts come from one
+cost-ordered bucket queue over (state set, last symbol) nodes
 (`_Search`, Dial's algorithm): the edge labeled s out of (V, t) leads to
 (Vs, s) and costs no switch if s == t, else one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice, repeat
@@ -81,37 +82,23 @@ def subset_images(dfa: Dfa) -> list[Callable[[Iterable[int]], list[int]]]:
 def is_synchronizing(dfa: Dfa) -> bool:
     """Pair criterion: synchronizing iff every state pair can be merged.
 
-    Backward reachability from the one-step-mergeable pairs; O(n^2 k).
+    A level search backward from the merged pairs (q, q) over unordered
+    pairs (p, q), p < q: pre[s][t] holds the states that symbol s maps to
+    t, and s leads from (a, b) to the pairs of a state of pre[s][a] and
+    one of pre[s][b].  Each pair is expanded once per symbol, so O(n^2 k).
     """
-    n, k = dfa.n, dfa.k
-    rows = dfa.rows
-    mergeable = [False] * (n * n)
-    rev: list[list[int]] = [[] for _ in range(n * n)]
-    queue: deque[int] = deque()
-    npairs = 0
-    for p in range(n):
-        for q in range(p + 1, n):
-            npairs += 1
-            pid = p * n + q
-            for s in range(k):
-                a, b = rows[p][s], rows[q][s]
-                if a == b:
-                    if not mergeable[pid]:
-                        mergeable[pid] = True
-                        queue.append(pid)
-                else:
-                    if a > b:
-                        a, b = b, a
-                    rev[a * n + b].append(pid)
-    seen = sum(mergeable)
-    while queue:
-        x = queue.popleft()
-        for y in rev[x]:
-            if not mergeable[y]:
-                mergeable[y] = True
-                seen += 1
-                queue.append(y)
-    return seen == npairs
+    n = dfa.n
+    pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(dfa.k)]
+    for p, row in enumerate(dfa.rows):
+        for s, t in enumerate(row):
+            pre[s][t].append(p)
+
+    def by_preimages(into: list[list[int]]) -> Callable[[Iterable[tuple[int, int]]], list[tuple[int, int]]]:
+        return lambda pairs: [(p, q) if p < q else (q, p)
+                              for a, b in pairs for p in into[a] for q in into[b] if p != q]
+
+    levels = _levels([(q, q) for q in range(n)], [by_preimages(into) for into in pre], runs=False)
+    return sum(len(pairs) for _, pairs in levels) == n * (n - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +108,14 @@ def is_synchronizing(dfa: Dfa) -> bool:
 # a breadth-first distance over state subsets in which one step is one whole
 # run of one symbol; the shortest length is the same distance with one
 # letter a step.  The search runs over any hashable nodes with one image
-# function per symbol, so `analysis` walks state pairs and lemma closures
-# with it too.  Per level and symbol, a run applies the symbol again and
-# again and stops at a node seen at an earlier level or already reached by
-# this symbol in this level: the rest of its forward orbit is covered either
-# way.  A node that only another symbol reached in this level is no stop:
-# the run goes on through it, as its images under this symbol are in this
-# level too.  This is the rule of the batch kernel
-# `search._switch_counts_batch`.
+# function per symbol, so `is_synchronizing` walks state pairs backward and
+# `analysis` state pairs and lemma closures with it too.  Per level and
+# symbol, a run applies the symbol again and again and stops at a node seen
+# at an earlier level or already reached by this symbol in this level: the
+# rest of its forward orbit is covered either way.  A node that only
+# another symbol reached in this level is no stop: the run goes on through
+# it, as its images under this symbol are in this level too.  This is the
+# rule of the batch kernel `search._switch_counts_batch`.
 # ---------------------------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from syncswitch.automaton import serialize_dfa
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
     if stdin is not None:
         assert monkeypatch is not None
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8"))
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
@@ -94,6 +94,16 @@ def test_non_utf8_input_exit(capsys, monkeypatch, tmp_path, source):
     code, out, err = run_cli(capsys, "sw", str(path))
     assert code == 2 and out == ""
     assert err == "parse error: input is not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+def test_non_utf8_stdin_under_c_locale():
+    # a C locale reads stdin with surrogateescape; the bytes are decoded
+    # strictly all the same
+    done = subprocess.run([sys.executable, "-m", "syncswitch.cli", "sw", "-"], input=b"\xff\xfe",
+                          capture_output=True,
+                          env={**os.environ, "LC_ALL": "C", "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr == b"parse error: input is not UTF-8 text (invalid start byte at byte 0)\n"
 
 
 def test_scalar_commands_leave_numpy_unloaded(tmp_path):

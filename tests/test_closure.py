@@ -47,7 +47,7 @@ def test_closure_adds_nothing_for_involutions():
 
 
 def test_closure_comment_lines(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_dfa(cerny(4))))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(serialize_dfa(cerny(4)).encode()), encoding="utf-8"))
     assert main(["closure", "-"]) == 0
     # exactly two comment lines, after the last table row
     assert capsys.readouterr().out.endswith("0 3 1 2\n# s2 = a^2\n# s3 = a^3\n")

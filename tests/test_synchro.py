@@ -57,6 +57,15 @@ def test_is_synchronizing():
     assert is_synchronizing(SINGLE)
 
 
+def test_is_synchronizing_past_the_subset_limit():
+    # the pair criterion has no state cap: an exponential search would hang here
+    assert is_synchronizing(cerny(300))
+    c150 = list(cerny(150).rows)
+    assert not is_synchronizing(Dfa(c150 + [[t + 150 for t in row] for row in c150]))
+    assert not is_synchronizing(Dfa(list(cerny(100).rows) + [[100, 100]]))  # a sink no symbol leaves
+    assert is_synchronizing(a_family(100))
+
+
 def test_shortest_sync_length():
     assert shortest_sync_length(cerny(4)) == 9
     assert shortest_sync_length(r_family(5)) == 16
