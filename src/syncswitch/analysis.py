@@ -3,9 +3,10 @@ for state counts divisible by 6.
 
 The signed automaton `b_family(n)` carries a distinguished set S (even
 positive and odd negative states) whose synchronization mirrors that of
-`a_family(n)`, and a (2n/3)-state cycle C on which the word ab acts as a
-cyclic permutation.  The asymmetric distance d and the max-min measure mu
-defined from it control how fast any synchronizing word can make progress.
+`a_family(n)`, and C, the ab-cycle through state 2: 2n/3 states on which
+the word ab acts as a cyclic permutation.  The asymmetric distance d and
+the max-min measure mu defined from it control how fast any synchronizing
+word can make progress.
 Both come from one signed cycle position per state (`DistanceContext.pos`):
 d is a difference of positions mod 2n/3, and mu is the largest cyclic gap
 of a set's positions, in S and in -S alike.  `verify_lemmas` checks the
@@ -29,8 +30,8 @@ from .synchro import _levels
 
 @dataclass
 class DistanceContext:
-    """The distance model of `b_family(n)`: the classes S and -S, the cycle C,
-    and one cycle position per state.
+    """The distance model of `b_family(n)`: the classes S and -S, C (the
+    ab-cycle through state 2), and one cycle position per state.
 
     For i in S, pos[i] is the position on C of i(ab)^(n/3), numbered along
     the ab-cycle from state 2; for i in -S it is minus the position of -i.
@@ -43,7 +44,7 @@ class DistanceContext:
     cycle_len: int                 # 2n/3
     s_bits: int                    # the set S
     neg_s_bits: int                # -S, the complement of S
-    c_bits: int                    # the cycle C = [-n/3+1, n]
+    c_bits: int                    # C, the ab-cycle through state 2
     pos: list[int]                 # signed cycle position, per index
 
     def distance_by_index(self, i: int, j: int) -> int:
@@ -66,12 +67,7 @@ def distance_context(n: int) -> DistanceContext:
     step_ab = [rows[rows[i][0]][1] for i in range(2 * n)]
 
     cycle_len = 2 * n // 3
-    # C = even positives 2..n plus odd negatives -1..-n/3+1
-    c_states = [signed_to_index(q, n) for q in range(2, n + 1, 2)]
-    c_states += [signed_to_index(-q, n) for q in range(1, n // 3, 2)]
-    c_bits = state_set(c_states)
-
-    # walk the ab-cycle through C to number its states
+    # walk the ab-cycle from state 2: its states are C, numbered in order
     start = signed_to_index(2, n)
     on_cycle = {}
     cur = start
@@ -80,6 +76,7 @@ def distance_context(n: int) -> DistanceContext:
         cur = step_ab[cur]
     if cur != start or len(on_cycle) != cycle_len:
         raise AssertionError("ab does not cycle C as expected")
+    c_bits = state_set(on_cycle)
 
     s_bits = s_set(n)
     pos = [0] * (2 * n)
@@ -190,7 +187,6 @@ class LemmaCheck:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    n: int
     checks: tuple[LemmaCheck, ...]
 
     @property
@@ -212,21 +208,17 @@ _CLOSURE_CAP = 200_000
 _SAMPLES = 10_000
 
 
-def _closure(starts, images, max_depth=None) -> set:
-    """Every node within max_depth steps (any number if None) of some start.
+def _closure(starts, images) -> set:
+    """The starts and every node that some word leads to from one of them.
 
     The level search of `synchro`, one letter a step, from all starts at
-    once: a node's distance from the nearest start is at most max_depth
-    exactly when some start's own search of that depth reaches it.
-    `images[s]` maps a batch of nodes to their images under symbol s.
+    once.  `images[s]` maps a batch of nodes to their images under symbol s.
     Raises ValueError past _CLOSURE_CAP, checked after each symbol pass:
     that raises on the same inputs as a check before each added node, and
     overshoots the cap by at most one pass, at most one frontier.
     """
     seen = set(starts)
-    for level, nodes in _levels(seen, images, runs=False):
-        if max_depth is not None and level > max_depth:
-            break
+    for _, nodes in _levels(seen, images, runs=False):
         seen |= nodes
         if nodes and len(seen) > _CLOSURE_CAP:
             raise ValueError(f"closure exceeded its cap of {_CLOSURE_CAP:,} nodes")
@@ -279,7 +271,7 @@ def verify_lemmas(n: int) -> LemmaReport:
     c_members = set_members(ctx.c_bits)
     subset_pool = _subsets_of(c_members)
     images = _closure(subset_pool, [lambda sets, s=s: [apply_set(dfa, bits, (s,)) for bits in sets]
-                                    for s in range(dfa.k)], 4 * n)
+                                    for s in range(dfa.k)])
     failures = 0
     for img in images:
         if (img >> n_idx) & 1 and img & ~ctx.c_bits:
@@ -343,7 +335,7 @@ def verify_lemmas(n: int) -> LemmaReport:
     raises_seen = 0
     for s in word:
         nxt = apply_set(dfa, bits, (s,))
-        mu_next = measure(ctx, nxt) if nxt else mu
+        mu_next = measure(ctx, nxt)
         if s == 1 and mu_next == mu + 1:
             raises_seen += 1
             if bits & ~ctx.c_bits and bits & ~neg_c_bits:
@@ -360,7 +352,6 @@ def verify_lemmas(n: int) -> LemmaReport:
     # jump under b, which the accompanying case analysis does not cover.
     rows = dfa.rows
     failures = 0
-    tested = 0
     pool = _sampled(subset_pool + [_negate_bits(bits, n) for bits in subset_pool], c_members, 2, rng)
     for bits in pool:
         wlen = rng.randint(1, 4 * n)
@@ -381,11 +372,10 @@ def verify_lemmas(n: int) -> LemmaReport:
                     break
             if ok:
                 break
-        tested += 1
         if not ok:
             failures += 1
     checks.append(LemmaCheck("L-setpair", failures == 0,
-                             f"cases={tested} violations={failures} scope=C,-C"))
+                             f"cases={len(pool)} violations={failures} scope=C,-C"))
 
-    return LemmaReport(n, tuple(checks))
+    return LemmaReport(tuple(checks))
 

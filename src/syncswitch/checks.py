@@ -164,22 +164,23 @@ def check_transforms() -> CheckResult:
     return c.result("7", "sw(F)=2ssl on C_2..C_7+t3..t5; sw(F2)=2ssl on C_2..C_6+t3..t5; F(C_4)=18")
 
 
-def _family_members(max_states: int) -> list[tuple[str, Dfa]]:
+def _family_members() -> list[tuple[str, Dfa]]:
+    """The family members with at most 10 states, and the fixtures among them."""
     members: list[tuple[str, Dfa]] = []
-    for n in range(2, max_states + 1):
+    for n in range(2, 11):
         members.append((f"C_{n}", cerny(n)))
         members.append((f"P_{n}", p_family(n)))
         members.append((f"variant_{n}", p_variant(n)))
-    for n in range(5, max_states + 1):
+    for n in range(5, 11):
         members.append((f"R_{n}", r_family(n)))
-    for n in range(4, max_states + 1, 2):
+    for n in range(4, 11, 2):
         members.append((f"Q_{n}", q_family(n)))
-    for n in range(3, max_states + 1):
+    for n in range(3, 11):
         members.append((f"A_{n}", a_family(n)))
     members.append(("counterexample", cyclic_counterexample()))
     for name in FIXTURE_NAMES:
         dfa = fixture(name)
-        if dfa.n <= max_states:
+        if dfa.n <= 10:
             members.append((name, dfa))
     return members
 
@@ -196,7 +197,7 @@ def random_synchronizing_binary(n: int, rng: random.Random) -> Dfa:
 def check_closure_equivalence() -> CheckResult:
     """sw(A) = ssl(power_closure(A)) across families and 500 random automata."""
     c = _Collector()
-    for name, dfa in _family_members(10):
+    for name, dfa in _family_members():
         closed, _ = power_closure(dfa)
         c.eq(f"closure({name})", shortest_sync_length(closed), min_switch_count(dfa))
     rng = random.Random(RANDOM_SEED)

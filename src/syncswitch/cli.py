@@ -54,6 +54,8 @@ def _read_dfa(path: str) -> Dfa:
     """The DFA in file `path`, or on stdin for `-`; unreadable input exits 2."""
     try:
         if path == "-":
+            if sys.stdin is None:
+                raise _UsageError("cannot read -: standard input is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as fh:
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cyclic-search", help="extremal search over cyclic automata")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--long", action="store_true")
+    p.add_argument("--long", action="store_true", help="allow searches past the quick threshold")
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_search, search="cyclic_extremal_search")
 

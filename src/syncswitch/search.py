@@ -41,7 +41,10 @@ POOL_GRAIN = 1 << 17
 # report is marked incomplete.
 _COLLECT_CAP = 100_000
 # A scan batch holds min(32768, _SCAN_ENTRIES >> n) tables: 4,096 at n = 9,
-# the most states a search takes.
+# the most states a search takes.  The 32,768 cap bounds memory, not time:
+# the int64 digit decode `idx[:, None] // powers` takes b * n(k-1) * 8
+# bytes, so cyclic (2,13), which needs no long=True, decodes 6.3 MB a batch
+# with it against about 100 MB (524,288 tables * 24 digits) without.
 _SCAN_ENTRIES = 1 << 21
 
 
@@ -124,9 +127,10 @@ def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray"):
     mask of those rejected up front because every symbol is injective.
 
     `delta` holds the free columns, shape (b, n, k-1).  `fixed`, one
-    transformation shared by the batch, is every table's symbol 0.  The breadth-first search starts at the full
-    set and one edge is one maximal symbol run, so a table's switch count
-    is the first level that reaches a singleton.
+    transformation shared by the batch, is every table's symbol 0.  The
+    breadth-first search starts at the full set and one edge is one maximal
+    symbol run, so a table's switch count is the first level that reaches a
+    singleton.
     """
     b, _, free_k = delta.shape
     full = (1 << n) - 1
@@ -391,8 +395,8 @@ def _search(n, k, maps, workers, progress) -> ExtremalReport:
     fewer than POOL_GRAIN tables runs in the calling process, one job per
     map.  A larger one runs on a pool of `workers` processes, at most one
     per job, 8 shards per worker, and the final canonicalization runs in
-    the same pool, one part per worker.  Each map's tables count `weight`
-    times in `scanned`, `injective` and `nonsync`.
+    the same pool, one part per worker but no empty part.  Each map's
+    tables count `weight` times in `scanned`, `injective` and `nonsync`.
     """
     t0 = time.perf_counter()
     free = n ** (n * (k - 1))
@@ -420,7 +424,8 @@ def _search(n, k, maps, workers, progress) -> ExtremalReport:
             if max_sw == best:
                 kept.append(tables)
                 truncated |= trunc
-        parts = np.array_split(np.concatenate(kept), workers)
+        tables = np.concatenate(kept)
+        parts = np.array_split(tables, max(1, min(workers, len(tables))))
         parts = list(run(_timed, [(_canonical_tables, n, k, part) for part in parts]))
     elapsed += sum(seconds for *_, seconds in parts)
     return ExtremalReport(

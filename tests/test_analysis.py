@@ -58,6 +58,16 @@ def _distances_by_definition(ctx):
     return table
 
 
+@pytest.mark.parametrize("n", range(6, 61, 6))
+def test_cycle_matches_paper_labels(n):
+    # C, walked along ab from state 2, is the paper's even positives 2..n
+    # plus odd negatives -1..-(n/3-1)
+    labels = list(range(2, n + 1, 2)) + [-q for q in range(1, n // 3, 2)]
+    ctx = distance_context(n)
+    assert ctx.c_bits == state_set(signed_to_index(q, n) for q in labels)
+    assert len(labels) == ctx.cycle_len
+
+
 def test_distance_examples(ctx6):
     n = 6
     for q in (2, 4, 6, -1, -3, -5):
@@ -308,9 +318,11 @@ def test_closure_matches_per_start_searches(n, images, pairs):
     dfa = ctx.dfa
     c_members = set_members(ctx.c_bits)
     pool = _subsets_of(c_members)
+    # the per-start searches stop at depth 4n, the unbounded closure does
+    # not: equal sets show that such a depth bound would cut nothing
     union = set().union(*(_reachable_sets(dfa, bits, 4 * n) for bits in pool))
     by_symbol = [lambda sets, s=s: [apply_set(dfa, bits, (s,)) for bits in sets] for s in range(dfa.k)]
-    closed = _closure(pool, by_symbol, 4 * n)
+    closed = _closure(pool, by_symbol)
     assert closed == union and len(closed) == images
 
     starts = [(p, q) for p in c_members for q in c_members]

@@ -96,6 +96,16 @@ def test_non_utf8_input_exit(capsys, monkeypatch, tmp_path, source):
     assert err == "parse error: input is not UTF-8 text (invalid start byte at byte 0)\n"
 
 
+def test_closed_stdin_exit(capsys, monkeypatch):
+    # with stdin closed at start-up Python sets sys.stdin to None
+    monkeypatch.setattr("sys.stdin", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["sw", "-"])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2 and err.startswith("usage: ")
+    assert "cannot read -: standard input is closed" in err
+
+
 def test_non_utf8_stdin_under_c_locale():
     # a C locale reads stdin with surrogateescape; the bytes are decoded
     # strictly all the same
@@ -231,6 +241,16 @@ def test_cyclic_search_command(capsys):
     code, out, _ = run_cli(capsys, "cyclic-search", "--n", "3", "--k", "3", "--jobs", "1")
     assert code == 0 and "max_sw=3" in out
     assert " wall_s=" in out.splitlines()[0]
+
+
+def test_cyclic_search_without_a_synchronizing_table(capsys):
+    # the one cyclic table of (3, 1) is a permutation: no maximum, no forms
+    code, out, _ = run_cli(capsys, "cyclic-search", "--n", "3", "--k", "1", "--jobs", "1")
+    lines = out.splitlines()
+    fields = [f for f in lines[0].split() if not f.startswith(("worker_s=", "wall_s="))]
+    assert code == 0 and len(lines) == 1
+    assert fields == ("n=3 k=1 scanned=1 max_sw=none forms=0 convention=states+symbols "
+                      "forms_states_only=0 workers=1").split()
 
 
 def test_search_guard_exit(capsys):

@@ -269,9 +269,9 @@ def test_pool_path_agrees(monkeypatch, fn, n, k):
 
 def test_pool_has_at_most_one_worker_per_job(monkeypatch):
     # binary (5,2) is above the grain and makes 47 maps * 67 ranges = 3,149
-    # jobs; a fake pool records the size asked for and maps in-process, so
-    # no process starts
-    sizes = []
+    # jobs; a fake pool records the size asked for and the jobs sent, and
+    # maps in-process, so no process starts
+    sizes, canonical = [], []
 
     class InlinePool:
         def __init__(self, size):
@@ -283,7 +283,11 @@ def test_pool_has_at_most_one_worker_per_job(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        imap_unordered = staticmethod(map)
+        @staticmethod
+        def imap_unordered(fn, jobs):
+            jobs = list(jobs)
+            canonical.extend(job[-1] for job in jobs if job[0] is search._canonical_tables)
+            return map(fn, jobs)
 
     monkeypatch.setattr(search, "Pool", InlinePool)
     lines = []
@@ -292,6 +296,9 @@ def test_pool_has_at_most_one_worker_per_job(monkeypatch):
     assert shards == 3149
     assert sizes == [shards] and report.workers == shards
     assert _outcome(report) == _outcome(extremal_search(5, 2))
+    # 12 tables are kept for canonicalization: at most one part each, none empty
+    assert 0 < len(canonical) <= 12 and all(len(part) for part in canonical)
+    assert sum(map(len, canonical)) == 12
 
 
 def test_cyclic_forms_recheck():
@@ -329,12 +336,16 @@ def test_search_guards(monkeypatch):
 
 
 def test_format_report():
-    # every header field but the timing, for a binary and a cyclic space
+    # every header field but the timing, for a binary and a cyclic space,
+    # and for cyclic (3,1), whose one table is a permutation: no table
+    # synchronizes, so there is no maximum and no form block
     for report, header in [
         (extremal_search(3),
          "n=3 k=2 scanned=729 max_sw=3 forms=6 convention=states+symbols forms_states_only=12"),
         (cyclic_extremal_search(5, 2),
          "n=5 k=2 scanned=3125 max_sw=7 forms=112 convention=states+symbols forms_states_only=112"),
+        (cyclic_extremal_search(3, 1),
+         "n=3 k=1 scanned=1 max_sw=none forms=0 convention=states+symbols forms_states_only=0"),
     ]:
         text = format_report(report)
         fields = [f for f in text.splitlines()[0].split() if not f.startswith(("worker_s=", "wall_s="))]
