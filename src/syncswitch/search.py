@@ -1,16 +1,21 @@
 """Exhaustive extremal searches over small transition tables.
 
-Every search fixes symbol 0, one map shared by a whole batch, and
-enumerates the k-1 free columns in mixed-radix order: the binary search
-fixes one map per conjugacy class of [n]^n, weighted by the class size,
-and the cyclic search fixes the n-cycle.  Of these tables the scan keeps
-one per orbit under the centralizer of the map, the least index.  Cheap
-rejection comes first (some symbol must be non-injective), then one numpy
-kernel computes the switch counts of a whole batch over a flat frontier
-of (table, subset) entries.  The parent keeps the tables at the running
-maximum, and one batch canonicalizer reduces them to forms up to
-isomorphism once, after the last shard; `canonical_form` is its one-table
-call.  It tries all n! relabelings, so every entry point refuses n > 9.
+A scan is a list of parts, each a symbol-0 map and a range of the k-1
+free columns in mixed-radix order.  The cyclic search fixes the n-cycle.
+The binary (and k-ary) search fixes one map per conjugacy class of
+[n]^n, weighted by the class size, and keeps only the tables whose
+symbol 1 lies in a class ranked no lower, the classes ranked by
+decreasing size; a table ranked strictly higher counts twice, for its
+0<->1 symbol swap.  Of these tables the scan keeps one per orbit under
+the centralizer of the map, the least index, and packs the survivors of
+many parts into batches of whole tables.  Cheap rejection comes first
+(some symbol must be non-injective), then one numpy kernel computes the
+switch counts of a whole batch over a flat frontier of (table, subset)
+entries.  The parent keeps the tables at the running maximum, and one
+batch canonicalizer reduces them, with their symbol swaps, to forms up
+to isomorphism once, after the last shard; `canonical_form` is its
+one-table call.  It tries all n! relabelings, so every entry point
+refuses n > 9.
 """
 
 from __future__ import annotations
@@ -33,18 +38,19 @@ from .automaton import Dfa, IsoConvention, serialize_dfa
 # long=True.
 LONG_THRESHOLD = 20_000_000
 # Searches that enumerate fewer tables than this run in the calling
-# process, one job per symbol-0 map: below it, starting a worker pool costs
-# more than it saves (with 2 workers on a 2-vCPU host the crossover lies
-# between 65,536 and 146,875 tables).
+# process, one job holding one part per symbol-0 map: below it, starting a
+# worker pool costs more than it saves (with 2 workers on a 2-vCPU host the
+# crossover lies between 65,536 and 146,875 tables).
 POOL_GRAIN = 1 << 17
-# Gathered extremal tables (orbit representatives) per shard before the
-# report is marked incomplete.
+# Gathered extremal tables (orbit representatives) per part of a scan
+# before the report is marked incomplete.
 _COLLECT_CAP = 100_000
-# A scan batch holds min(32768, _SCAN_ENTRIES >> n) tables: 4,096 at n = 9,
-# the most states a search takes.  The 32,768 cap bounds memory, not time:
-# the int64 digit decode `idx[:, None] // powers` takes b * n(k-1) * 8
-# bytes, so cyclic (2,13), which needs no long=True, decodes 6.3 MB a batch
-# with it against about 100 MB (524,288 tables * 24 digits) without.
+# A scan decodes a part min(32768, _SCAN_ENTRIES >> n) tables at a time,
+# and a kernel batch holds as many: 4,096 at n = 9, the most states a
+# search takes.  The 32,768 cap bounds memory, not time: the int64 digit
+# decode `idx[:, None] // powers` takes b * n(k-1) * 8 bytes, so cyclic
+# (2,13), which needs no long=True, decodes 6.3 MB a batch with it against
+# about 100 MB (524,288 tables * 24 digits) without.
 _SCAN_ENTRIES = 1 << 21
 
 
@@ -122,27 +128,22 @@ def _image_maps(n: int, cols: "np.ndarray") -> "np.ndarray":
     return img
 
 
-def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray"):
-    """Switch counts of a batch of tables (-1: not synchronizing), and the
-    mask of those rejected up front because every symbol is injective.
+def _switch_counts_batch(n: int, tables: "np.ndarray"):
+    """Switch counts of a batch of whole tables, shape (b, n, k) (-1: not
+    synchronizing), and the mask of those rejected up front because every
+    symbol is injective.
 
-    `delta` holds the free columns, shape (b, n, k-1).  `fixed`, one
-    transformation shared by the batch, is every table's symbol 0.  The
+    Every symbol is a flat image map indexed like the frontier.  The
     breadth-first search starts at the full set and one edge is one maximal
     symbol run, so a table's switch count is the first level that reaches a
     singleton.
     """
-    b, _, free_k = delta.shape
+    b, _, k = tables.shape
     full = (1 << n) - 1
     # a column is injective iff its n target bits cover every state
-    bits = np.left_shift(1, delta.astype(np.int32))
+    bits = np.left_shift(1, tables.astype(np.int32))
     injective = (np.bitwise_or.reduce(bits, axis=1) == full).all(axis=1)
-    injective &= len(set(fixed.tolist())) == n
-
-    # (map, index mask) per symbol: a free symbol's map is flat and indexed
-    # like the frontier, the fixed symbol's one map by the subset alone
-    maps = [(_image_maps(n, delta[:, :, s]).reshape(-1), -1) for s in range(free_k)]
-    maps.append((_image_maps(n, fixed[None, :])[0], full))
+    maps = [_image_maps(n, tables[:, :, s]).reshape(-1) for s in range(k)]
 
     # The frontier is flat, entries table * 2^n + subset, and a table leaves
     # it once it is done.  mark[entry] is the stamp of the (level, symbol)
@@ -160,7 +161,7 @@ def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray"):
         level += 1
         first = stamp + 1
         reached = []
-        for img, mask in maps:
+        for img in maps:
             stamp += 1
             cur = frontier[result[frontier >> n] < 0]
             # Run closure: apply the symbol to the live entries again and
@@ -173,7 +174,7 @@ def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray"):
             # it.  A set that only another symbol reached in this level is
             # no stop: its images under this symbol take one more run.
             while cur.size:
-                nxt = (cur & ~full) | img[cur & mask]
+                nxt = (cur & ~full) | img[cur]
                 seen = mark[nxt]
                 go = (seen >= first) & (seen != stamp)
                 nxt, new = nxt[go], seen[go] == unseen
@@ -196,63 +197,120 @@ def _switch_counts_batch(n: int, delta: "np.ndarray", fixed: "np.ndarray"):
     return result, injective
 
 
-def _scan_numpy(n: int, k: int, lo: int, hi: int, fixed: tuple[int, ...]):
-    """Scan the index range [lo, hi) of the tables whose symbol 0 is the
-    transformation `fixed`, in batches of at most 32,768 tables; an index
+class _Tally:
+    """The running result of one part of a scan."""
+
+    def __init__(self):
+        self.best, self.found, self.truncated = -1, [], False
+        self.injective = self.nonsync = self.count = 0
+
+    def add(self, tables, weight, sw, rejected) -> None:
+        """Take in scored tables of the part, in index order."""
+        rejected_w = int(np.sum(weight * rejected))
+        self.injective += rejected_w
+        self.nonsync += int(np.sum(weight * (sw < 0))) - rejected_w
+        self.count += int(weight.sum())
+        best = int(sw.max(initial=-1))
+        if best > self.best:
+            self.best, self.found, self.truncated = best, [], False
+        if best == self.best >= 0:
+            hits = np.nonzero(sw == best)[0]
+            room = _COLLECT_CAP - sum(map(len, self.found))
+            self.truncated |= hits.size > room
+            self.found.append(tables[hits[:room]])
+
+
+def _packed(pieces, size: int):
+    """Regroup a stream of (part, tables, weights) pieces into batches of
+    `size` tables (the last may hold fewer); a piece that straddles a
+    batch boundary is split."""
+    batch, held = [], 0
+    for part, tables, weight in pieces:
+        while len(tables):
+            take = size - held
+            piece = tables[:take]
+            batch.append((part, piece, weight[:take]))
+            held += len(piece)
+            tables, weight = tables[take:], weight[take:]
+            if held == size:
+                yield batch
+                batch, held = [], 0
+    if batch:
+        yield batch
+
+
+def _scan_numpy(n: int, k: int, parts, rank=None):
+    """Scan `parts`, a list of (map, lo, hi): the index range [lo, hi) of
+    the tables whose symbol 0 is the transformation `map`, where an index
     encodes the k-1 free columns.
 
-    Returns (max_sw, tables, truncated, injective, nonsync): the maximal
-    switch count (-1 if no table synchronizes), the tables attaining it as
-    a uint8 array of shape (m, n, k) in index order, whether more than
-    `_COLLECT_CAP` of them were found, and how many tables of the range
-    were rejected as all-injective or left non-synchronizing.  Only orbit
-    representatives are scanned: a table whose index is the least among
-    its conjugates under the centralizer of `fixed`.  The returned tables
-    are these representatives, and each counts with its orbit size in
-    `injective` and `nonsync`, so those still count every table of the
-    range.
+    Each part is decoded and filtered a chunk at a time, and the survivors
+    of all parts are packed into kernel batches of at most
+    min(32768, _SCAN_ENTRIES >> n) tables.  Only orbit representatives are
+    scored: a table whose index is the least among its conjugates under
+    the centralizer of its map.  Given `rank`, the class rank of every map
+    of [n]^n (`_class_rank`), a table is kept only if its symbol 1 ranks
+    no lower than its symbol 0, and it counts twice where it ranks higher,
+    for its 0<->1 symbol swap, which is skipped.
+
+    Returns one tuple per part, (max_sw, tables, truncated, injective,
+    nonsync, count): the maximal switch count (-1 if no table
+    synchronizes), the representatives attaining it as a uint8 array of
+    shape (m, n, k) in index order, whether more than `_COLLECT_CAP` of
+    them were found, and how many tables were rejected as all-injective,
+    left non-synchronizing, or scanned at all.  Each representative counts
+    its orbit size in the last three (twice for a swap), so over all parts
+    of a map they count every table the map stands for.
     """
     chunk = min(32768, _SCAN_ENTRIES >> n)
     free_k = k - 1
     powers = np.array([n ** e for e in range(n * free_k - 1, -1, -1)], dtype=np.int64)
+    map_powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     perms, ranks = _perm_arrays(n)
-    # index 0 is the identity, whose conjugate is the table itself
-    relabelings = [(perms[j], ranks[j]) for j in _centralizer(n, fixed)[1:]]
-    col0 = np.array(fixed, dtype=np.int16)
+    tallies = [_Tally() for _ in parts]
 
-    best = -1
-    found: list[np.ndarray] = []
-    truncated, injective, nonsync = False, 0, 0
+    def pieces():
+        for part, (fixed, lo, hi) in enumerate(parts):
+            # index 0 is the identity, whose conjugate is the table itself
+            relabelings = [(perms[j], ranks[j]) for j in _centralizer(n, fixed)[1:]]
+            col0 = np.array(fixed, dtype=np.int16)
+            rank0 = None if rank is None else rank[col0 @ map_powers]
+            for start in range(lo, hi, chunk):
+                idx = np.arange(start, min(start + chunk, hi), dtype=np.int64)
+                free = (idx[:, None] // powers % n).astype(np.int16).reshape(idx.size, n, free_k)
+                weight = np.full(idx.size, len(relabelings) + 1, dtype=np.int64)
+                if rank0 is not None:
+                    # relabeling keeps a map in its class, so the mask keeps
+                    # or drops whole orbits
+                    rank1 = rank[free[:, :, 0] @ map_powers]
+                    keep = rank1 >= rank0
+                    idx, free = idx[keep], free[keep]
+                    weight = weight[keep] << (rank1[keep] > rank0)
+                    if not idx.size:
+                        continue
+                # a conjugate's index: its digits, relabeled by the same
+                # gather as `_canonical_tables` uses, dotted with the place
+                # values
+                least = np.ones(idx.size, dtype=bool)
+                stabilizer = np.ones(idx.size, dtype=np.int64)
+                for perm, rank_of in relabelings:
+                    conj = rank_of[free[:, perm, :]].reshape(idx.size, n * free_k) @ powers
+                    least &= conj >= idx
+                    stabilizer += conj == idx
+                free = free[least]
+                tables = np.concatenate((np.broadcast_to(col0[:, None], (len(free), n, 1)), free), axis=2)
+                yield part, tables.astype(np.uint8), weight[least] // stabilizer[least]
 
-    for start in range(lo, hi, chunk):
-        idx = np.arange(start, min(start + chunk, hi), dtype=np.int64)
-        free = (idx[:, None] // powers % n).astype(np.int16).reshape(idx.size, n, free_k)
-        # a conjugate's index: its digits, relabeled by the same gather as
-        # `_canonical_tables` uses, dotted with the place values
-        least = np.ones(idx.size, dtype=bool)
-        stabilizer = np.ones(idx.size, dtype=np.int64)
-        for perm, rank in relabelings:
-            conj = rank[free[:, perm, :]].reshape(idx.size, n * free_k) @ powers
-            least &= conj >= idx
-            stabilizer += conj == idx
-        free = free[least]
-        weight = (len(relabelings) + 1) // stabilizer[least]
-        sw, rejected = _switch_counts_batch(n, free, col0)
-        rejected_w = int(np.sum(weight * rejected))
-        injective += rejected_w
-        nonsync += int(np.sum(weight * (sw < 0))) - rejected_w
-
-        batch_best = int(sw.max(initial=-1))
-        if batch_best > best:
-            best, found, truncated = batch_best, [], False
-        if batch_best == best >= 0:
-            hits = np.nonzero(sw == best)[0]
-            room = _COLLECT_CAP - sum(map(len, found))
-            truncated |= hits.size > room
-            found.append(free[hits[:room]])
-    free = np.concatenate([np.empty((0, n, free_k), np.int16)] + found)
-    tables = np.concatenate((np.broadcast_to(col0[:, None], (len(free), n, 1)), free), axis=2)
-    return best, tables.astype(np.uint8), truncated, injective, nonsync
+    for batch in _packed(pieces(), chunk):
+        sw, rejected = _switch_counts_batch(n, np.concatenate([tables for _, tables, _ in batch]))
+        start = 0
+        for part, tables, weight in batch:
+            stop = start + len(tables)
+            tallies[part].add(tables, weight, sw[start:stop], rejected[start:stop])
+            start = stop
+    empty = np.empty((0, n, k), dtype=np.uint8)
+    return [(t.best, np.concatenate([empty] + t.found), t.truncated, t.injective, t.nonsync, t.count)
+            for t in tallies]
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +346,12 @@ def _conjugates(n: int, fixed) -> "np.ndarray":
     return ranks[np.arange(perms.shape[0])[:, None], np.asarray(fixed)[perms]]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=4096)
 def _centralizer(n: int, fixed: tuple[int, ...]) -> tuple[int, ...]:
     """Indices into `_perm_arrays(n)` of the relabelings that map the
-    transformation `fixed` to itself, in order (the identity first)."""
+    transformation `fixed` to itself, in order (the identity first).  The
+    cache holds every class representative of [n]^n for n <= 9 (2,615 at
+    n = 9), so repeated searches do not recompute them."""
     return tuple(np.nonzero((_conjugates(n, fixed) == fixed).all(axis=1))[0].tolist())
 
 
@@ -379,24 +439,41 @@ def _class_representatives(n: int) -> dict[tuple[int, ...], int]:
     return dict(sorted(sizes.items(), key=lambda item: (item[1], item[0])))
 
 
+@lru_cache(maxsize=8)
+def _class_rank(n: int) -> "np.ndarray":
+    """The class rank of every map of [n]^n, a uint16 array indexed like
+    the scan (big-endian digits): the classes of `_class_representatives`
+    numbered by decreasing class size, so the identity and the constant
+    maps come last.  The array is cached, so callers only read it."""
+    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rank = np.empty(n ** n, dtype=np.uint16)
+    for r, f in enumerate(reversed(_class_representatives(n))):
+        rank[_conjugates(n, f) @ powers] = r
+    return rank
+
+
 def _timed(job):
     """Run `job`, a tuple (function, *args), and time it where it runs."""
     t0 = time.monotonic()
     return job, job[0](*job[1:]), time.monotonic() - t0
 
 
-def _search(n, k, maps, workers, progress) -> ExtremalReport:
+def _search(n, k, maps, workers, progress, rank=None) -> ExtremalReport:
     """Scan the tables whose symbol 0 is a map of `maps`, a dict
     {map: weight}, keep the tables at the running maximum and canonicalize
     them once.  The entry points refuse every bad argument before `maps`
-    is made.
+    is made.  Given `rank`, the scan keeps a table only if its symbol 1
+    ranks no lower than its symbol 0 (see `_scan_numpy`), and the kept
+    tables are canonicalized together with their 0<->1 swaps, so the
+    STATES_ONLY forms hold the skipped tables too.
 
     `workers` is an upper bound on the worker processes.  A space of
-    fewer than POOL_GRAIN tables runs in the calling process, one job per
-    map.  A larger one runs on a pool of `workers` processes, at most one
-    per job, 8 shards per worker, and the final canonicalization runs in
-    the same pool, one part per worker but no empty part.  Each map's
-    tables count `weight` times in `scanned`, `injective` and `nonsync`.
+    fewer than POOL_GRAIN tables runs in the calling process as one job
+    with one part per map.  A larger one runs on a pool of `workers`
+    processes, at most one per job, 8 one-part jobs per worker, and the
+    final canonicalization runs in the same pool, one part per worker but
+    no empty part.  Each map's tables count `weight` times in `scanned`,
+    `injective` and `nonsync`.
     """
     t0 = time.perf_counter()
     free = n ** (n * (k - 1))
@@ -404,27 +481,33 @@ def _search(n, k, maps, workers, progress) -> ExtremalReport:
     # at most `free` ranges per map, so none is empty
     per_map = -(-min(workers * 8, free) // len(maps)) if pooled else 1
     bounds = [free * i // per_map for i in range(per_map + 1)]
-    jobs = [(_scan_numpy, n, k, lo, hi, fixed) for fixed in maps for lo, hi in zip(bounds, bounds[1:])]
+    parts = [(fixed, lo, hi) for fixed in maps for lo, hi in zip(bounds, bounds[1:])]
+    groups = [[part] for part in parts] if pooled else [parts]
+    jobs = [(_scan_numpy, n, k, group, rank) for group in groups]
     workers = min(workers, len(jobs)) if pooled else 1
     best, kept, truncated, scanned, elapsed = -1, [], False, 0, 0.0
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         run = pool.imap_unordered if workers > 1 else map
-        for (*_, lo, hi, fixed), (max_sw, tables, trunc, injective, nonsync), seconds in run(_timed, jobs):
-            weight = maps[fixed]
-            scanned += (hi - lo) * weight
+        for (_, _, _, group, _), results, seconds in run(_timed, jobs):
             elapsed += seconds
-            if progress:
-                progress(f"SHARD a={','.join(map(str, fixed))} [{lo},{hi}) DONE max={max_sw} "
-                         f"tables_per_s={(hi - lo) / max(seconds, 1e-9):.0f} "
-                         f"injective={injective * weight} nonsync={nonsync * weight}")
-            # a shard below the running maximum holds no extremal table,
-            # so its truncation does not matter
-            if max_sw > best:
-                best, kept, truncated = max_sw, [], False
-            if max_sw == best:
-                kept.append(tables)
-                truncated |= trunc
+            rate = sum(hi - lo for _, lo, hi in group) / max(seconds, 1e-9)
+            for (fixed, lo, hi), (max_sw, tables, trunc, injective, nonsync, count) in zip(group, results):
+                weight = maps[fixed]
+                scanned += count * weight
+                if progress:
+                    progress(f"SHARD a={','.join(map(str, fixed))} [{lo},{hi}) DONE max={max_sw} "
+                             f"tables_per_s={rate:.0f} "
+                             f"injective={injective * weight} nonsync={nonsync * weight}")
+                # a shard below the running maximum holds no extremal
+                # table, so its truncation does not matter
+                if max_sw > best:
+                    best, kept, truncated = max_sw, [], False
+                if max_sw == best:
+                    kept.append(tables)
+                    truncated |= trunc
         tables = np.concatenate(kept)
+        if rank is not None:
+            tables = np.concatenate((tables, tables[:, :, [1, 0, *range(2, k)]]))
         parts = np.array_split(tables, max(1, min(workers, len(tables))))
         parts = list(run(_timed, [(_canonical_tables, n, k, part) for part in parts]))
     elapsed += sum(seconds for *_, seconds in parts)
@@ -447,7 +530,9 @@ def extremal_search(
     """Maximal switch count over every n-state k-symbol transition table.
 
     Symbol 0 runs over one map per conjugacy class of [n]^n, weighted by
-    the class size, so `scanned` still counts all n^(nk) tables.  Spaces
+    the class size, and for k >= 2 symbol 1 only over the maps whose class
+    ranks no lower (`_class_rank`), the tables ranked higher counting
+    twice, so `scanned` still counts all n^(nk) tables.  Spaces
     past LONG_THRESHOLD need long=True, the one size confirmation of every
     search; it counts n^(n(k-1)) tables per class for ceil(n^n / n!)
     classes, a lower bound on their number, and the n^n maps that the
@@ -465,7 +550,8 @@ def extremal_search(
         raise ValueError("need at least one worker")
     # ceil(n^n / n!) classes, a lower bound on their number
     _refuse_past_threshold(n ** (n * (k - 1)) * -(-n ** n // factorial(n)), "tables", long)
-    return _search(n, k, _class_representatives(n), parallelism, progress)
+    return _search(n, k, _class_representatives(n), parallelism, progress,
+                   _class_rank(n) if k > 1 else None)
 
 
 def cyclic_extremal_search(

@@ -74,6 +74,13 @@ def _scan_reference(n: int, k: int, lo: int, hi: int, fixed):
     return best, tables
 
 
+def _with_symbol0(col, free):
+    """Whole tables, shape (b, n, k): the map `col` as symbol 0 of every
+    table, beside the free columns `free`, shape (b, n, k-1)."""
+    col = np.broadcast_to(np.asarray(col, dtype=np.int16)[:, None], (len(free), len(col), 1))
+    return np.concatenate((col, free), axis=2)
+
+
 def _rows(table):
     return tuple(map(tuple, table.tolist()))
 
@@ -114,7 +121,7 @@ def test_engines_agree_exhaustively_small():
     for n in (2, 3):
         for fixed in product(range(n), repeat=n):
             ref = _scan_reference(n, 2, 0, n ** n, fixed)
-            fast = _scan_numpy(n, 2, 0, n ** n, fixed)
+            (fast,) = _scan_numpy(n, 2, [(fixed, 0, n ** n)])
             _assert_orbits_cover(fast, ref, fixed)
 
 
@@ -124,7 +131,7 @@ def test_engines_agree_on_n4_slice():
     fixed, lo, hi = (1, 2, 3, 3), 20_000, 22_000
     assert len(search._centralizer(4, fixed)) == 1
     ref = _scan_reference(4, 3, lo, hi, fixed)
-    fast = _scan_numpy(4, 3, lo, hi, fixed)
+    (fast,) = _scan_numpy(4, 3, [(fixed, lo, hi)])
     assert fast[0] == ref[0]
     assert [_rows(t) for t in fast[1]] == ref[1]
 
@@ -133,20 +140,21 @@ def test_engines_agree_cyclic():
     for n, k in [(4, 2), (3, 3), (5, 2)]:
         total = n ** (n * (k - 1))
         ref = _scan_reference(n, k, 0, total, _cycle(n))
-        fast = _scan_numpy(n, k, 0, total, _cycle(n))
+        (fast,) = _scan_numpy(n, k, [(_cycle(n), 0, total)])
         _assert_orbits_cover(fast, ref, _cycle(n))
 
 
-@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])
 def test_driver_matches_raw_pass(n, k):
     # the raw pass scores every table: each of the n^n columns as symbol 0,
-    # beside all free columns, with no orbit filter and no class weights
+    # beside all free columns, with no orbit filter, no symbol order and no
+    # class weights
     index = np.arange(n ** (n * (k - 1)))
     digits = [index // n ** e % n for e in range(n * (k - 1) - 1, -1, -1)]
     free = np.stack(digits, axis=1).astype(np.int16).reshape(-1, n, k - 1)
     best, tables = -1, []
     for col in product(range(n), repeat=n):
-        sw, _ = search._switch_counts_batch(n, free, np.array(col, dtype=np.int16))
+        sw, _ = search._switch_counts_batch(n, _with_symbol0(col, free))
         if sw.max() > best:
             best, tables = int(sw.max()), []
         for cols in free[sw == best].tolist():
@@ -193,19 +201,21 @@ def test_pair_criterion_never_rejects():
 
 def test_driver_completeness_follows_the_winner(monkeypatch):
     # one shard per map: at n=3 the maps reaching the maximum 3 keep at
-    # most 4 orbit representatives each, and losing maps keep more
-    kept = [_scan_numpy(3, 2, 0, 27, f)[:2] for f in search._class_representatives(3)]
-    assert max(len(t) for sw, t in kept if sw == 3) == 4
-    assert max(len(t) for sw, t in kept if sw < 3) > 4
+    # most 3 orbit representatives each under the symbol order, and losing
+    # maps keep more
+    rank = search._class_rank(3)
+    kept = [_scan_numpy(3, 2, [(f, 0, 27)], rank)[0][:2] for f in search._class_representatives(3)]
+    assert max(len(t) for sw, t in kept if sw == 3) == 3
+    assert max(len(t) for sw, t in kept if sw < 3) > 3
     full = extremal_search(3)
     with monkeypatch.context() as m:
         # the pool path splits each map's 27 tables into 3 shards
         m.setattr(search, "POOL_GRAIN", 0)
         assert full.complete and extremal_search(3, parallelism=2).forms == full.forms
-    monkeypatch.setattr(search, "_COLLECT_CAP", 4)
+    monkeypatch.setattr(search, "_COLLECT_CAP", 3)
     capped = extremal_search(3)
     assert capped.complete and capped.forms == full.forms
-    monkeypatch.setattr(search, "_COLLECT_CAP", 3)
+    monkeypatch.setattr(search, "_COLLECT_CAP", 2)
     assert not extremal_search(3).complete
 
 
@@ -215,8 +225,43 @@ def test_truncation_resets_when_the_maximum_rises(monkeypatch):
     # over the cap, and the second holds the only table with 2
     monkeypatch.setattr(search, "_COLLECT_CAP", 1)
     monkeypatch.setattr(search, "_SCAN_ENTRIES", 16)
-    max_sw, tables, truncated, *_ = _scan_numpy(3, 2, 0, 4, (1, 0, 0))
+    ((max_sw, tables, truncated, *_),) = _scan_numpy(3, 2, [((1, 0, 0), 0, 4)])
     assert (max_sw, len(tables), truncated) == (2, 1, False)
+
+
+def test_packed_batches_match_parts_alone(monkeypatch):
+    # in batches of 5 tables (40 >> 3) one kernel call holds the end of one
+    # part and the start of the next; the identity's range [0, 5) holds no
+    # symbol 1 ranked at or above the identity, so the mask empties it
+    rank = search._class_rank(3)
+    parts = [((0, 1, 2), 0, 5)] + [(f, 2, 25) for f in search._class_representatives(3)]
+    alone = [_scan_numpy(3, 2, [part], rank)[0] for part in parts]
+    assert alone[0][0] == -1 and alone[0][3:] == (0, 0, 0)
+    sizes = []
+    kernel = search._switch_counts_batch
+    monkeypatch.setattr(search, "_switch_counts_batch", lambda n, t: sizes.append(len(t)) or kernel(n, t))
+    monkeypatch.setattr(search, "_SCAN_ENTRIES", 40)
+    packed = _scan_numpy(3, 2, parts, rank)
+    # every batch but the last is full, so batches cross part boundaries
+    assert len(sizes) > 2 and set(sizes[:-1]) == {5}
+    for one, many in zip(alone, packed):
+        assert one[:1] + one[2:] == many[:1] + many[2:]
+        assert np.array_equal(one[1], many[1])
+
+
+@pytest.mark.parametrize("grain", [search.POOL_GRAIN, 0])
+def test_shard_counts_weight_the_symbol_swap(monkeypatch, grain):
+    # a binary n=4 table whose symbol 1 ranks above its symbol 0 counts
+    # twice, for its skipped 0<->1 swap, so in process and on the pool the
+    # SHARD sums count all 4^8 tables: 576 with two permutation symbols and
+    # 13,440 more that do not synchronize (the histogram's 14,016 - 576)
+    monkeypatch.setattr(search, "POOL_GRAIN", grain)
+    lines = []
+    report = extremal_search(4, 2, parallelism=2, progress=lines.append)
+    fields = [dict(f.split("=") for f in line.split() if "=" in f) for line in lines]
+    assert report.scanned == 4 ** 8 and report.workers == (2 if grain == 0 else 1)
+    assert sum(int(f["injective"]) for f in fields) == 576
+    assert sum(int(f["nonsync"]) for f in fields) == 13440
 
 
 def test_cyclic_small():
@@ -313,6 +358,7 @@ def test_search_guards(monkeypatch):
     # each call is refused by its own guard, before any class
     # representative is made: five need long=True
     monkeypatch.setattr(search, "_class_representatives", lambda n: pytest.fail("representatives made"))
+    monkeypatch.setattr(search, "_class_rank", lambda n: pytest.fail("rank made"))
     threshold = "exceed the quick-search threshold"
     with pytest.raises(ValueError, match=threshold):
         extremal_search(7, 2)
@@ -333,6 +379,13 @@ def test_search_guards(monkeypatch):
     # a worker count below 1 is refused before the n=8 class list is made
     with pytest.raises(ValueError, match="at least one worker"):
         extremal_search(8, 1, parallelism=0)
+
+
+def test_one_symbol_search_builds_no_rank(monkeypatch):
+    # the rank orders symbol 1 against symbol 0, so k=1 never builds it
+    # (9^9 ranks take 775 MB)
+    monkeypatch.setattr(search, "_class_rank", lambda n: pytest.fail("rank made"))
+    assert extremal_search(4, 1).max_sw == 1
 
 
 def test_format_report():
@@ -452,7 +505,7 @@ def test_kernel_matches_scalar_engine(n, k, cyclic):
     got, expected = [], []
     for fixed in maps:
         free = rng.integers(0, n, size=(200 // len(maps), n, k - 1), dtype=np.int16)
-        sw, injective = search._switch_counts_batch(n, free, fixed)
+        sw, injective = search._switch_counts_batch(n, _with_symbol0(fixed, free))
         got += zip(sw.tolist(), injective.tolist())
         for cols in free.tolist():
             rows = [[int(fixed[q])] + cols[q] for q in range(n)]
@@ -471,7 +524,7 @@ def test_kernel_histogram_all_binary_n4():
     cols = np.array(list(product(range(4), repeat=4)), dtype=np.int16)
     counts, injective = Counter(), 0
     for col in cols:
-        sw, inj = search._switch_counts_batch(4, cols[:, :, None], col)
+        sw, inj = search._switch_counts_batch(4, _with_symbol0(col, cols[:, :, None]))
         counts.update(sw.tolist())
         injective += int(inj.sum())
     assert dict(counts) == {
