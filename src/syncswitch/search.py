@@ -1,21 +1,17 @@
 """Exhaustive extremal searches over small transition tables.
 
-A scan is a list of parts, each a symbol-0 map and a range of the k-1
-free columns in mixed-radix order.  The cyclic search fixes the n-cycle.
-The binary (and k-ary) search fixes one map per conjugacy class of
-[n]^n, weighted by the class size, and keeps only the tables whose
-symbol 1 lies in a class ranked no lower, the classes ranked by
-decreasing size; a table ranked strictly higher counts twice, for its
-0<->1 symbol swap.  Of these tables the scan keeps one per orbit under
-the centralizer of the map, the least index, and packs the survivors of
-many parts into batches of whole tables.  Cheap rejection comes first
-(some symbol must be non-injective), then one numpy kernel computes the
-switch counts of a whole batch over a flat frontier of (table, subset)
-entries.  The parent keeps the tables at the running maximum, and one
-batch canonicalizer reduces them, with their symbol swaps, to forms up
-to isomorphism once, after the last shard; `canonical_form` is its
-one-table call.  It tries all n! relabelings, so every entry point
-refuses n > 9.
+A scan is a list of parts, each a symbol-0 map and an index range of the
+k-1 free columns, one base-n^n digit per column, symbol 1 leading.  The
+cyclic search fixes the n-cycle.  The binary (and k-ary) search fixes one
+map per conjugacy class of [n]^n, weighted by the class size, and keeps
+only the tables whose symbol 1 (the leading digit) ranks no lower, the
+classes ranked by decreasing size; a table ranked higher counts twice, for
+its 0<->1 symbol swap.  Of these the scan keeps one table per orbit under
+the centralizer of the map, the least index, and one numpy kernel scores
+the survivors of many parts in batches of whole tables.  The parent keeps
+the tables at the running maximum and canonicalizes them, with their
+swaps, once, after the last shard; `canonical_form` is the one-table
+call.  It tries all n! relabelings, so every entry point refuses n > 9.
 """
 
 from __future__ import annotations
@@ -52,6 +48,12 @@ _COLLECT_CAP = 100_000
 # (2,13), which needs no long=True, decodes 6.3 MB a batch with it against
 # about 100 MB (524,288 tables * 24 digits) without.
 _SCAN_ENTRIES = 1 << 21
+
+
+def _refuse_wide_index(n: int, k: int) -> None:
+    """Refuse n^(n(k-1)) tables per symbol-0 map past the scan's int64 index."""
+    if n ** (n * (k - 1)) >= 1 << 63:
+        raise ValueError(f"the {n}^{n * (k - 1)} tables of a symbol-0 map exceed a 64-bit index")
 
 
 def _refuse_past_threshold(count: int, what: str, long: bool) -> None:
@@ -239,19 +241,19 @@ def _packed(pieces, size: int):
         yield batch
 
 
-def _scan_numpy(n: int, k: int, parts, rank=None):
+def _scan_numpy(n: int, k: int, parts, ranked: bool = False):
     """Scan `parts`, a list of (map, lo, hi): the index range [lo, hi) of
-    the tables whose symbol 0 is the transformation `map`, where an index
-    encodes the k-1 free columns.
+    the tables whose symbol 0 is the transformation `map`.  An index holds
+    the k-1 free columns, one big-endian base-n^n digit (a map's index)
+    per column, symbol 1 leading.
 
-    Each part is decoded and filtered a chunk at a time, and the survivors
-    of all parts are packed into kernel batches of at most
-    min(32768, _SCAN_ENTRIES >> n) tables.  Only orbit representatives are
-    scored: a table whose index is the least among its conjugates under
-    the centralizer of its map.  Given `rank`, the class rank of every map
-    of [n]^n (`_class_rank`), a table is kept only if its symbol 1 ranks
-    no lower than its symbol 0, and it counts twice where it ranks higher,
-    for its 0<->1 symbol swap, which is skipped.
+    If `ranked`, a table is kept only if its symbol 1 (the leading digit,
+    read before any decode) ranks no lower than its symbol 0
+    (`_class_rank`, built in this process), and counts twice where it
+    ranks higher, for its skipped 0<->1 swap.  Only orbit representatives
+    are scored: a table whose index is the least among its conjugates
+    under the centralizer of its map.  The survivors of all parts are
+    packed into kernel batches of min(32768, _SCAN_ENTRIES >> n) tables.
 
     Returns one tuple per part, (max_sw, tables, truncated, injective,
     nonsync, count): the maximal switch count (-1 if no table
@@ -263,10 +265,10 @@ def _scan_numpy(n: int, k: int, parts, rank=None):
     of a map they count every table the map stands for.
     """
     chunk = min(32768, _SCAN_ENTRIES >> n)
-    free_k = k - 1
-    powers = np.array([n ** e for e in range(n * free_k - 1, -1, -1)], dtype=np.int64)
-    map_powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    width = n * (k - 1)
+    powers = np.array([n ** e for e in range(width - 1, -1, -1)], dtype=np.int64)
     perms, ranks = _perm_arrays(n)
+    rank = _class_rank(n) if ranked else None
     tallies = [_Tally() for _ in parts]
 
     def pieces():
@@ -274,30 +276,25 @@ def _scan_numpy(n: int, k: int, parts, rank=None):
             # index 0 is the identity, whose conjugate is the table itself
             relabelings = [(perms[j], ranks[j]) for j in _centralizer(n, fixed)[1:]]
             col0 = np.array(fixed, dtype=np.int16)
-            rank0 = None if rank is None else rank[col0 @ map_powers]
+            rank0 = rank[col0 @ powers[-n:]] if ranked else None
             for start in range(lo, hi, chunk):
                 idx = np.arange(start, min(start + chunk, hi), dtype=np.int64)
-                free = (idx[:, None] // powers % n).astype(np.int16).reshape(idx.size, n, free_k)
                 weight = np.full(idx.size, len(relabelings) + 1, dtype=np.int64)
-                if rank0 is not None:
-                    # relabeling keeps a map in its class, so the mask keeps
-                    # or drops whole orbits
-                    rank1 = rank[free[:, :, 0] @ map_powers]
+                if ranked:
+                    # relabeling keeps each map's class, so the mask keeps or drops whole orbits
+                    rank1 = rank[idx // n ** (width - n)]
                     keep = rank1 >= rank0
-                    idx, free = idx[keep], free[keep]
-                    weight = weight[keep] << (rank1[keep] > rank0)
-                    if not idx.size:
-                        continue
-                # a conjugate's index: its digits, relabeled by the same
-                # gather as `_canonical_tables` uses, dotted with the place
-                # values
+                    idx, weight = idx[keep], weight[keep] << (rank1[keep] > rank0)
+                free = (idx[:, None] // powers % n).astype(np.int16).reshape(idx.size, k - 1, n)
+                # a conjugate's index: its digits, relabeled by the gather
+                # of `_canonical_tables`, dotted with the place values
                 least = np.ones(idx.size, dtype=bool)
                 stabilizer = np.ones(idx.size, dtype=np.int64)
                 for perm, rank_of in relabelings:
-                    conj = rank_of[free[:, perm, :]].reshape(idx.size, n * free_k) @ powers
+                    conj = rank_of[free[:, :, perm]].reshape(idx.size, width) @ powers
                     least &= conj >= idx
                     stabilizer += conj == idx
-                free = free[least]
+                free = free[least].transpose(0, 2, 1)
                 tables = np.concatenate((np.broadcast_to(col0[:, None], (len(free), n, 1)), free), axis=2)
                 yield part, tables.astype(np.uint8), weight[least] // stabilizer[least]
 
@@ -417,9 +414,10 @@ def canonical_form(dfa: Dfa) -> Dfa:
 @lru_cache(maxsize=8)
 def _class_representatives(n: int) -> dict[tuple[int, ...], int]:
     """One transformation of [n] per conjugacy class under relabeling, in
-    canonical form, mapped to its class size n!/|C(map)|, largest
-    centralizers (the slowest scans) first.  The dict is cached, so
-    callers only read it.
+    canonical form, mapped to its class size n!/|C(map)|, in rank order
+    (`_class_rank`): decreasing size, then decreasing map.  So the pool
+    starts first the scans that keep the most tables.  The dict is cached,
+    so callers only read it.
 
     The maps are walked in index order (big-endian digits, as the scan
     reads them), holding one flag per map of [n]^n: the first unmarked
@@ -436,18 +434,19 @@ def _class_representatives(n: int) -> dict[tuple[int, ...], int]:
         unmarked[conj] = False
         sizes[tuple(f.tolist())] = factorial(n) // int(np.count_nonzero(conj == i))
         i += int(unmarked[i:].argmax())
-    return dict(sorted(sizes.items(), key=lambda item: (item[1], item[0])))
+    return dict(sorted(sizes.items(), key=lambda item: (item[1], item[0]), reverse=True))
 
 
 @lru_cache(maxsize=8)
 def _class_rank(n: int) -> "np.ndarray":
-    """The class rank of every map of [n]^n, a uint16 array indexed like
-    the scan (big-endian digits): the classes of `_class_representatives`
-    numbered by decreasing class size, so the identity and the constant
-    maps come last.  The array is cached, so callers only read it."""
+    """The class rank of every map of [n]^n, indexed by its big-endian
+    digits: its class's position in `_class_representatives`, so the
+    identity and the constant maps come last.  A cached uint16 array:
+    each process builds it once, a forked worker from the class list it
+    inherits."""
     powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rank = np.empty(n ** n, dtype=np.uint16)
-    for r, f in enumerate(reversed(_class_representatives(n))):
+    for r, f in enumerate(_class_representatives(n)):
         rank[_conjugates(n, f) @ powers] = r
     return rank
 
@@ -458,14 +457,13 @@ def _timed(job):
     return job, job[0](*job[1:]), time.monotonic() - t0
 
 
-def _search(n, k, maps, workers, progress, rank=None) -> ExtremalReport:
+def _search(n, k, maps, workers, progress, ranked=False) -> ExtremalReport:
     """Scan the tables whose symbol 0 is a map of `maps`, a dict
     {map: weight}, keep the tables at the running maximum and canonicalize
     them once.  The entry points refuse every bad argument before `maps`
-    is made.  Given `rank`, the scan keeps a table only if its symbol 1
-    ranks no lower than its symbol 0 (see `_scan_numpy`), and the kept
-    tables are canonicalized together with their 0<->1 swaps, so the
-    STATES_ONLY forms hold the skipped tables too.
+    is made.  If `ranked`, the scan orders symbol 1 against symbol 0 (see
+    `_scan_numpy`), and the kept tables are canonicalized together with
+    their 0<->1 swaps, so the STATES_ONLY forms hold the skipped tables.
 
     `workers` is an upper bound on the worker processes.  A space of
     fewer than POOL_GRAIN tables runs in the calling process as one job
@@ -483,7 +481,7 @@ def _search(n, k, maps, workers, progress, rank=None) -> ExtremalReport:
     bounds = [free * i // per_map for i in range(per_map + 1)]
     parts = [(fixed, lo, hi) for fixed in maps for lo, hi in zip(bounds, bounds[1:])]
     groups = [[part] for part in parts] if pooled else [parts]
-    jobs = [(_scan_numpy, n, k, group, rank) for group in groups]
+    jobs = [(_scan_numpy, n, k, group, ranked) for group in groups]
     workers = min(workers, len(jobs)) if pooled else 1
     best, kept, truncated, scanned, elapsed = -1, [], False, 0, 0.0
     with Pool(workers) if workers > 1 else nullcontext() as pool:
@@ -506,7 +504,7 @@ def _search(n, k, maps, workers, progress, rank=None) -> ExtremalReport:
                     kept.append(tables)
                     truncated |= trunc
         tables = np.concatenate(kept)
-        if rank is not None:
+        if ranked:
             tables = np.concatenate((tables, tables[:, :, [1, 0, *range(2, k)]]))
         parts = np.array_split(tables, max(1, min(workers, len(tables))))
         parts = list(run(_timed, [(_canonical_tables, n, k, part) for part in parts]))
@@ -532,26 +530,26 @@ def extremal_search(
     Symbol 0 runs over one map per conjugacy class of [n]^n, weighted by
     the class size, and for k >= 2 symbol 1 only over the maps whose class
     ranks no lower (`_class_rank`), the tables ranked higher counting
-    twice, so `scanned` still counts all n^(nk) tables.  Spaces
-    past LONG_THRESHOLD need long=True, the one size confirmation of every
+    twice, so `scanned` still counts all n^(nk) tables.  Spaces past
+    LONG_THRESHOLD need long=True, the one size confirmation of every
     search; it counts n^(n(k-1)) tables per class for ceil(n^n / n!)
     classes, a lower bound on their number, and the n^n maps that the
-    class list marks (past it only at n = 9).  n > 9 is refused.
-    `parallelism` is an upper bound on the worker processes: a space below
-    POOL_GRAIN tables starts no pool.  Returns the maximum together with
-    the canonical extremal automata.
+    class list marks (past it only at n = 9).  n > 9 is refused, and so
+    is n^(n(k-1)) >= 2^63, past the scan's int64 index.  `parallelism` is
+    an upper bound on the worker processes: a space below POOL_GRAIN
+    tables starts no pool.  Returns the maximum and the extremal forms.
     """
     if n < 2 or k < 1:
         raise ValueError("extremal_search needs n >= 2 and k >= 1")
     if n > _CANONICAL_MAX_STATES:
         raise ValueError(f"extremal searches beyond {_CANONICAL_MAX_STATES} states are not supported")
+    _refuse_wide_index(n, k)
     _refuse_past_threshold(n ** n, "maps of the class list", long)
     if parallelism < 1:
         raise ValueError("need at least one worker")
     # ceil(n^n / n!) classes, a lower bound on their number
     _refuse_past_threshold(n ** (n * (k - 1)) * -(-n ** n // factorial(n)), "tables", long)
-    return _search(n, k, _class_representatives(n), parallelism, progress,
-                   _class_rank(n) if k > 1 else None)
+    return _search(n, k, _class_representatives(n), parallelism, progress, k > 1)
 
 
 def cyclic_extremal_search(
@@ -568,13 +566,15 @@ def cyclic_extremal_search(
     standard cycle, so only the remaining k-1 columns are enumerated, and
     of those tables only one per orbit under the n rotations that commute
     with the cycle is scanned and canonicalized.  `scanned` still counts
-    all n^(n(k-1)) tables.  `parallelism` is an upper bound on the worker
+    all n^(n(k-1)) tables, and 2^63 or more are refused, past the scan's
+    int64 index.  `parallelism` is an upper bound on the worker
     processes: a space below POOL_GRAIN tables starts no pool.
     """
     if not 2 <= n <= _CANONICAL_MAX_STATES:
         raise ValueError(f"cyclic search supports 2 <= n <= {_CANONICAL_MAX_STATES}")
     if k < 1:
         raise ValueError("cyclic search needs k >= 1")
+    _refuse_wide_index(n, k)
     if parallelism < 1:
         raise ValueError("need at least one worker")
     _refuse_past_threshold(n ** (n * (k - 1)), "tables", long)

@@ -298,7 +298,7 @@ def min_switch_count(dfa: Dfa) -> int:
     return _sync_level(dfa, runs=True)
 
 
-def optimal_sync_word(dfa: Dfa, objective: Objective = Objective.SWITCH_THEN_LENGTH) -> SyncResult:
+def optimal_sync_word(dfa: Dfa, objective: Objective) -> SyncResult:
     """An optimal synchronizing word under the objective.
 
     LENGTH gives a shortest word; SWITCH_THEN_LENGTH a shortest word among
@@ -309,13 +309,13 @@ def optimal_sync_word(dfa: Dfa, objective: Objective = Objective.SWITCH_THEN_LEN
     return SyncResult(word, len(word), word.switch_count)
 
 
-def count_optimal_words(dfa: Dfa, objective: Objective = Objective.LENGTH) -> int:
+def count_optimal_words(dfa: Dfa, objective: Objective) -> int:
     """Number of distinct words attaining the objective's optimum."""
     ways = _Search(dfa, objective).tight_dag()
     return ways[0, 0][full_set(dfa.n)]  # the start node: cost 0, tag 0
 
 
-def optimal_words(dfa: Dfa, objective: Objective = Objective.LENGTH, limit: int | None = None) -> list[Word]:
+def optimal_words(dfa: Dfa, objective: Objective, limit: int | None = None) -> list[Word]:
     """All optimal words under the objective, in lexicographic order.
 
     `limit` caps the number of words returned; the full set can be large.

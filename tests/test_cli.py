@@ -263,6 +263,12 @@ def test_search_needs_a_worker(capsys):
         assert "at least one worker" in _refusal(capsys, "search", "--n", "3", "--jobs", jobs)
 
 
+def test_search_past_a_64_bit_index_exit(capsys):
+    # 2^64 and 3^63 tables per symbol-0 map: refused, not an OverflowError
+    for argv in (("search", "--n", "2", "--k", "33"), ("cyclic-search", "--n", "3", "--k", "22")):
+        assert "64-bit index" in _refusal(capsys, *argv, "--long", "--jobs", "1")
+
+
 def test_verify_paper_needs_a_worker(capsys):
     # refused before any check runs, so no check's progress line is printed
     assert "at least one worker" in _refusal(capsys, "verify-paper", "--jobs", "0")

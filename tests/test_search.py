@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 from itertools import permutations, product
@@ -26,9 +27,11 @@ from syncswitch.synchro import (
 
 def _table(fixed, k: int, index: int):
     """The table of an index: symbol 0 is the map `fixed`, then the k-1
-    free columns."""
+    free columns, which the index holds column by column, symbol 1
+    leading."""
     n = len(fixed)
-    free = decode_table(n, k - 1, index)
+    digits = sum(decode_table(n, k - 1, index), ())  # the n(k-1) base-n digits, big-endian
+    free = list(zip(*(digits[c * n:(c + 1) * n] for c in range(k - 1))))
     return tuple((fixed[q],) + free[q] for q in range(n))
 
 
@@ -108,9 +111,13 @@ def test_class_representatives():
         reps = search._class_representatives(n)
         assert len(reps) == classes and sum(reps.values()) == n ** n
         # each class size is n! over the map's centralizer, and the
-        # dict is ordered by (size, map)
+        # dict is in rank order: decreasing (size, map), position r of the
+        # list being rank r of the table
         assert all(size * len(search._centralizer(n, f)) == factorial(n) for f, size in reps.items())
-        assert list(reps.items()) == sorted(reps.items(), key=lambda item: (item[1], item[0]))
+        assert list(reps.items()) == sorted(reps.items(), key=lambda item: (item[1], item[0]), reverse=True)
+        if n <= 6:
+            index = {f: i for i, f in enumerate(product(range(n), repeat=n))}
+            assert search._class_rank(n)[[index[f] for f in reps]].tolist() == list(range(len(reps)))
         if n <= 5:
             forms = Counter(canonical_form(Dfa([(t,) for t in f])).rows for f in product(range(n), repeat=n))
             assert dict(forms) == {tuple((t,) for t in f): size for f, size in reps.items()}
@@ -203,8 +210,7 @@ def test_driver_completeness_follows_the_winner(monkeypatch):
     # one shard per map: at n=3 the maps reaching the maximum 3 keep at
     # most 3 orbit representatives each under the symbol order, and losing
     # maps keep more
-    rank = search._class_rank(3)
-    kept = [_scan_numpy(3, 2, [(f, 0, 27)], rank)[0][:2] for f in search._class_representatives(3)]
+    kept = [_scan_numpy(3, 2, [(f, 0, 27)], True)[0][:2] for f in search._class_representatives(3)]
     assert max(len(t) for sw, t in kept if sw == 3) == 3
     assert max(len(t) for sw, t in kept if sw < 3) > 3
     full = extremal_search(3)
@@ -233,15 +239,14 @@ def test_packed_batches_match_parts_alone(monkeypatch):
     # in batches of 5 tables (40 >> 3) one kernel call holds the end of one
     # part and the start of the next; the identity's range [0, 5) holds no
     # symbol 1 ranked at or above the identity, so the mask empties it
-    rank = search._class_rank(3)
     parts = [((0, 1, 2), 0, 5)] + [(f, 2, 25) for f in search._class_representatives(3)]
-    alone = [_scan_numpy(3, 2, [part], rank)[0] for part in parts]
+    alone = [_scan_numpy(3, 2, [part], True)[0] for part in parts]
     assert alone[0][0] == -1 and alone[0][3:] == (0, 0, 0)
     sizes = []
     kernel = search._switch_counts_batch
     monkeypatch.setattr(search, "_switch_counts_batch", lambda n, t: sizes.append(len(t)) or kernel(n, t))
     monkeypatch.setattr(search, "_SCAN_ENTRIES", 40)
-    packed = _scan_numpy(3, 2, parts, rank)
+    packed = _scan_numpy(3, 2, parts, True)
     # every batch but the last is full, so batches cross part boundaries
     assert len(sizes) > 2 and set(sizes[:-1]) == {5}
     for one, many in zip(alone, packed):
@@ -312,11 +317,11 @@ def test_pool_path_agrees(monkeypatch, fn, n, k):
     assert two.workers == 2
 
 
-def test_pool_has_at_most_one_worker_per_job(monkeypatch):
-    # binary (5,2) is above the grain and makes 47 maps * 67 ranges = 3,149
-    # jobs; a fake pool records the size asked for and the jobs sent, and
-    # maps in-process, so no process starts
-    sizes, canonical = [], []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A fake worker pool that maps in-process, so no process starts; the
+    returned lists record the pool sizes asked for and the jobs sent."""
+    sizes, jobs_sent = [], []
 
     class InlinePool:
         def __init__(self, size):
@@ -331,19 +336,54 @@ def test_pool_has_at_most_one_worker_per_job(monkeypatch):
         @staticmethod
         def imap_unordered(fn, jobs):
             jobs = list(jobs)
-            canonical.extend(job[-1] for job in jobs if job[0] is search._canonical_tables)
+            jobs_sent.extend(jobs)
             return map(fn, jobs)
 
     monkeypatch.setattr(search, "Pool", InlinePool)
+    return sizes, jobs_sent
+
+
+def test_pool_has_at_most_one_worker_per_job(inline_pool):
+    # binary (5,2) is above the grain and makes 47 maps * 67 ranges = 3,149
+    # jobs
+    sizes, jobs = inline_pool
     lines = []
     report = extremal_search(5, 2, parallelism=5000, progress=lines.append)
     shards = sum(line.startswith("SHARD") for line in lines)
     assert shards == 3149
     assert sizes == [shards] and report.workers == shards
+    canonical = [job[-1] for job in jobs if job[0] is search._canonical_tables]
     assert _outcome(report) == _outcome(extremal_search(5, 2))
     # 12 tables are kept for canonicalization: at most one part each, none empty
     assert 0 < len(canonical) <= 12 and all(len(part) for part in canonical)
     assert sum(map(len, canonical)) == 12
+
+
+@pytest.mark.parametrize("fn, ranked", [(extremal_search, True), (cyclic_extremal_search, False)])
+def test_scan_jobs_carry_no_array(monkeypatch, inline_pool, fn, ranked):
+    # a scan job is (n, k, parts, ranked): the scan reads the rank table in
+    # its own process, so no job pickles it
+    monkeypatch.setattr(search, "POOL_GRAIN", 0)
+    fn(4, 2, parallelism=2)
+    scans = [job[1:] for job in inline_pool[1] if job[0] is _scan_numpy]
+    assert scans and all(job[:2] == (4, 2) and job[3] is ranked for job in scans)
+    assert not any(isinstance(x, np.ndarray) for job in scans for x in job)
+    assert max(len(pickle.dumps(job)) for job in scans) < 1000
+
+
+def test_rank_mask_reads_the_leading_digit():
+    # a (3,3) index is symbol 1's map index times 27 plus symbol 2's, so
+    # [27m, 27m + 27) holds every table whose symbol 1 is map m.  The scan
+    # keeps none of them iff m ranks below symbol 0, or the orbit filter
+    # moves them all to a conjugate of m with a lower index
+    rank = search._class_rank(3)
+    index = {f: i for i, f in enumerate(product(range(3), repeat=3))}
+    for fixed in search._class_representatives(3):
+        for f, m in index.items():
+            conjugates = _conjugates(tuple(zip(fixed, f)), fixed)
+            least = min(index[tuple(row[1] for row in rows)] for rows in conjugates) == m
+            ((*_, count),) = _scan_numpy(3, 3, [(fixed, 27 * m, 27 * m + 27)], True)
+            assert (count > 0) == (rank[m] >= rank[index[fixed]] and least)
 
 
 def test_cyclic_forms_recheck():
@@ -376,6 +416,11 @@ def test_search_guards(monkeypatch):
         cyclic_extremal_search(5, 4)
     with pytest.raises(ValueError, match="needs k >= 1"):
         cyclic_extremal_search(5, 0)
+    # 2^64 and 3^63 tables per symbol-0 map overflow the scan's int64 index
+    with pytest.raises(ValueError, match="64-bit index"):
+        extremal_search(2, 33, long=True)
+    with pytest.raises(ValueError, match="64-bit index"):
+        cyclic_extremal_search(3, 22, long=True)
     # a worker count below 1 is refused before the n=8 class list is made
     with pytest.raises(ValueError, match="at least one worker"):
         extremal_search(8, 1, parallelism=0)

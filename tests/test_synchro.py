@@ -94,7 +94,7 @@ def test_single_state_results():
         assert res.word == Word() and res.length == res.switch == 0
     assert count_optimal_words(SINGLE, Objective.LENGTH) == 1
     assert count_optimal_words(SINGLE, Objective.SWITCH_THEN_LENGTH) == 1
-    assert optimal_words(SINGLE) == [Word()]
+    assert optimal_words(SINGLE, Objective.LENGTH) == [Word()]
 
 
 def test_optimal_word_objectives_on_t8a():
