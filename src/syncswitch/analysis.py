@@ -36,7 +36,9 @@ class DistanceContext:
     For i in S, pos[i] is the position on C of i(ab)^(n/3), numbered along
     the ab-cycle from state 2; for i in -S it is minus the position of -i.
     Then d(i, j) = (pos[j] - pos[i]) mod 2n/3, read as 2n/3 when 0, in both
-    classes.
+    classes.  `pos_masks` reads the positions of a whole set: for each 8-bit
+    slice of the 2n-bit state set, a table from the slice's bits to the bit
+    mask of its members' positions mod 2n/3.
     """
 
     n: int
@@ -46,6 +48,7 @@ class DistanceContext:
     neg_s_bits: int                # -S, the complement of S
     c_bits: int                    # C, the ab-cycle through state 2
     pos: list[int]                 # signed cycle position, per index
+    pos_masks: list[list[int]]     # per 8-bit slice: its bits -> position mask
 
     def distance_by_index(self, i: int, j: int) -> int:
         """Asymmetric distance d(i, j) of two states both in S or both in -S.
@@ -86,8 +89,16 @@ def distance_context(n: int) -> DistanceContext:
             cur = step_ab[cur]
         pos[i] = on_cycle[cur]
         pos[negate_index(i, n)] = -pos[i]
+    pos_masks = []
+    for lo in range(0, 2 * n, 8):
+        table = [0]
+        for p in pos[lo:lo + 8]:
+            bit = 1 << p % cycle_len
+            table += [mask | bit for mask in table]
+        pos_masks.append(table)
     return DistanceContext(n=n, dfa=dfa, cycle_len=cycle_len, s_bits=s_bits,
-                           neg_s_bits=_negate_bits(s_bits, n), c_bits=c_bits, pos=pos)
+                           neg_s_bits=_negate_bits(s_bits, n), c_bits=c_bits, pos=pos,
+                           pos_masks=pos_masks)
 
 
 def _negate_bits(bits: int, n: int) -> int:
@@ -101,15 +112,27 @@ def measure(ctx: DistanceContext, bits: int) -> int:
     Computed as the largest cyclic gap of the members' positions mod 2n/3:
     the distance from a member to its nearest other member is the gap from
     its position to the next distinct one.  1 for S itself, 2n/3 when all
-    members share one position.
+    members share one position.  The positions come as one bit mask, the
+    union of the set's slices in `ctx.pos_masks`, and the largest gap is one
+    more than the longest run of unset bits around that cyclic mask.
     """
     if bits == 0:
         raise ValueError("measure of the empty set is undefined")
     if bits & ~ctx.s_bits and bits & ~ctx.neg_s_bits:
         raise ValueError("measure needs a set inside S or inside -S")
     cl = ctx.cycle_len
-    points = sorted({ctx.pos[i] % cl for i in set_members(bits)})
-    return max(b - a for a, b in zip(points, points[1:] + [points[0] + cl]))
+    mask = 0
+    for table in ctx.pos_masks:
+        mask |= table[bits & 255]
+        bits >>= 8
+    # the unset bits of the mask written twice: every cyclic run of them
+    # appears whole, and none is longer than it is around the cycle
+    gaps = ~(mask | mask << cl) & ((1 << 2 * cl) - 1)
+    gap = 1
+    while gaps:  # each pass shortens every run by one
+        gaps &= gaps >> 1
+        gap += 1
+    return gap
 
 
 def _pair_images(dfa: Dfa) -> list:
@@ -245,6 +268,30 @@ def _sampled(pool: list[int], members: list[int], smallest: int, rng: random.Ran
     return pool[:_SAMPLES]
 
 
+def _block_maps(dfa: Dfa) -> list[list[int]]:
+    """blocks[w]: the state map of each 4-letter binary word w, its first
+    letter in the high bit."""
+    rows = dfa.rows
+    blocks = [list(range(dfa.n))]
+    for _ in range(4):
+        blocks = [[rows[q][s] for q in m] for m in blocks for s in (0, 1)]
+    return blocks
+
+
+def _walk(dfa: Dfa, blocks: list[list[int]], states: list[int], word: list[int]) -> list[int]:
+    """The states that `word` leads `states` to, in order: four letters a
+    step through `blocks` (`_block_maps(dfa)`), then the last len(word) % 4
+    one at a time."""
+    rows = dfa.rows
+    cut = len(word) - len(word) % 4
+    for i in range(0, cut, 4):
+        m = blocks[word[i] << 3 | word[i + 1] << 2 | word[i + 2] << 1 | word[i + 3]]
+        states = [m[q] for q in states]
+    for s in word[cut:]:
+        states = [rows[q][s] for q in states]
+    return states
+
+
 def verify_lemmas(n: int) -> LemmaReport:
     """Check the structural lemmas behind the a_family switch count.
 
@@ -350,7 +397,7 @@ def verify_lemmas(n: int) -> LemmaReport:
     # bound applies it.  On arbitrary subsets of S the statement can fail:
     # a member equivalent to the top state takes the exceptional distance
     # jump under b, which the accompanying case analysis does not cover.
-    rows = dfa.rows
+    blocks = _block_maps(dfa)
     failures = 0
     pool = _sampled(subset_pool + [_negate_bits(bits, n) for bits in subset_pool], c_members, 2, rng)
     for bits in pool:
@@ -358,9 +405,7 @@ def verify_lemmas(n: int) -> LemmaReport:
         w = rng.choices((0, 1), k=wlen)
         # one state map per word: follow each member through the word
         members = set_members(bits)
-        targets = members
-        for s in w:
-            targets = [rows[q][s] for q in targets]
+        targets = _walk(dfa, blocks, members, w)
         image_of = dict(zip(members, targets))
         mu_a = measure(ctx, bits)
         mu_w = measure(ctx, state_set(targets))

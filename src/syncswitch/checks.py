@@ -319,7 +319,12 @@ def brute_force_optima(dfa: Dfa, max_len: int) -> tuple[int | None, int | None]:
     """(shortest sync length, minimal switch count) over all words up to max_len.
 
     Depth-first over the word tree, tracking the current subset and switch
-    count; a synchronizing prefix is recorded and not extended.  Independent
+    count; a synchronizing prefix is recorded and not extended.  Branch and
+    bound: a prefix of length L and switch count sw is not extended once
+    L + 1 >= best_len and sw >= best_sw.  The prune is exact: extending a
+    prefix never lowers its length or its switch count, so every word below
+    it is at least as long as best_len and switches at least best_sw times,
+    and neither optimum, which only falls, can be beaten there.  Independent
     of the search engines, with which it shares only the subset images:
     nothing here looks at distances or closures.
     """
@@ -332,6 +337,10 @@ def brute_force_optima(dfa: Dfa, max_len: int) -> tuple[int | None, int | None]:
     while stack:
         v, length, sw, last = stack.pop()
         if length >= max_len:
+            continue
+        # every extension is at least length + 1 long and switches at least
+        # sw times, so it can improve neither optimum
+        if best_len is not None and length + 1 >= best_len and sw >= best_sw:
             continue
         for s in range(k):
             w = images[s][v]

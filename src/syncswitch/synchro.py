@@ -3,8 +3,8 @@ length, minimal switch count, composite (switch, length) optimization, and
 optimal-word counting and enumeration.
 
 Every subset engine searches forward from the full state set and keeps
-state only for the subsets it reaches, computing their images from
-byte-sliced lookup tables (`subset_images`).  The two scalar optima are a
+state only for the subsets it reaches, computing their images from two
+12-bit-sliced lookup tables (`subset_images`).  The two scalar optima are a
 level search over plain subsets (`_levels`): one level is one symbol for the
 shortest length and one whole symbol run for the minimal switch count.  The
 same level search serves the pair criterion (backward over state pairs),
@@ -44,7 +44,7 @@ class SyncResult:
     switch: int
 
 
-# The image tables cut a state set into at most three bytes; a subset search
+# The image tables cut a state set into two 12-bit slices; a subset search
 # past this size is hopeless anyway.
 _MAX_SEARCH_STATES = 24
 
@@ -52,10 +52,10 @@ _MAX_SEARCH_STATES = 24
 def subset_images(dfa: Dfa) -> list[Callable[[Iterable[int]], list[int]]]:
     """images[s](vs)[i] = the image under symbol s of the i-th state set in vs.
 
-    States are cut into slices of 8.  Per symbol and slice, a table of at
-    most 256 entries maps the slice's bits of a set to their image, and the
-    image of the set is the union of its three slices' images (a slice past
-    the last state has the one-entry table [0]).
+    States are cut into two slices of 12.  Per symbol and slice, a table of
+    at most 4,096 entries maps the slice's bits of a set to their image, and
+    the image of the set is the union of its two slices' images, two lookups
+    a set (below 13 states the high slice has the one-entry table [0]).
     """
     n = dfa.n
     if n > _MAX_SEARCH_STATES:
@@ -63,15 +63,15 @@ def subset_images(dfa: Dfa) -> list[Callable[[Iterable[int]], list[int]]]:
             f"subset search over {n} states needs 2**{n} nodes; refusing"
         )
 
-    def by_slices(t0: list[int], t1: list[int], t2: list[int]) -> Callable[[Iterable[int]], list[int]]:
-        return lambda vs: [t0[v & 255] | t1[v >> 8 & 255] | t2[v >> 16] for v in vs]
+    def by_slices(t0: list[int], t1: list[int]) -> Callable[[Iterable[int]], list[int]]:
+        return lambda vs: [t0[v & 4095] | t1[v >> 12] for v in vs]
 
     images = []
     for s in range(dfa.k):
         sliced = []
-        for lo in range(0, _MAX_SEARCH_STATES, 8):
+        for lo in (0, 12):
             table = [0]
-            for row in dfa.rows[lo:lo + 8]:
+            for row in dfa.rows[lo:lo + 12]:
                 bit = 1 << row[s]
                 table += [image | bit for image in table]
             sliced.append(table)

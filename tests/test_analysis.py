@@ -1,12 +1,15 @@
 import random
 from collections import deque
+from itertools import product
 
 import pytest
 
 from syncswitch import analysis
 from syncswitch.analysis import (
+    _block_maps,
     _closure,
     _subsets_of,
+    _walk,
     canonical_word,
     distance_context,
     measure,
@@ -15,7 +18,7 @@ from syncswitch.analysis import (
     verify_lemmas,
 )
 from syncswitch.automaton import apply_set, full_set, is_singleton, set_members, state_set
-from syncswitch.families import a_family, negate_index, s_set, signed_to_index
+from syncswitch.families import a_family, b_family, negate_index, s_set, signed_to_index
 from syncswitch.synchro import min_switch_count
 
 
@@ -143,6 +146,9 @@ def test_measure_matches_pairwise_definition(ctx6):
             sample = rng.sample(s_members, rng.randint(1, len(s_members)))
             for bits in (state_set(sample), state_set(negate_index(i, n) for i in sample)):
                 assert measure(ctx, bits) == _measure_by_pairs(table, bits)
+        # S and -S whole, and every singleton: at n = 18 the 36 states fill 5 slices
+        for bits in [ctx.s_bits, ctx.neg_s_bits] + [1 << i for i in range(2 * n)]:
+            assert measure(ctx, bits) == _measure_by_pairs(table, bits)
 
 
 def test_measure_errors(ctx6):
@@ -330,6 +336,20 @@ def test_closure_matches_per_start_searches(n, images, pairs):
     by_symbol = [lambda batch, s=s: [(rows[p][s], rows[q][s]) for p, q in batch] for s in range(dfa.k)]
     closed = _closure(starts, by_symbol)
     assert closed == _reachable_pairs(dfa, starts) and len(closed) == pairs
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_walk_matches_letter_by_letter(n):
+    # every binary word of length 0..9, so every remainder mod 4 is walked
+    dfa = b_family(n)
+    blocks = _block_maps(dfa)
+    states = list(range(2 * n))
+    for length in range(10):
+        for word in product((0, 1), repeat=length):
+            targets = states
+            for s in word:
+                targets = [dfa.rows[q][s] for q in targets]
+            assert _walk(dfa, blocks, states, list(word)) == targets
 
 
 def test_closure_cap():
