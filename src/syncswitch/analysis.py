@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .automaton import Dfa, Word, apply_set, set_members, state_set
+from .automaton import Dfa, Word, apply_set, set_members, state_set, union_table
 from .families import b_family, negate_index, s_set, signed_to_index
 from .synchro import _levels
 
@@ -36,9 +36,10 @@ class DistanceContext:
     For i in S, pos[i] is the position on C of i(ab)^(n/3), numbered along
     the ab-cycle from state 2; for i in -S it is minus the position of -i.
     Then d(i, j) = (pos[j] - pos[i]) mod 2n/3, read as 2n/3 when 0, in both
-    classes.  `pos_masks` reads the positions of a whole set: for each 8-bit
-    slice of the 2n-bit state set, a table from the slice's bits to the bit
-    mask of its members' positions mod 2n/3.
+    classes.  `pos_masks` reads the positions of a whole set: for each 12-bit
+    slice of the 2n-bit state set, the width of `synchro.subset_images`, a
+    `union_table` from the slice's bits to the bit mask of its members'
+    positions mod 2n/3.
     """
 
     n: int
@@ -48,7 +49,7 @@ class DistanceContext:
     neg_s_bits: int                # -S, the complement of S
     c_bits: int                    # C, the ab-cycle through state 2
     pos: list[int]                 # signed cycle position, per index
-    pos_masks: list[list[int]]     # per 8-bit slice: its bits -> position mask
+    pos_masks: list[list[int]]     # per 12-bit slice: its bits -> position mask
 
     def distance_by_index(self, i: int, j: int) -> int:
         """Asymmetric distance d(i, j) of two states both in S or both in -S.
@@ -89,13 +90,8 @@ def distance_context(n: int) -> DistanceContext:
             cur = step_ab[cur]
         pos[i] = on_cycle[cur]
         pos[negate_index(i, n)] = -pos[i]
-    pos_masks = []
-    for lo in range(0, 2 * n, 8):
-        table = [0]
-        for p in pos[lo:lo + 8]:
-            bit = 1 << p % cycle_len
-            table += [mask | bit for mask in table]
-        pos_masks.append(table)
+    pos_masks = [union_table(1 << p % cycle_len for p in pos[lo:lo + 12])
+                 for lo in range(0, 2 * n, 12)]
     return DistanceContext(n=n, dfa=dfa, cycle_len=cycle_len, s_bits=s_bits,
                            neg_s_bits=_negate_bits(s_bits, n), c_bits=c_bits, pos=pos,
                            pos_masks=pos_masks)
@@ -123,8 +119,8 @@ def measure(ctx: DistanceContext, bits: int) -> int:
     cl = ctx.cycle_len
     mask = 0
     for table in ctx.pos_masks:
-        mask |= table[bits & 255]
-        bits >>= 8
+        mask |= table[bits & 4095]
+        bits >>= 12
     # the unset bits of the mask written twice: every cyclic run of them
     # appears whole, and none is longer than it is around the cycle
     gaps = ~(mask | mask << cl) & ((1 << 2 * cl) - 1)
@@ -248,17 +244,6 @@ def _closure(starts, images) -> set:
     return seen
 
 
-def _subsets_of(members: list[int]) -> list[int]:
-    out = []
-    for mask in range(1, 1 << len(members)):
-        bits = 0
-        for i, q in enumerate(members):
-            if (mask >> i) & 1:
-                bits |= 1 << q
-        out.append(bits)
-    return out
-
-
 def _sampled(pool: list[int], members: list[int], smallest: int, rng: random.Random) -> list[int]:
     """The first _SAMPLES sets of `pool`, which is topped up in place to
     _SAMPLES with random subsets of `members`: a size drawn uniformly from
@@ -316,7 +301,7 @@ def verify_lemmas(n: int) -> LemmaReport:
 
     # L1: images of subsets of C that contain the top state stay inside C.
     c_members = set_members(ctx.c_bits)
-    subset_pool = _subsets_of(c_members)
+    subset_pool = union_table(1 << q for q in c_members)[1:]
     images = _closure(subset_pool, [lambda sets, s=s: [apply_set(dfa, bits, (s,)) for bits in sets]
                                     for s in range(dfa.k)])
     failures = 0
@@ -358,7 +343,7 @@ def verify_lemmas(n: int) -> LemmaReport:
     # L6: measure is a-invariant and grows by at most 1 under b.
     failures = 0
     if (1 << n) <= _SAMPLES:
-        s_subsets = _subsets_of(s_members)
+        s_subsets = union_table(1 << q for q in s_members)[1:]
     else:
         s_subsets = _sampled([state_set(c) for size in (2, 3) for c in combinations(s_members, size)],
                              s_members, 1, rng)

@@ -152,6 +152,15 @@ def state_set(states: Iterable[int]) -> int:
     return bits
 
 
+def union_table(bits: Iterable[int]) -> list[int]:
+    """table[m] = the union of bits[i] over the set bits i of m, built by
+    doubling: [0] for no bits."""
+    table = [0]
+    for b in bits:
+        table += [u | b for u in table]
+    return table
+
+
 def set_members(bits: int) -> list[int]:
     members = []
     while bits:

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable
 
 from .analysis import canonical_word, distance_context, min_sc_pair_increase, pair_increase_bound, verify_lemmas
-from .automaton import Dfa, IsoConvention, Word, apply_set, full_set, is_singleton
+from .automaton import Dfa, IsoConvention, Word, apply_set, full_set, is_singleton, union_table
 from .closure import f2_transform, f_transform, power_closure
 from .families import (
     FIXTURE_NAMES,
@@ -39,7 +39,6 @@ from .synchro import (
     optimal_sync_word,
     optimal_words,
     shortest_sync_length,
-    subset_images,
 )
 
 RANDOM_SEED = 20260809
@@ -319,18 +318,22 @@ def brute_force_optima(dfa: Dfa, max_len: int) -> tuple[int | None, int | None]:
     """(shortest sync length, minimal switch count) over all words up to max_len.
 
     Depth-first over the word tree, tracking the current subset and switch
-    count; a synchronizing prefix is recorded and not extended.  Branch and
-    bound: a prefix of length L and switch count sw is not extended once
-    L + 1 >= best_len and sw >= best_sw.  The prune is exact: extending a
-    prefix never lowers its length or its switch count, so every word below
-    it is at least as long as best_len and switches at least best_sw times,
-    and neither optimum, which only falls, can be beaten there.  Independent
-    of the search engines, with which it shares only the subset images:
-    nothing here looks at distances or closures.
+    count; a synchronizing prefix is recorded and not extended.  The empty
+    word comes first: if the full set is a singleton, that is (0, 0).
+    Branch and bound: a prefix of length L and switch count sw is not
+    extended once L + 1 >= best_len and sw >= best_sw.  The prune is exact:
+    extending a prefix never lowers its length or its switch count, so every
+    word below it is at least as long as best_len and switches at least
+    best_sw times, and neither optimum, which only falls, can be beaten
+    there.  The image of every subset under a symbol comes from one full
+    `union_table` of the symbol's targets: nothing is shared with the
+    search engines.
     """
     k = dfa.k
     full = full_set(dfa.n)
-    images = [image(range(full + 1)) for image in subset_images(dfa)]
+    if is_singleton(full):
+        return 0, 0
+    images = [union_table(1 << row[s] for row in dfa.rows) for s in range(k)]
     best_len: int | None = None
     best_sw: int | None = None
     stack = [(full, 0, 0, -1)]  # subset, length, switches, last symbol

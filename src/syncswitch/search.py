@@ -200,26 +200,39 @@ def _switch_counts_batch(n: int, tables: "np.ndarray"):
 
 
 class _Tally:
-    """The running result of one part of a scan."""
+    """The maximum, its tables and the counts so far of a scan part or a search."""
 
     def __init__(self):
         self.best, self.found, self.truncated = -1, [], False
         self.injective = self.nonsync = self.count = 0
 
+    def _at_max(self, sw: int) -> bool:
+        """Whether `sw` >= 0 is the maximum; a higher one drops the held tables and truncation."""
+        if sw > self.best:
+            self.best, self.found, self.truncated = sw, [], False
+        return sw == self.best >= 0
+
     def add(self, tables, weight, sw, rejected) -> None:
-        """Take in scored tables of the part, in index order."""
+        """Take in scored tables of a part in index order, at most `_COLLECT_CAP` held."""
         rejected_w = int(np.sum(weight * rejected))
         self.injective += rejected_w
         self.nonsync += int(np.sum(weight * (sw < 0))) - rejected_w
         self.count += int(weight.sum())
         best = int(sw.max(initial=-1))
-        if best > self.best:
-            self.best, self.found, self.truncated = best, [], False
-        if best == self.best >= 0:
+        if self._at_max(best):
             hits = np.nonzero(sw == best)[0]
             room = _COLLECT_CAP - sum(map(len, self.found))
             self.truncated |= hits.size > room
             self.found.append(tables[hits[:room]])
+
+    def merge(self, part: "_Tally", weight: int) -> None:
+        """Take in a finished part whose tables each stand for `weight`."""
+        self.injective += part.injective * weight
+        self.nonsync += part.nonsync * weight
+        self.count += part.count * weight
+        if self._at_max(part.best):
+            self.found += part.found
+            self.truncated |= part.truncated
 
 
 def _packed(pieces, size: int):
@@ -255,14 +268,10 @@ def _scan_numpy(n: int, k: int, parts, ranked: bool = False):
     under the centralizer of its map.  The survivors of all parts are
     packed into kernel batches of min(32768, _SCAN_ENTRIES >> n) tables.
 
-    Returns one tuple per part, (max_sw, tables, truncated, injective,
-    nonsync, count): the maximal switch count (-1 if no table
-    synchronizes), the representatives attaining it as a uint8 array of
-    shape (m, n, k) in index order, whether more than `_COLLECT_CAP` of
-    them were found, and how many tables were rejected as all-injective,
-    left non-synchronizing, or scanned at all.  Each representative counts
-    its orbit size in the last three (twice for a swap), so over all parts
-    of a map they count every table the map stands for.
+    Returns one `_Tally` per part: the maximum (-1 if none synchronizes), the
+    representatives at it as uint8 arrays (m, n, k) in index order, and the
+    tables rejected as injective, left non-synchronizing, or scanned, each
+    counting its orbit size (twice for a swap): a map's parts count them all.
     """
     chunk = min(32768, _SCAN_ENTRIES >> n)
     width = n * (k - 1)
@@ -305,9 +314,7 @@ def _scan_numpy(n: int, k: int, parts, ranked: bool = False):
             stop = start + len(tables)
             tallies[part].add(tables, weight, sw[start:stop], rejected[start:stop])
             start = stop
-    empty = np.empty((0, n, k), dtype=np.uint8)
-    return [(t.best, np.concatenate([empty] + t.found), t.truncated, t.injective, t.nonsync, t.count)
-            for t in tallies]
+    return tallies
 
 
 # ---------------------------------------------------------------------------
@@ -483,37 +490,30 @@ def _search(n, k, maps, workers, progress, ranked=False) -> ExtremalReport:
     groups = [[part] for part in parts] if pooled else [parts]
     jobs = [(_scan_numpy, n, k, group, ranked) for group in groups]
     workers = min(workers, len(jobs)) if pooled else 1
-    best, kept, truncated, scanned, elapsed = -1, [], False, 0, 0.0
+    total, elapsed = _Tally(), 0.0
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         run = pool.imap_unordered if workers > 1 else map
-        for (_, _, _, group, _), results, seconds in run(_timed, jobs):
+        for (_, _, _, group, _), tallies, seconds in run(_timed, jobs):
             elapsed += seconds
             rate = sum(hi - lo for _, lo, hi in group) / max(seconds, 1e-9)
-            for (fixed, lo, hi), (max_sw, tables, trunc, injective, nonsync, count) in zip(group, results):
+            for (fixed, lo, hi), part in zip(group, tallies):
                 weight = maps[fixed]
-                scanned += count * weight
+                total.merge(part, weight)
                 if progress:
-                    progress(f"SHARD a={','.join(map(str, fixed))} [{lo},{hi}) DONE max={max_sw} "
+                    progress(f"SHARD a={','.join(map(str, fixed))} [{lo},{hi}) DONE max={part.best} "
                              f"tables_per_s={rate:.0f} "
-                             f"injective={injective * weight} nonsync={nonsync * weight}")
-                # a shard below the running maximum holds no extremal
-                # table, so its truncation does not matter
-                if max_sw > best:
-                    best, kept, truncated = max_sw, [], False
-                if max_sw == best:
-                    kept.append(tables)
-                    truncated |= trunc
-        tables = np.concatenate(kept)
+                             f"injective={part.injective * weight} nonsync={part.nonsync * weight}")
+        tables = np.concatenate([np.empty((0, n, k), dtype=np.uint8)] + total.found)
         if ranked:
             tables = np.concatenate((tables, tables[:, :, [1, 0, *range(2, k)]]))
         parts = np.array_split(tables, max(1, min(workers, len(tables))))
         parts = list(run(_timed, [(_canonical_tables, n, k, part) for part in parts]))
     elapsed += sum(seconds for *_, seconds in parts)
     return ExtremalReport(
-        n=n, k=k, max_sw=best if best >= 0 else None,
+        n=n, k=k, max_sw=total.best if total.best >= 0 else None,
         forms={c: frozenset(Dfa(rows) for _, forms, _ in parts for rows in forms[c]) for c in IsoConvention},
-        scanned=scanned, elapsed=elapsed, wall_s=time.perf_counter() - t0,
-        complete=not truncated, workers=workers,
+        scanned=total.count, elapsed=elapsed, wall_s=time.perf_counter() - t0,
+        complete=not total.truncated, workers=workers,
     )
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 from itertools import compress, islice, repeat
 from typing import Callable, Iterable, Iterator
 
-from .automaton import Dfa, Word, full_set
+from .automaton import Dfa, Word, full_set, union_table
 
 
 class NotSynchronizingError(Exception):
@@ -52,10 +52,11 @@ _MAX_SEARCH_STATES = 24
 def subset_images(dfa: Dfa) -> list[Callable[[Iterable[int]], list[int]]]:
     """images[s](vs)[i] = the image under symbol s of the i-th state set in vs.
 
-    States are cut into two slices of 12.  Per symbol and slice, a table of
-    at most 4,096 entries maps the slice's bits of a set to their image, and
-    the image of the set is the union of its two slices' images, two lookups
-    a set (below 13 states the high slice has the one-entry table [0]).
+    States are cut into two slices of 12.  Per symbol and slice, a
+    `union_table` of at most 4,096 entries maps the slice's bits of a set
+    to their image, and the image of the set is the union of its two
+    slices' images, two lookups a set (below 13 states the high slice has
+    the one-entry table [0]).
     """
     n = dfa.n
     if n > _MAX_SEARCH_STATES:
@@ -63,20 +64,11 @@ def subset_images(dfa: Dfa) -> list[Callable[[Iterable[int]], list[int]]]:
             f"subset search over {n} states needs 2**{n} nodes; refusing"
         )
 
-    def by_slices(t0: list[int], t1: list[int]) -> Callable[[Iterable[int]], list[int]]:
+    def by_slices(s: int) -> Callable[[Iterable[int]], list[int]]:
+        t0, t1 = (union_table(1 << row[s] for row in dfa.rows[lo:lo + 12]) for lo in (0, 12))
         return lambda vs: [t0[v & 4095] | t1[v >> 12] for v in vs]
 
-    images = []
-    for s in range(dfa.k):
-        sliced = []
-        for lo in (0, 12):
-            table = [0]
-            for row in dfa.rows[lo:lo + 12]:
-                bit = 1 << row[s]
-                table += [image | bit for image in table]
-            sliced.append(table)
-        images.append(by_slices(*sliced))
-    return images
+    return [by_slices(s) for s in range(dfa.k)]
 
 
 def is_synchronizing(dfa: Dfa) -> bool:

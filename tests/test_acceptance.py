@@ -116,11 +116,10 @@ def test_criterion_13_oracle_agreement():
 
 def test_pruned_oracle_matches_plain_enumeration():
     """`brute_force_optima`'s branch and bound against plain word enumeration
-    (tests/oracles.py): every binary table with 2 or 3 states at max_len 6,
-    and check 13's 200 seeded 4-state tables at max_len 10, synchronizing or
-    not.  One state is left out: the oracle tries no empty word, so it reads
-    (1, 1) where the enumeration reads 0."""
-    cases = [(Dfa(rows), 6) for n in (2, 3) for rows in checks._all_binary_tables(n)]
+    (tests/oracles.py): every binary table with 1, 2 or 3 states at max_len
+    6, and check 13's 200 seeded 4-state tables at max_len 10, synchronizing
+    or not."""
+    cases = [(Dfa(rows), 6) for n in (1, 2, 3) for rows in checks._all_binary_tables(n)]
     rng = random.Random(checks.RANDOM_SEED)
     cases += [(Dfa([[rng.randrange(4), rng.randrange(4)] for _ in range(4)]), 10)
               for _ in range(200)]

@@ -8,7 +8,6 @@ from syncswitch import analysis
 from syncswitch.analysis import (
     _block_maps,
     _closure,
-    _subsets_of,
     _walk,
     canonical_word,
     distance_context,
@@ -17,7 +16,7 @@ from syncswitch.analysis import (
     pair_increase_bound,
     verify_lemmas,
 )
-from syncswitch.automaton import apply_set, full_set, is_singleton, set_members, state_set
+from syncswitch.automaton import apply_set, full_set, is_singleton, set_members, state_set, union_table
 from syncswitch.families import a_family, b_family, negate_index, s_set, signed_to_index
 from syncswitch.synchro import min_switch_count
 
@@ -135,7 +134,7 @@ def _measure_by_pairs(table, bits):
 def test_measure_matches_pairwise_definition(ctx6):
     table = _distances_by_definition(ctx6)
     s_members = set_members(ctx6.s_bits)
-    for bits in _subsets_of(s_members):
+    for bits in union_table(1 << q for q in s_members)[1:]:
         assert measure(ctx6, bits) == _measure_by_pairs(table, bits)
     for n in (12, 18):
         ctx = distance_context(n)
@@ -146,7 +145,7 @@ def test_measure_matches_pairwise_definition(ctx6):
             sample = rng.sample(s_members, rng.randint(1, len(s_members)))
             for bits in (state_set(sample), state_set(negate_index(i, n) for i in sample)):
                 assert measure(ctx, bits) == _measure_by_pairs(table, bits)
-        # S and -S whole, and every singleton: at n = 18 the 36 states fill 5 slices
+        # S and -S whole, and every singleton: at n = 18 the 36 states fill 3 slices
         for bits in [ctx.s_bits, ctx.neg_s_bits] + [1 << i for i in range(2 * n)]:
             assert measure(ctx, bits) == _measure_by_pairs(table, bits)
 
@@ -323,7 +322,7 @@ def test_closure_matches_per_start_searches(n, images, pairs):
     ctx = distance_context(n)
     dfa = ctx.dfa
     c_members = set_members(ctx.c_bits)
-    pool = _subsets_of(c_members)
+    pool = union_table(1 << q for q in c_members)[1:]
     # the per-start searches stop at depth 4n, the unbounded closure does
     # not: equal sets show that such a depth bound would cut nothing
     union = set().union(*(_reachable_sets(dfa, bits, 4 * n) for bits in pool))

@@ -1,3 +1,7 @@
+import random
+from functools import reduce
+from operator import or_
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ from syncswitch.automaton import (
     serialize_dfa,
     set_members,
     switch_count,
+    union_table,
 )
 from syncswitch.families import cerny
 from syncswitch.search import canonical_form
@@ -114,6 +119,17 @@ def test_apply_set_cardinality_monotone(dfa, data):
         cur = apply_set(dfa, cur, [s])
         sizes.append(cur.bit_count())
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+
+
+def test_union_table():
+    assert union_table([]) == [0]
+    rng = random.Random(0)
+    for size in range(14):
+        bits = [rng.getrandbits(24) for _ in range(size)]
+        table = union_table(bits)
+        assert len(table) == 1 << size
+        for m, union in enumerate(table):
+            assert union == reduce(or_, (bits[i] for i in set_members(m)), 0)
 
 
 # ---------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from itertools import permutations, product
 from math import factorial
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -88,11 +89,16 @@ def _rows(table):
     return tuple(map(tuple, table.tolist()))
 
 
+def _found(tally):
+    """The tables a scan tally holds, as row tuples in index order."""
+    return [_rows(t) for tables in tally.found for t in tables]
+
+
 def _assert_orbits_cover(fast, ref, fixed):
     # the scan keeps one extremal table per orbit; the orbits of the kept
     # tables are disjoint and together hold every extremal table
-    assert fast[0] == ref[0]
-    orbits = [_conjugates(rows, fixed) for rows in map(_rows, fast[1])]
+    assert fast.best == ref[0]
+    orbits = [_conjugates(rows, fixed) for rows in _found(fast)]
     closure = set().union(*orbits)
     assert sum(map(len, orbits)) == len(closure)
     assert closure == set(ref[1])
@@ -139,8 +145,8 @@ def test_engines_agree_on_n4_slice():
     assert len(search._centralizer(4, fixed)) == 1
     ref = _scan_reference(4, 3, lo, hi, fixed)
     (fast,) = _scan_numpy(4, 3, [(fixed, lo, hi)])
-    assert fast[0] == ref[0]
-    assert [_rows(t) for t in fast[1]] == ref[1]
+    assert fast.best == ref[0]
+    assert _found(fast) == ref[1]
 
 
 def test_engines_agree_cyclic():
@@ -210,7 +216,8 @@ def test_driver_completeness_follows_the_winner(monkeypatch):
     # one shard per map: at n=3 the maps reaching the maximum 3 keep at
     # most 3 orbit representatives each under the symbol order, and losing
     # maps keep more
-    kept = [_scan_numpy(3, 2, [(f, 0, 27)], True)[0][:2] for f in search._class_representatives(3)]
+    kept = [(t.best, _found(t)) for f in search._class_representatives(3)
+            for t in _scan_numpy(3, 2, [(f, 0, 27)], True)]
     assert max(len(t) for sw, t in kept if sw == 3) == 3
     assert max(len(t) for sw, t in kept if sw < 3) > 3
     full = extremal_search(3)
@@ -231,8 +238,8 @@ def test_truncation_resets_when_the_maximum_rises(monkeypatch):
     # over the cap, and the second holds the only table with 2
     monkeypatch.setattr(search, "_COLLECT_CAP", 1)
     monkeypatch.setattr(search, "_SCAN_ENTRIES", 16)
-    ((max_sw, tables, truncated, *_),) = _scan_numpy(3, 2, [((1, 0, 0), 0, 4)])
-    assert (max_sw, len(tables), truncated) == (2, 1, False)
+    (tally,) = _scan_numpy(3, 2, [((1, 0, 0), 0, 4)])
+    assert (tally.best, len(_found(tally)), tally.truncated) == (2, 1, False)
 
 
 def test_packed_batches_match_parts_alone(monkeypatch):
@@ -241,7 +248,7 @@ def test_packed_batches_match_parts_alone(monkeypatch):
     # symbol 1 ranked at or above the identity, so the mask empties it
     parts = [((0, 1, 2), 0, 5)] + [(f, 2, 25) for f in search._class_representatives(3)]
     alone = [_scan_numpy(3, 2, [part], True)[0] for part in parts]
-    assert alone[0][0] == -1 and alone[0][3:] == (0, 0, 0)
+    assert (alone[0].best, alone[0].injective, alone[0].nonsync, alone[0].count) == (-1, 0, 0, 0)
     sizes = []
     kernel = search._switch_counts_batch
     monkeypatch.setattr(search, "_switch_counts_batch", lambda n, t: sizes.append(len(t)) or kernel(n, t))
@@ -249,9 +256,10 @@ def test_packed_batches_match_parts_alone(monkeypatch):
     packed = _scan_numpy(3, 2, parts, True)
     # every batch but the last is full, so batches cross part boundaries
     assert len(sizes) > 2 and set(sizes[:-1]) == {5}
+    fields = attrgetter("best", "truncated", "injective", "nonsync", "count")
     for one, many in zip(alone, packed):
-        assert one[:1] + one[2:] == many[:1] + many[2:]
-        assert np.array_equal(one[1], many[1])
+        assert fields(one) == fields(many)
+        assert _found(one) == _found(many)
 
 
 @pytest.mark.parametrize("grain", [search.POOL_GRAIN, 0])
@@ -382,8 +390,8 @@ def test_rank_mask_reads_the_leading_digit():
         for f, m in index.items():
             conjugates = _conjugates(tuple(zip(fixed, f)), fixed)
             least = min(index[tuple(row[1] for row in rows)] for rows in conjugates) == m
-            ((*_, count),) = _scan_numpy(3, 3, [(fixed, 27 * m, 27 * m + 27)], True)
-            assert (count > 0) == (rank[m] >= rank[index[fixed]] and least)
+            (tally,) = _scan_numpy(3, 3, [(fixed, 27 * m, 27 * m + 27)], True)
+            assert (tally.count > 0) == (rank[m] >= rank[index[fixed]] and least)
 
 
 def test_cyclic_forms_recheck():
