@@ -253,27 +253,13 @@ def _sampled(pool: list[int], members: list[int], smallest: int, rng: random.Ran
     return pool[:_SAMPLES]
 
 
-def _block_maps(dfa: Dfa) -> list[list[int]]:
-    """blocks[w]: the state map of each 4-letter binary word w, its first
-    letter in the high bit."""
-    rows = dfa.rows
-    blocks = [list(range(dfa.n))]
-    for _ in range(4):
-        blocks = [[rows[q][s] for q in m] for m in blocks for s in (0, 1)]
-    return blocks
-
-
-def _walk(dfa: Dfa, blocks: list[list[int]], states: list[int], word: list[int]) -> list[int]:
-    """The states that `word` leads `states` to, in order: four letters a
-    step through `blocks` (`_block_maps(dfa)`), then the last len(word) % 4
-    one at a time."""
-    rows = dfa.rows
-    cut = len(word) - len(word) % 4
-    for i in range(0, cut, 4):
-        m = blocks[word[i] << 3 | word[i + 1] << 2 | word[i + 2] << 1 | word[i + 3]]
-        states = [m[q] for q in states]
-    for s in word[cut:]:
-        states = [rows[q][s] for q in states]
+def _walk(tables: list[bytes], states: bytes, word: list[int]) -> bytes:
+    """The states that `word` leads `states` to, in order: one
+    `bytes.translate` per letter, through `tables[s]`, symbol s's column
+    padded to 256 bytes.  Each state fits in one byte: `verify_lemmas`
+    refuses n >= 24, so `b_family(n)` has at most 46 states."""
+    for s in word:
+        states = states.translate(tables[s])
     return states
 
 
@@ -382,22 +368,21 @@ def verify_lemmas(n: int) -> LemmaReport:
     # bound applies it.  On arbitrary subsets of S the statement can fail:
     # a member equivalent to the top state takes the exceptional distance
     # jump under b, which the accompanying case analysis does not cover.
-    blocks = _block_maps(dfa)
+    # Each word walks the members at once, one byte-translation per letter.
+    tables = [bytes(dfa.column(s)).ljust(256, b"\0") for s in range(dfa.k)]
     failures = 0
     pool = _sampled(subset_pool + [_negate_bits(bits, n) for bits in subset_pool], c_members, 2, rng)
     for bits in pool:
         wlen = rng.randint(1, 4 * n)
         w = rng.choices((0, 1), k=wlen)
-        # one state map per word: follow each member through the word
         members = set_members(bits)
-        targets = _walk(dfa, blocks, members, w)
-        image_of = dict(zip(members, targets))
+        targets = _walk(tables, bytes(members), w)
         mu_a = measure(ctx, bits)
         mu_w = measure(ctx, state_set(targets))
         ok = False
-        for p in members:
-            for q in members:
-                if d(p, q) <= mu_a and d(image_of[p], image_of[q]) == mu_w:
+        for p, pw in zip(members, targets):
+            for q, qw in zip(members, targets):
+                if d(p, q) <= mu_a and d(pw, qw) == mu_w:
                     ok = True
                     break
             if ok:

@@ -112,10 +112,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_closure(args) -> int:
     closed, provenance = power_closure(_read_dfa(args.file))
-    sys.stdout.write(serialize_dfa(closed))
-    for i, (base, exp) in enumerate(provenance):
-        if exp > 1:
-            print(f"# s{i} = {Word([base]).letters()}^{exp}")
+    # rendered first: a base past 'z' is refused before anything is written
+    powers = "".join(f"# s{i} = {Word([base]).letters()}^{exp}\n"
+                     for i, (base, exp) in enumerate(provenance) if exp > 1)
+    sys.stdout.write(serialize_dfa(closed) + powers)
     return 0
 
 

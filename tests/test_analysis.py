@@ -6,7 +6,6 @@ import pytest
 
 from syncswitch import analysis
 from syncswitch.analysis import (
-    _block_maps,
     _closure,
     _walk,
     canonical_word,
@@ -339,16 +338,16 @@ def test_closure_matches_per_start_searches(n, images, pairs):
 
 @pytest.mark.parametrize("n", [6, 12])
 def test_walk_matches_letter_by_letter(n):
-    # every binary word of length 0..9, so every remainder mod 4 is walked
+    # every binary word of length 0..9, from all 2n states
     dfa = b_family(n)
-    blocks = _block_maps(dfa)
+    tables = [bytes(dfa.column(s)).ljust(256, b"\0") for s in range(dfa.k)]
     states = list(range(2 * n))
     for length in range(10):
         for word in product((0, 1), repeat=length):
             targets = states
             for s in word:
                 targets = [dfa.rows[q][s] for q in targets]
-            assert _walk(dfa, blocks, states, list(word)) == targets
+            assert list(_walk(tables, bytes(states), list(word))) == targets
 
 
 def test_closure_cap():

@@ -216,6 +216,18 @@ def test_closure_output(capsys, monkeypatch):
     parse_dfa(out)  # comments are ignored on re-parse
 
 
+def test_closure_refuses_a_power_past_z(capsys, monkeypatch):
+    # symbol 27 is a 3-cycle: its square s28 has no letter for its base, so nothing is written
+    text = serialize_dfa(Dfa([[(q + 1) % 3 if s == 27 else q for s in range(28)]
+                              for q in range(3)]))
+    assert "26 symbols" in _refusal(capsys, "closure", "-", stdin=text, monkeypatch=monkeypatch)
+    # the same 28 symbols with symbol 0 the 3-cycle: its power renders
+    text = serialize_dfa(Dfa([[(q + 1) % 3 if s == 0 else q for s in range(28)]
+                              for q in range(3)]))
+    code, out, _ = run_cli(capsys, "closure", "-", stdin=text, monkeypatch=monkeypatch)
+    assert code == 0 and out.startswith("3 29\n") and out.endswith("# s28 = a^2\n")
+
+
 def test_transform_output(capsys, monkeypatch):
     text = serialize_dfa(cerny(4))
     code, out, _ = run_cli(capsys, "transform", "f", "-", stdin=text, monkeypatch=monkeypatch)
