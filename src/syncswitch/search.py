@@ -11,7 +11,10 @@ the centralizer of the map, the least index, and one numpy kernel scores
 the survivors of many parts in batches of whole tables.  The parent keeps
 the tables at the running maximum and canonicalizes them, with their
 swaps, once, after the last shard; `canonical_form` is the one-table
-call.  It tries all n! relabelings, so every entry point refuses n > 9.
+call.  It reads every relabeled table as a base-n number and takes the
+least, the keys of a whole batch under all n! k! relabelings coming from
+one float64 matrix product, so every entry point refuses n > 9 and more
+than 9! 3! relabelings.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 from multiprocessing import Pool
 from typing import Callable
@@ -45,8 +48,8 @@ _COLLECT_CAP = 100_000
 # and a kernel batch holds as many: 4,096 at n = 9, the most states a
 # search takes.  The 32,768 cap bounds memory, not time: the int64 digit
 # decode `idx[:, None] // powers` takes b * n(k-1) * 8 bytes, so cyclic
-# (2,13), which needs no long=True, decodes 6.3 MB a batch with it against
-# about 100 MB (524,288 tables * 24 digits) without.
+# (3,6), which needs no long=True, decodes 3.9 MB a batch with it against
+# 31 MB (262,144 tables * 15 digits) without.
 _SCAN_ENTRIES = 1 << 21
 
 
@@ -295,8 +298,9 @@ def _scan_numpy(n: int, k: int, parts, ranked: bool = False):
                     keep = rank1 >= rank0
                     idx, weight = idx[keep], weight[keep] << (rank1[keep] > rank0)
                 free = (idx[:, None] // powers % n).astype(np.int16).reshape(idx.size, k - 1, n)
-                # a conjugate's index: its digits, relabeled by the gather
-                # of `_canonical_tables`, dotted with the place values
+                # a conjugate's index: its digits, relabeled (old state
+                # perm[p] placed at p, every target q renamed rank_of[q]),
+                # dotted with the place values
                 least = np.ones(idx.size, dtype=bool)
                 stabilizer = np.ones(idx.size, dtype=np.int64)
                 for perm, rank_of in relabelings:
@@ -321,20 +325,42 @@ def _scan_numpy(n: int, k: int, parts, ranked: bool = False):
 # Canonicalization
 #
 # Extremal searches can surface tens of thousands of tables attaining the
-# maximum (the cyclic spaces especially), so the n!-candidate minimization
-# is vectorized: all relabeled tables of a chunk are built at once, and each
-# candidate's n*k uint8 entries are compared as one fixed-width byte string,
-# which orders exactly as the row tuples do, so the least keys, read back as
-# bytes, are the forms.  The gather that builds the candidates reads them
-# as 8-byte indices, so one gather holds at most _CANONICAL_BUDGET entries
-# (32 MiB of indices): whole tables when one table's n! candidates fit,
-# else a slice of one table's permutations.
+# maximum (the cyclic spaces especially), so the n! k!-candidate
+# minimization is one matrix product per batch.  A candidate table's n*k
+# entries, read row by row as base-n digits, are one number, so the
+# lexicographic order of candidates is the numeric order of their keys.
+# The key of relabeling j is linear in the one-hot encoding of the table:
+# entry (q, s) = x adds ranks[j, x] at the place of entry (ranks[j, q], s).
+# So the one-hot rows of a batch of (table, symbol order) pairs times a
+# matrix of those coefficients, one column per permutation, gives every
+# key at once in float64, the least per row being the form.  float64 holds
+# integers below 2^53 exactly, and so does every partial sum of a key, so
+# the candidate rows are split into blocks of as many rows as keep a
+# block's keys below 2^53: one block up to (8,2), (6,3), (5,4) and (4,5),
+# two for (9,2) and (7..9,3).  A later block's keys are computed only for
+# the permutations that tie on the earlier blocks.  No coefficient slice,
+# one-hot batch or key matrix holds more than _CANONICAL_BUDGET entries
+# (8 MiB of float64): whole tables when a batch's permutations fit, else a
+# slice of them.  A larger budget only costs: at four times this one a
+# 9-state binary table's coefficient slices no longer stay in cache
+# between building and product, so its keys take twice as long, and the
+# key matrix of cyclic (7,2) raises the search's peak RSS by a third.
 # `_perm_arrays` holds all n! permutations, so `canonical_form` and both
-# searches refuse tables past _CANONICAL_MAX_STATES states (9! = 362,880).
+# searches refuse tables past _CANONICAL_MAX_STATES states (9! = 362,880)
+# and past _CANONICAL_MAX_RELABELINGS relabelings n! k! (9! 3!, the
+# largest size the tests canonicalize).
 # ---------------------------------------------------------------------------
 
 _CANONICAL_MAX_STATES = 9
-_CANONICAL_BUDGET = 1 << 22
+_CANONICAL_MAX_RELABELINGS = 2_177_280
+_CANONICAL_BUDGET = 1 << 20
+
+
+def _refuse_many_relabelings(n: int, k: int) -> None:
+    """Refuse tables whose canonical form tries more than _CANONICAL_MAX_RELABELINGS relabelings."""
+    if factorial(n) * factorial(k) > _CANONICAL_MAX_RELABELINGS:
+        raise ValueError(f"the {n}! * {k}! relabelings of a {n}-state {k}-symbol table "
+                         f"exceed {_CANONICAL_MAX_RELABELINGS:,}")
 
 
 @lru_cache(maxsize=8)
@@ -359,44 +385,85 @@ def _centralizer(n: int, fixed: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(np.nonzero((_conjugates(n, fixed) == fixed).all(axis=1))[0].tolist())
 
 
+def _least(keys: "np.ndarray") -> "np.ndarray":
+    """Lexicographic least along axis -2 of key tuples, one block per entry
+    of the last axis."""
+    keys = keys.copy()
+    for b in range(keys.shape[-1]):
+        keys[keys[..., b] > keys[..., b].min(axis=-1, keepdims=True)] = np.inf
+    return keys.min(axis=-2)
+
+
 def _canonical_tables(n: int, k: int, tables) -> dict[IsoConvention, set[tuple]]:
     """Canonical forms of many n-state k-symbol tables under both conventions.
 
     A form is the lexicographically minimal table over all state
     relabelings, and under STATES_AND_SYMBOLS over all symbol orders too.
+    Each relabeled table is a key, its entries row by row as base-n digits,
+    in blocks of candidate rows whose keys stay below 2^53; each block's
+    keys for a batch of (table, symbol order) rows and a slice of the
+    permutations are one float64 product of the rows' one-hot encodings
+    with the coefficients of those permutations.
     """
     out: dict[IsoConvention, set[tuple]] = {c: set() for c in IsoConvention}
-    perms, ranks = _perm_arrays(n)
-    nperm = perms.shape[0]
-    width = n * k
-    chunk = max(1, _CANONICAL_BUDGET // (nperm * width))
-    piece = _CANONICAL_BUDGET // width
-    arr = np.array(tables, dtype=np.uint8)  # (m, n, k)
+    _, ranks = _perm_arrays(n)
+    nperm, width = ranks.shape[0], n * n * k
+    piece = max(1, _CANONICAL_BUDGET // width)  # permutations per product
+    batch = max(1, _CANONICAL_BUDGET // max(width, min(piece, nperm)))  # one-hot rows per product
+    step = min(factorial(k), batch)  # symbol orders per batch
+    chunk = max(1, batch // factorial(k))  # tables per batch
+    # entry p*k + s of a candidate sits in block `block`, at place `place`
+    span = max(r for r in range(1, n + 1) if n ** (r * k) <= 1 << 53)
+    pos = np.arange(n * k)
+    block = pos // (span * k)
+    place = np.power(n, np.minimum((block + 1) * span, n) * k - 1 - pos, dtype=np.int64)
+    # weights[b][s, p]: the place of entry (p, s) in block b, else 0
+    weights = [np.where(block == b, place, 0).reshape(n, k).T.astype(np.float64)
+               for b in range(block[-1] + 1)]
+    ranks_t = np.ascontiguousarray(ranks.T)
+
+    def coefficients(b, r):
+        # for the m permutations whose ranks are the columns of r, shape
+        # (n, m): row (s, q, x), column j holds r[x, j] at the place of
+        # entry (r[q, j], s)
+        return (np.take(weights[b], r, axis=1)[:, :, None, :] * r).reshape(width, -1)
+
+    def least_keys(onehot):
+        # each one-hot row's least key over all permutations, one column per block
+        best = None
+        for lo in range(0, nperm, piece):
+            sel = np.arange(lo, min(lo + piece, nperm))
+            keys = onehot @ coefficients(0, ranks_t[:, lo:lo + piece])
+            found = [keys.min(axis=1)]
+            for b in range(1, len(weights)):
+                tie = keys == found[-1][:, None]
+                hit = tie.any(axis=0)
+                sel, tie = sel[hit], tie[:, hit]
+                keys = onehot @ coefficients(b, ranks_t[:, sel])
+                keys[~tie] = np.inf
+                found.append(keys.min(axis=1))
+            found = np.stack(found, axis=1)
+            best = found if best is None else _least(np.stack((best, found), axis=1))
+        return best
+
+    def forms(keys):
+        digits = keys.astype(np.int64)[:, block] // place % n
+        return (tuple(map(tuple, t)) for t in digits.reshape(-1, n, k).tolist())
+
+    arr = np.array(tables, dtype=np.intp).reshape(-1, n, k)
     for start in range(0, arr.shape[0], chunk):
         sub = arr[start:start + chunk]
-        rows = np.arange(sub.shape[0])
-        best = None
-        for sym in permutations(range(k)):
-            cols = sub[:, :, list(sym)]
-            least = None
-            for lo in range(0, nperm, piece):
-                # candidate j places old state perms[j, p] at index p and
-                # renames every target q to ranks[j, q]
-                jidx = np.arange(lo, min(lo + piece, nperm))[None, :, None, None]
-                cand = ranks[jidx, cols[:, perms[lo:lo + piece], :]]  # (ms, piece, n, k)
-                keys = np.ascontiguousarray(cand).reshape(len(rows), -1, width).view(f"S{width}")[:, :, 0]
-                keys = keys[rows, keys.argmin(axis=1)]
-                least = keys if least is None else np.where(keys < least, keys, least)
+        best, symbol_orders = None, permutations(range(k))
+        while orders := list(islice(symbol_orders, step)):
+            cols = sub[:, :, orders].transpose(0, 2, 3, 1)  # (tables, orders, k, n)
+            onehot = (cols[..., None] == np.arange(n)).reshape(-1, width).astype(np.float64)
+            keys = least_keys(onehot).reshape(len(sub), -1, len(weights))
             if best is None:  # the identity symbol order comes first
-                out[IsoConvention.STATES_ONLY].update(_forms(least, n, k))
-            best = least if best is None else np.where(least < best, least, best)
-        out[IsoConvention.STATES_AND_SYMBOLS].update(_forms(best, n, k))
+                out[IsoConvention.STATES_ONLY].update(forms(keys[:, 0]))
+            keys = _least(keys)
+            best = keys if best is None else _least(np.stack((best, keys), axis=1))
+        out[IsoConvention.STATES_AND_SYMBOLS].update(forms(best))
     return out
-
-
-def _forms(keys, n: int, k: int):
-    """The tables whose entries are the bytes of `keys`, as row tuples."""
-    return (tuple(map(tuple, t)) for t in keys.view(np.uint8).reshape(-1, n, k).tolist())
 
 
 def canonical_form(dfa: Dfa) -> Dfa:
@@ -406,10 +473,12 @@ def canonical_form(dfa: Dfa) -> Dfa:
     Two automata are isomorphic up to renaming states and symbols iff their
     canonical forms are equal.  Explicit minimization over n! k!
     relabelings; only intended for the small automata that come out of
-    extremal searches.
+    extremal searches: n > 9 and more than _CANONICAL_MAX_RELABELINGS
+    relabelings are refused.
     """
     if dfa.n > _CANONICAL_MAX_STATES:
         raise ValueError(f"canonical_form supports at most {_CANONICAL_MAX_STATES} states")
+    _refuse_many_relabelings(dfa.n, dfa.k)
     (rows,) = _canonical_tables(dfa.n, dfa.k, [dfa.rows])[IsoConvention.STATES_AND_SYMBOLS]
     return Dfa(rows)
 
@@ -535,9 +604,11 @@ def extremal_search(
     search; it counts n^(n(k-1)) tables per class for ceil(n^n / n!)
     classes, a lower bound on their number, and the n^n maps that the
     class list marks (past it only at n = 9).  n > 9 is refused, and so
-    is n^(n(k-1)) >= 2^63, past the scan's int64 index.  `parallelism` is
-    an upper bound on the worker processes: a space below POOL_GRAIN
-    tables starts no pool.  Returns the maximum and the extremal forms.
+    is n^(n(k-1)) >= 2^63, past the scan's int64 index, and so are more
+    than _CANONICAL_MAX_RELABELINGS relabelings n! k! of a kept table.
+    `parallelism` is an upper bound on the worker processes: a space
+    below POOL_GRAIN tables starts no pool.  Returns the maximum and the
+    extremal forms.
     """
     if n < 2 or k < 1:
         raise ValueError("extremal_search needs n >= 2 and k >= 1")
@@ -549,6 +620,7 @@ def extremal_search(
         raise ValueError("need at least one worker")
     # ceil(n^n / n!) classes, a lower bound on their number
     _refuse_past_threshold(n ** (n * (k - 1)) * -(-n ** n // factorial(n)), "tables", long)
+    _refuse_many_relabelings(n, k)
     return _search(n, k, _class_representatives(n), parallelism, progress, k > 1)
 
 
@@ -567,8 +639,10 @@ def cyclic_extremal_search(
     of those tables only one per orbit under the n rotations that commute
     with the cycle is scanned and canonicalized.  `scanned` still counts
     all n^(n(k-1)) tables, and 2^63 or more are refused, past the scan's
-    int64 index.  `parallelism` is an upper bound on the worker
-    processes: a space below POOL_GRAIN tables starts no pool.
+    int64 index, and so are more than _CANONICAL_MAX_RELABELINGS
+    relabelings n! k! of a kept table.  `parallelism` is an upper bound
+    on the worker processes: a space below POOL_GRAIN tables starts no
+    pool.
     """
     if not 2 <= n <= _CANONICAL_MAX_STATES:
         raise ValueError(f"cyclic search supports 2 <= n <= {_CANONICAL_MAX_STATES}")
@@ -578,4 +652,5 @@ def cyclic_extremal_search(
     if parallelism < 1:
         raise ValueError("need at least one worker")
     _refuse_past_threshold(n ** (n * (k - 1)), "tables", long)
+    _refuse_many_relabelings(n, k)
     return _search(n, k, {tuple((q + 1) % n for q in range(n)): 1}, parallelism, progress)

@@ -281,6 +281,11 @@ def test_search_past_a_64_bit_index_exit(capsys):
         assert "64-bit index" in _refusal(capsys, *argv, "--long", "--jobs", "1")
 
 
+def test_search_past_the_relabeling_bound_exit(capsys):
+    # 2^24 cyclic tables need no --long, but 2! 13! relabelings are refused
+    assert "relabelings" in _refusal(capsys, "cyclic-search", "--n", "2", "--k", "13", "--jobs", "1")
+
+
 def test_verify_paper_needs_a_worker(capsys):
     # refused before any check runs, so no check's progress line is printed
     assert "at least one worker" in _refusal(capsys, "verify-paper", "--jobs", "0")

@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 from collections import Counter
 from itertools import permutations, product
 from math import factorial
@@ -11,6 +12,7 @@ import pytest
 from oracles import brute_canonical_form, decode_table
 from syncswitch import search
 from syncswitch.automaton import Dfa, IsoConvention
+from syncswitch.families import p_variant
 from syncswitch.search import (
     canonical_form,
     cyclic_extremal_search,
@@ -595,3 +597,35 @@ def test_canonical_split_candidates_match(monkeypatch, k):
     whole = search._canonical_tables(8, k, tables)
     monkeypatch.setattr(search, "_CANONICAL_BUDGET", 3001 * 8 * k)
     assert search._canonical_tables(8, k, tables) == whole
+
+
+@pytest.mark.parametrize("n, k, count", [(6, 4, 4), (5, 5, 4), (7, 3, 4), (1, 3, 2), (1, 1, 1), (5, 1, 6)])
+def test_canonical_key_blocks_match_reference(n, k, count):
+    # at (6,4), (5,5) and (7,3) a candidate's n*k base-n digits pass 2^53,
+    # so its key is two blocks of rows, the second scored only on the
+    # permutations that tie on the first; n = 1 has the one key 0, and
+    # k = 1 one symbol order.  The tables share one batch, so a
+    # permutation that ties for one (table, symbol order) row is scored
+    # on every row.
+    rng = random.Random(n * 100 + k)
+    dfas = [Dfa([[rng.randrange(n) for _ in range(k)] for _ in range(n)]) for _ in range(count)]
+    forms = search._canonical_tables(n, k, [d.rows for d in dfas])
+    for conv in IsoConvention:
+        assert forms[conv] == {brute_canonical_form(d, conv).rows for d in dfas}
+
+
+def test_relabeling_bound(monkeypatch):
+    # 9! 3! relabelings is the largest size canonicalized; 7! 7! is refused
+    # before anything is built, by canonical_form and by both searches
+    for name in ("_perm_arrays", "_class_representatives", "_search"):
+        monkeypatch.setattr(search, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    search._refuse_many_relabelings(9, 3)
+    search._refuse_many_relabelings(3, 9)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="relabelings"):
+        canonical_form(p_variant(7))
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match="relabelings"):
+        extremal_search(2, 10)
+    with pytest.raises(ValueError, match="relabelings"):
+        cyclic_extremal_search(2, 13)
