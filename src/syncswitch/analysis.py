@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .automaton import Dfa, Word, apply_set, set_members, state_set, union_table
+from .automaton import Dfa, Word, set_members, state_set, union_table
 from .families import b_family, negate_index, s_set, signed_to_index
 from .synchro import _levels
 
@@ -117,10 +117,7 @@ def measure(ctx: DistanceContext, bits: int) -> int:
     if bits & ~ctx.s_bits and bits & ~ctx.neg_s_bits:
         raise ValueError("measure needs a set inside S or inside -S")
     cl = ctx.cycle_len
-    mask = 0
-    for table in ctx.pos_masks:
-        mask |= table[bits & 4095]
-        bits >>= 12
+    mask = _sliced_union(ctx.pos_masks, bits)
     # the unset bits of the mask written twice: every cyclic run of them
     # appears whole, and none is longer than it is around the cycle
     gaps = ~(mask | mask << cl) & ((1 << 2 * cl) - 1)
@@ -129,6 +126,16 @@ def measure(ctx: DistanceContext, bits: int) -> int:
         gaps &= gaps >> 1
         gap += 1
     return gap
+
+
+def _sliced_union(tables: list[list[int]], bits: int) -> int:
+    """The union of tables[i][slice i of bits] over the 12-bit slices of a
+    state set: its image, or its position mask under `pos_masks`."""
+    union = 0
+    for table in tables:
+        union |= table[bits & 4095]
+        bits >>= 12
+    return union
 
 
 def _pair_images(dfa: Dfa) -> list:
@@ -288,8 +295,11 @@ def verify_lemmas(n: int) -> LemmaReport:
     # L1: images of subsets of C that contain the top state stay inside C.
     c_members = set_members(ctx.c_bits)
     subset_pool = union_table(1 << q for q in c_members)[1:]
-    images = _closure(subset_pool, [lambda sets, s=s: [apply_set(dfa, bits, (s,)) for bits in sets]
-                                    for s in range(dfa.k)])
+    # per symbol and 12-bit slice of a set, its bits -> their image
+    slices = [[union_table(1 << row[s] for row in dfa.rows[lo:lo + 12]) for lo in range(0, 2 * n, 12)]
+              for s in range(dfa.k)]
+    images = _closure(subset_pool, [lambda sets, t=t: [_sliced_union(t, bits) for bits in sets]
+                                    for t in slices])
     failures = 0
     for img in images:
         if (img >> n_idx) & 1 and img & ~ctx.c_bits:
@@ -335,9 +345,9 @@ def verify_lemmas(n: int) -> LemmaReport:
                              s_members, 1, rng)
     for bits in s_subsets:
         mu = measure(ctx, bits)
-        if measure(ctx, apply_set(dfa, bits, (0,))) != mu:
+        if measure(ctx, _sliced_union(slices[0], bits)) != mu:
             failures += 1
-        mu_b = measure(ctx, apply_set(dfa, bits, (1,)))
+        mu_b = measure(ctx, _sliced_union(slices[1], bits))
         if mu_b > mu + 1:
             failures += 1
         if not (bits >> n_idx) & 1 and mu_b != mu:
@@ -352,7 +362,7 @@ def verify_lemmas(n: int) -> LemmaReport:
     failures = 0
     raises_seen = 0
     for s in word:
-        nxt = apply_set(dfa, bits, (s,))
+        nxt = _sliced_union(slices[s], bits)
         mu_next = measure(ctx, nxt)
         if s == 1 and mu_next == mu + 1:
             raises_seen += 1

@@ -3,16 +3,19 @@ length, minimal switch count, composite (switch, length) optimization, and
 optimal-word counting and enumeration.
 
 Every subset engine searches forward from the full state set and keeps
-state only for the subsets it reaches, computing their images from two
-12-bit-sliced lookup tables (`subset_images`).  The two scalar optima are a
-level search over plain subsets (`_levels`): one level is one symbol for the
-shortest length and one whole symbol run for the minimal switch count.  The
-same level search serves the pair criterion (backward over state pairs),
-and over state pairs and sets the pair-increase bound and the lemma
-closures of `analysis`.  Optimal words and their counts come from one
-cost-ordered bucket queue over (state set, last symbol) nodes
-(`_Search`, Dial's algorithm): the edge labeled s out of (V, t) leads to
-(Vs, s) and costs no switch if s == t, else one.
+state only for the subsets it reaches, computing their images from lookup
+tables (`subset_images`: one table a symbol up to 12 states, two 12-bit
+slices past that).  The two scalar optima are a level search over plain
+subsets (`_levels`): one level is one symbol for the shortest length and
+one whole symbol run for the minimal switch count.  The same level search
+serves the pair criterion (backward over state pairs), and over state
+pairs and sets the pair-increase bound and the lemma closures of
+`analysis`.  Optimal words and their counts come from one cost-ordered
+bucket queue over (state set, last symbol) nodes (`_Search`, Dial's
+algorithm with a heap of pending costs): the edge labeled s out of (V, t)
+leads to (Vs, s) and costs no switch if s == t, else one.  Each popped
+bucket is expanded once for all its tags, as one list of subsets with one
+image column per symbol.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from itertools import compress, islice, repeat
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 from .automaton import Dfa, Word, full_set, union_table
@@ -55,8 +60,8 @@ def subset_images(dfa: Dfa) -> list[Callable[[Iterable[int]], list[int]]]:
     States are cut into two slices of 12.  Per symbol and slice, a
     `union_table` of at most 4,096 entries maps the slice's bits of a set
     to their image, and the image of the set is the union of its two
-    slices' images, two lookups a set (below 13 states the high slice has
-    the one-entry table [0]).
+    slices' images, two lookups a set.  Up to 12 states the low slice is
+    the whole set, and one lookup a set is about 3 times faster.
     """
     n = dfa.n
     if n > _MAX_SEARCH_STATES:
@@ -66,6 +71,8 @@ def subset_images(dfa: Dfa) -> list[Callable[[Iterable[int]], list[int]]]:
 
     def by_slices(s: int) -> Callable[[Iterable[int]], list[int]]:
         t0, t1 = (union_table(1 << row[s] for row in dfa.rows[lo:lo + 12]) for lo in (0, 12))
+        if n <= 12:
+            return lambda vs: list(map(t0.__getitem__, vs))
         return lambda vs: [t0[v & 4095] | t1[v >> 12] for v in vs]
 
     return [by_slices(s) for s in range(dfa.k)]
@@ -107,7 +114,9 @@ def is_synchronizing(dfa: Dfa) -> bool:
 # rest of its forward orbit is covered either way.  A node that only
 # another symbol reached in this level is no stop: the run goes on through
 # it, as its images under this symbol are in this level too.  This is the
-# rule of the batch kernel `search._switch_counts_batch`.
+# rule of the batch kernel `search._switch_counts_batch`.  A letter step
+# continues nothing, so it marks its nodes seen at once, and the next
+# symbol's pass subtracts them with the earlier levels.
 # ---------------------------------------------------------------------------
 
 
@@ -129,16 +138,20 @@ def _levels(
         level += 1
         found: set = set()
         for image in images:
-            reached: set = set()
-            nodes = frontier
-            while nodes:
-                nodes = set(image(nodes)).difference(seen, reached)
-                reached |= nodes
-                if not runs:
-                    break
-            yield level, reached.difference(found)
-            found |= reached
-        seen |= found
+            if runs:
+                reached: set = set()
+                nodes = frontier
+                while nodes:
+                    nodes = set(image(nodes)).difference(seen, reached)
+                    reached |= nodes
+                nodes = reached.difference(found)
+            else:
+                nodes = set(image(frontier)).difference(seen)
+                seen |= nodes
+            yield level, nodes
+            found |= nodes
+        if runs:
+            seen |= found
         frontier = found
 
 
@@ -170,20 +183,32 @@ def _sync_level(dfa: Dfa, runs: bool) -> int:
 # lexicographic order and `cost // big` is the optimal length or switch count.
 #
 # The search is Dial's algorithm: one bucket of candidate nodes per pending
-# cost, and each step pops the least.  An edge of cost (0, 1) adds 1, less
-# than `big`, so it stays in the level of `cost // big`; an edge of cost
-# (1, 1) adds big + 1 and leads to the next level.  The pending costs thus
-# lie in two adjacent levels, and taking `min` over them needs no heap.  A
-# bucket is expanded as a whole, with set operations, skipping the subsets
-# already expanded under the same tag at a lower cost, and the search stops
-# at the first bucket that holds a singleton: its cost is optimal.
+# cost, a heap of those costs, and each step pops the least.  An edge of
+# cost (0, 1) adds 1, less than `big`, so it stays in the level of
+# `cost // big`; an edge of cost (1, 1) adds big + 1 and leads to the next
+# level.  A popped bucket drops the subsets already expanded under the same
+# tag at a lower cost, and the search stops at the first bucket that holds a
+# singleton: its cost is optimal.  Otherwise the bucket is expanded as a
+# whole.  Its subsets form one tag-major list with a (tag, lo, hi) span per
+# tag, and each symbol's images of the whole list form one column.  The
+# column of symbol s goes to bucket cost + big + 1 under the tag symbol s
+# leads to (switch edges), and under SWITCH_THEN_LENGTH the column's slice
+# over the span of tag s + 1 also to bucket cost + 1 (run edges).
+# The switch edge out of a subset V tagged s + 1 is not in the graph, and it
+# adds nothing: its target (Vs, s + 1) is also the target of the run edge,
+# at cost + 1, so it is expanded at cost + 1 or lower, and the bucket of
+# cost + big + 1 drops it if it is ever popped.  Every node is expanded at
+# one cost only, so the count sweep below reads no path through that edge
+# either.  A bucket with nothing left to expand pushes nothing, so the
+# search of a non-synchronizing automaton runs out of buckets.
 #
 # An edge u -> w is tight when cost(u) + c(u, w) = cost(w).  Every optimal
 # word follows tight edges only, and tight edges raise the cost, so the
 # expansion order is a topological order of the tight edges.  A reverse sweep
 # over it counts the tight paths from each node to an optimal singleton; the
 # nodes with a nonzero count and the tight edges between them form the DAG of
-# all optimal words.
+# all optimal words.  The sweep skips every bucket whose successor buckets
+# hold no count.
 # ---------------------------------------------------------------------------
 
 
@@ -191,57 +216,58 @@ class _Search:
     """Forward search from the full state set over the reachable nodes only.
 
     After construction `best` is the encoded optimal cost, `sinks` the
-    optimal singletons by tag, and `order` the expanded nodes grouped by
-    cost and tag.
+    optimal singletons by tag, and `order` the expanded buckets in
+    increasing cost, each as (cost, subsets, their spans, their images).
     """
 
     def __init__(self, dfa: Dfa, objective: Objective):
         n, k = dfa.n, dfa.k
         self.images = images = subset_images(dfa)
-        # Under LENGTH each subset is expanded once; under SWITCH_THEN_LENGTH
-        # it recurs with up to k + 1 tags, so its images are computed once and
-        # cached.
-        by_switch = objective is Objective.SWITCH_THEN_LENGTH
-        cache: dict[int, tuple[int, ...]] = {}
-        big = (k + 1) << n
-        # tags[s]: the tag of the nodes symbol s leads to; steps[tag][s]: the
-        # cost of symbol s out of a node with that tag
-        self.tags = tags = [s + 1 if by_switch else 0 for s in range(k)]
-        self.steps = steps = [
-            [1 if by_switch and tag == s + 1 else big + 1 for s in range(k)]
-            for tag in range(k + 1)
-        ]
+        self.big = big = (k + 1) << n
+        # tags[s]: the tag of the nodes symbol s leads to
+        self.tags = tags = [s + 1 if objective is Objective.SWITCH_THEN_LENGTH else 0 for s in range(k)]
         singletons = {1 << q for q in range(n)}
         self.full = full_set(n)
         seen: list[set[int]] = [set() for _ in range(k + 1)]  # seen[tag]: expanded subsets
-        # (cost, tag, subsets, their images by symbol), in increasing cost
-        self.order: list[tuple[int, int, list[int], list]] = []
-        # cost -> tag -> candidate subsets
-        buckets = defaultdict(lambda: defaultdict(set))
-        buckets[0][0].add(self.full)
-        while buckets:
-            cost = min(buckets)
-            found = []
-            for tag, vs in buckets.pop(cost).items():
-                vs = vs.difference(seen[tag])
-                if vs:
-                    seen[tag] |= vs
-                    found.append((tag, vs))
-            self.sinks = [(tag, vs & singletons) for tag, vs in found]
-            if any(sink for _, sink in self.sinks):
-                self.best = cost
-                return
-            if by_switch:
-                fresh = set().union(*[vs for _, vs in found]).difference(cache)
+        # (cost, subsets tag-major, their (tag, lo, hi) spans, their images by
+        # symbol), in increasing cost
+        self.order: list[tuple[int, list[int], list[tuple[int, int, int]], list[list[int]]]] = []
+        buckets: dict[int, defaultdict[int, set[int]]] = {}  # cost -> tag -> candidate subsets
+        pending: list[int] = []  # the costs in `buckets`, a heap
+
+        def bucket(cost: int) -> defaultdict[int, set[int]]:
+            if cost not in buckets:
+                buckets[cost] = defaultdict(set)
+                heappush(pending, cost)
+            return buckets[cost]
+
+        bucket(0)[0].add(self.full)
+        while pending:
+            cost = heappop(pending)
+            vs: list[int] = []
+            spans: list[tuple[int, int, int]] = []
+            for tag, candidates in buckets.pop(cost).items():
+                fresh = candidates.difference(seen[tag])
                 if fresh:
-                    cache.update(zip(fresh, zip(*[image(fresh) for image in images])))
-            for tag, vs in found:
-                vs = list(vs)
-                columns = (list(zip(*map(cache.__getitem__, vs))) if by_switch
-                           else [image(vs) for image in images])
-                self.order.append((cost, tag, vs, columns))
-                for s, ws in enumerate(columns):
-                    buckets[cost + steps[tag][s]][tags[s]].update(ws)
+                    seen[tag] |= fresh
+                    spans.append((tag, len(vs), len(vs) + len(fresh)))
+                    vs += fresh
+            if not vs:  # push nothing: a non-synchronizing search must run dry
+                continue
+            if not singletons.isdisjoint(vs):
+                self.best = cost
+                self.sinks = [(tag, singletons.intersection(vs[lo:hi])) for tag, lo, hi in spans]
+                return
+            columns = [image(vs) for image in images]
+            self.order.append((cost, vs, spans, columns))
+            switched = bucket(cost + big + 1)
+            for t, ws in zip(tags, columns):
+                switched[t].update(ws)
+            runs = [(tag, lo, hi) for tag, lo, hi in spans if tag]
+            if runs:
+                ran = bucket(cost + 1)
+                for tag, lo, hi in runs:
+                    ran[tag].update(columns[tag - 1][lo:hi])
         raise NotSynchronizingError("no singleton reachable from the full state set")
 
     def tight_dag(self) -> dict[tuple[int, int], dict[int, int]]:
@@ -249,14 +275,22 @@ class _Search:
         reached at that cost, to an optimal singleton; only nonzero counts
         are kept."""
         ways = {(self.best, tag): dict.fromkeys(sinks, 1) for tag, sinks in self.sinks}
-        for cost, tag, vs, columns in reversed(self.order):
-            counts = [
-                list(map(ways.get((cost + step, t), {}).get, ws, repeat(0)))
-                for ws, step, t in zip(columns, self.steps[tag], self.tags)
-            ]
-            totals = list(map(sum, zip(*counts)))
-            if any(totals):
-                ways[cost, tag] = dict(compress(zip(vs, totals), totals))
+        for cost, vs, spans, columns in reversed(self.order):
+            switches = [ways.get((cost + self.big + 1, t)) for t in self.tags]
+            runs = [ways.get((cost + 1, tag)) if tag else None for tag, _, _ in spans]
+            if not any(switches) and not any(runs):
+                continue
+            totals = [0] * len(vs)
+            for ws, into in zip(columns, switches):
+                if into:
+                    totals = list(map(add, totals, map(into.get, ws, repeat(0))))
+            for (tag, lo, hi), into in zip(spans, runs):
+                if into:
+                    totals[lo:hi] = map(add, totals[lo:hi], map(into.get, columns[tag - 1][lo:hi], repeat(0)))
+            for tag, lo, hi in spans:
+                counts = totals[lo:hi]
+                if any(counts):
+                    ways[cost, tag] = dict(compress(zip(vs[lo:hi], counts), counts))
         return ways
 
     def optimal_words(self) -> Iterator[Word]:
@@ -271,7 +305,8 @@ class _Search:
                 continue
             targets = [image([v])[0] for image in self.images]
             for s in reversed(range(len(targets))):
-                reach, t, w = cost + self.steps[tag][s], self.tags[s], targets[s]
+                reach = cost + (1 if tag == s + 1 else self.big + 1)
+                t, w = self.tags[s], targets[s]
                 if w in ways.get((reach, t), ()):
                     stack.append((reach, t, w, prefix + [s]))
 

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 
 import pytest
@@ -41,7 +43,8 @@ def random_dfa(rng, n, k=2):
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 12, 13, 16, 17, 24])
 @pytest.mark.parametrize("k", [2, 3])
 def test_subset_images_match_apply_set(n, k):
-    # 12 and 13 sit on each side of the 12-bit slice boundary; the 2**24
+    # 12 and 13 sit on each side of the 12-bit slice boundary (one table a
+    # symbol up to 12 states, two slices past it); the 2**24
     # subsets of n = 24 are too many, so it takes a seeded sample
     rng = random.Random(1000 * n + k)
     dfa = random_dfa(rng, n, k)
@@ -79,15 +82,23 @@ def test_min_switch_count():
     assert min_switch_count(SINGLE) == 0
 
 
+# Two blocks, {0, 1} and {2, 3}, that no symbol connects.  Their searches pop
+# buckets whose subsets were all expanded already, several under
+# SWITCH_THEN_LENGTH, where many tags reach the same subsets.
+TWO_BLOCKS3 = Dfa([[1, 0, 0], [0, 0, 1], [3, 2, 2], [2, 2, 3]])
+TWO_BLOCKS4 = Dfa([[1, 0, 0, 1], [0, 0, 1, 1], [3, 2, 2, 3], [2, 2, 3, 3]])
+
+
 def test_not_synchronizing_errors():
-    for op in (shortest_sync_length, min_switch_count):
-        with pytest.raises(NotSynchronizingError):
-            op(IDENTITY2)
-    for objective in Objective:
-        with pytest.raises(NotSynchronizingError):
-            optimal_sync_word(IDENTITY2, objective)
-    with pytest.raises(NotSynchronizingError):
-        count_optimal_words(IDENTITY2, Objective.LENGTH)
+    for dfa in (IDENTITY2, TWO_BLOCKS3, TWO_BLOCKS4):
+        assert not is_synchronizing(dfa)
+        for op in (shortest_sync_length, min_switch_count):
+            with pytest.raises(NotSynchronizingError):
+                op(dfa)
+        for objective in Objective:
+            for op in (optimal_sync_word, count_optimal_words, optimal_words):
+                with pytest.raises(NotSynchronizingError):
+                    op(dfa, objective)
 
 
 def test_single_state_results():
@@ -148,12 +159,13 @@ def test_optimal_words_match_brute_force():
     rng = random.Random(23)
     cases = [cyclic_counterexample()]
     while len(cases) < 40:
-        dfa = random_dfa(rng, rng.choice((2, 3, 4, 4)), rng.choice((2, 3)))
+        dfa = random_dfa(rng, rng.choice((2, 3, 4, 4)), rng.choice((2, 3, 4)))
         if is_synchronizing(dfa):
             cases.append(dfa)
     checked = 0
     for dfa in cases:
-        for objective, expected in _brute_optimal_words(dfa, 9 if dfa.k == 2 else 7).items():
+        # k = 4 fills the buckets of SWITCH_THEN_LENGTH with many tags at once
+        for objective, expected in _brute_optimal_words(dfa, {2: 9, 3: 7, 4: 6}[dfa.k]).items():
             assert [w.symbols for w in optimal_words(dfa, objective)] == expected
             checked += 1
     assert checked >= 70
@@ -178,6 +190,18 @@ def test_optimal_word_is_lexicographically_minimal():
             all_best = optimal_words(dfa, objective)
             assert res.word == all_best[0]
             assert len(all_best) == count_optimal_words(dfa, objective)
+
+
+def test_engines_subtract_sets_out_of_place():
+    """`a.difference(b)` walks a; CPython's `a -= b` walks all of b whenever
+    b is at most 8 times larger than a.  In the searches b is the growing
+    set of seen subsets: with `-=` in the letter step, `shortest_sync_length`
+    on the sparse automata of perfbench's `engines` (a_family(13),
+    a_family(20), q_family(18), random n=12) took 15-50% longer on a 2-vCPU
+    host."""
+    tree = ast.parse(inspect.getsource(synchro))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub)]
 
 
 def _outcome(value):
