@@ -15,7 +15,8 @@ bucket queue over (state set, last symbol) nodes (`_Search`, Dial's
 algorithm with a heap of pending costs): the edge labeled s out of (V, t)
 leads to (Vs, s) and costs no switch if s == t, else one.  Each popped
 bucket is expanded once for all its tags, as one list of subsets with one
-image column per symbol.
+image column per symbol.  Its tight-edge DAG is built once per (automaton,
+objective), and the last pair's is held (`_tight_search`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import compress, islice, repeat
 from operator import add
@@ -208,7 +210,10 @@ def _sync_level(dfa: Dfa, runs: bool) -> int:
 # over it counts the tight paths from each node to an optimal singleton; the
 # nodes with a nonzero count and the tight edges between them form the DAG of
 # all optimal words.  The sweep skips every bucket whose successor buckets
-# hold no count.
+# hold no count, and pops each bucket off `order`, releasing its columns.
+# `_tight_search` holds the last (automaton, objective)'s DAG only: callers
+# ask for a word and a count of one pair back to back, and a larger cache
+# would hold memory no caller reads.
 # ---------------------------------------------------------------------------
 
 
@@ -273,9 +278,10 @@ class _Search:
     def tight_dag(self) -> dict[tuple[int, int], dict[int, int]]:
         """ways[cost, tag][V]: the number of tight paths from node (V, tag),
         reached at that cost, to an optimal singleton; only nonzero counts
-        are kept."""
+        are kept.  Empties `order`: it runs once per search."""
         ways = {(self.best, tag): dict.fromkeys(sinks, 1) for tag, sinks in self.sinks}
-        for cost, vs, spans, columns in reversed(self.order):
+        while self.order:
+            cost, vs, spans, columns = self.order.pop()
             switches = [ways.get((cost + self.big + 1, t)) for t in self.tags]
             runs = [ways.get((cost + 1, tag)) if tag else None for tag, _, _ in spans]
             if not any(switches) and not any(runs):
@@ -293,10 +299,9 @@ class _Search:
                     ways[cost, tag] = dict(compress(zip(vs[lo:hi], counts), counts))
         return ways
 
-    def optimal_words(self) -> Iterator[Word]:
+    def optimal_words(self, ways: dict[tuple[int, int], dict[int, int]]) -> Iterator[Word]:
         """Every optimal word, in lexicographic order: a depth-first walk of
-        the tight DAG taking the symbols in increasing order."""
-        ways = self.tight_dag()
+        the tight DAG `ways` taking the symbols in increasing order."""
         stack: list[tuple[int, int, int, list[int]]] = [(0, 0, self.full, [])]
         while stack:
             cost, tag, v, prefix = stack.pop()
@@ -309,6 +314,13 @@ class _Search:
                 t, w = self.tags[s], targets[s]
                 if w in ways.get((reach, t), ()):
                     stack.append((reach, t, w, prefix + [s]))
+
+
+@lru_cache(maxsize=1)
+def _tight_search(dfa: Dfa, objective: Objective) -> tuple[_Search, dict[tuple[int, int], dict[int, int]]]:
+    """The search of (dfa, objective) and its tight DAG; the last pair's are held."""
+    search = _Search(dfa, objective)
+    return search, search.tight_dag()
 
 
 def shortest_sync_length(dfa: Dfa) -> int:
@@ -330,15 +342,18 @@ def optimal_sync_word(dfa: Dfa, objective: Objective) -> SyncResult:
 
     LENGTH gives a shortest word; SWITCH_THEN_LENGTH a shortest word among
     those of minimal switch count.  Ties are broken toward the
-    lexicographically smallest word.
+    lexicographically smallest word.  The tight DAG is built once per
+    (automaton, objective) for this, `count_optimal_words` and `optimal_words`.
     """
-    word = next(_Search(dfa, objective).optimal_words())
+    search, ways = _tight_search(dfa, objective)
+    word = next(search.optimal_words(ways))
     return SyncResult(word, len(word), word.switch_count)
 
 
 def count_optimal_words(dfa: Dfa, objective: Objective) -> int:
-    """Number of distinct words attaining the objective's optimum."""
-    ways = _Search(dfa, objective).tight_dag()
+    """Number of distinct words attaining the objective's optimum, read off
+    the held tight DAG of (dfa, objective) or a new one."""
+    _, ways = _tight_search(dfa, objective)
     return ways[0, 0][full_set(dfa.n)]  # the start node: cost 0, tag 0
 
 
@@ -350,4 +365,5 @@ def optimal_words(dfa: Dfa, objective: Objective, limit: int | None = None) -> l
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
-    return list(islice(_Search(dfa, objective).optimal_words(), limit))
+    search, ways = _tight_search(dfa, objective)
+    return list(islice(search.optimal_words(ways), limit))

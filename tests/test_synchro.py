@@ -1,6 +1,8 @@
 import ast
 import inspect
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,9 @@ from syncswitch import synchro
 from syncswitch.analysis import canonical_word
 from syncswitch.automaton import Dfa, Word, apply_set, full_set, is_singleton, switch_count
 from syncswitch.closure import power_closure
-from syncswitch.families import a_family, cerny, cyclic_counterexample, fixture, p_variant, q_family, r_family
+from syncswitch.families import (
+    a_family, cerny, cyclic_counterexample, fixture, p_variant, q_family, r_family, t7_shortest_words,
+)
 from syncswitch.synchro import (
     NotSynchronizingError,
     Objective,
@@ -89,6 +93,25 @@ TWO_BLOCKS3 = Dfa([[1, 0, 0], [0, 0, 1], [3, 2, 2], [2, 2, 3]])
 TWO_BLOCKS4 = Dfa([[1, 0, 0, 1], [0, 0, 1, 1], [3, 2, 2, 3], [2, 2, 3, 3]])
 
 
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block, or the decorated function, once
+    `seconds` of wall time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# a search that loops on buckets with nothing left to expand never runs dry:
+# the time limit makes that a failure, not a hang
+@time_limit(5)
 def test_not_synchronizing_errors():
     for dfa in (IDENTITY2, TWO_BLOCKS3, TWO_BLOCKS4):
         assert not is_synchronizing(dfa)
@@ -131,9 +154,60 @@ def test_optimal_words_limit(monkeypatch):
     def no_search(*args):
         raise AssertionError("a negative limit must be refused before the search")
 
+    # the memo holds (t7, LENGTH) from the calls above: patch it too, so a
+    # lookup before the refusal fails here
     monkeypatch.setattr(synchro, "_Search", no_search)
+    monkeypatch.setattr(synchro, "_tight_search", no_search)
     with pytest.raises(ValueError, match=r"^limit must be at least 0, got -1$"):
         optimal_words(dfa, Objective.LENGTH, limit=-1)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The (dfa, objective) of every `_Search` built, from an empty memo on."""
+    built = []
+    search = synchro._Search
+
+    def counting(dfa, objective):
+        built.append((dfa, objective))
+        return search(dfa, objective)
+
+    monkeypatch.setattr(synchro, "_Search", counting)
+    synchro._tight_search.cache_clear()
+    return built
+
+
+def test_word_count_and_words_share_one_search(searches):
+    dfa = fixture("t7")
+    words = sorted(t7_shortest_words(), key=lambda w: w.symbols)
+    assert optimal_sync_word(dfa, Objective.LENGTH).word == words[0]
+    assert count_optimal_words(dfa, Objective.LENGTH) == 3
+    assert optimal_words(dfa, Objective.LENGTH) == words
+    assert searches == [(dfa, Objective.LENGTH)]
+    # a separately built automaton with equal rows reuses the held search
+    assert count_optimal_words(Dfa([list(row) for row in dfa.rows]), Objective.LENGTH) == 3
+    assert len(searches) == 1
+    # another objective, or another automaton, builds a new one; only the
+    # last pair is held
+    optimal_sync_word(dfa, Objective.SWITCH_THEN_LENGTH)
+    optimal_sync_word(cerny(4), Objective.SWITCH_THEN_LENGTH)
+    count_optimal_words(dfa, Objective.SWITCH_THEN_LENGTH)
+    assert searches[1:] == [(dfa, Objective.SWITCH_THEN_LENGTH), (cerny(4), Objective.SWITCH_THEN_LENGTH),
+                            (dfa, Objective.SWITCH_THEN_LENGTH)]
+
+
+def test_interleaved_objectives_on_r10(searches):
+    # the values CI pins through separate processes, asked for here in one
+    # process with the objectives alternating
+    dfa = r_family(10)
+    shortest = optimal_sync_word(dfa, Objective.LENGTH)
+    assert count_optimal_words(dfa, Objective.SWITCH_THEN_LENGTH) == 56245430916
+    assert count_optimal_words(dfa, Objective.LENGTH) == 112490861832
+    best = optimal_sync_word(dfa, Objective.SWITCH_THEN_LENGTH)
+    assert (shortest.length, shortest.switch) == (56, 56)
+    assert best.word.letters() == "abcacabcacdabcacedabcacfedabcacgfedabcachgfedacbcaacabca"
+    assert (best.length, best.switch) == (56, 55)
+    assert len(searches) == 4
 
 
 def _brute_optimal_words(dfa, max_len):
