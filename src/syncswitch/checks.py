@@ -12,6 +12,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable
 
@@ -393,35 +394,28 @@ def check_oracle_agreement() -> CheckResult:
     return c.result("13", "engine = brute force on all binary n<=3 and 200 random n=4")
 
 
-_CHECKS: list[Callable[..., CheckResult]] = [
-    check_cerny_family,
-    check_p_family,
-    check_p_variant,
-    check_r_family,
-    check_q_family,
-    check_a_family,
-    check_transforms,
-    check_closure_equivalence,
-    check_exhaustive_table,
-    check_fixtures,
-    check_cyclic,
-    check_lemma_suite,
-    check_oracle_agreement,
-]
-
-
 def run_checks(long: bool = False, jobs: int = 1,
                progress: Callable[[str], None] | None = None) -> list[CheckResult]:
     if jobs < 1:
         raise ValueError("need at least one worker")
+    battery = [
+        check_cerny_family,
+        check_p_family,
+        check_p_variant,
+        check_r_family,
+        check_q_family,
+        check_a_family,
+        check_transforms,
+        check_closure_equivalence,
+        partial(check_exhaustive_table, jobs=jobs, long=long, progress=progress),
+        check_fixtures,
+        partial(check_cyclic, jobs=jobs, progress=progress),
+        check_lemma_suite,
+        check_oracle_agreement,
+    ]
     results = []
-    for fn in _CHECKS:
-        if fn is check_exhaustive_table:
-            res = fn(jobs=jobs, long=long, progress=progress)
-        elif fn is check_cyclic:
-            res = fn(jobs=jobs, progress=progress)
-        else:
-            res = fn()
+    for check in battery:
+        res = check()
         if progress:
             progress(f"check {res.check_id}: {'PASS' if res.passed else 'FAIL'} "
                      f"({res.seconds:.1f}s)")

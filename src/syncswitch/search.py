@@ -365,7 +365,12 @@ def _refuse_many_relabelings(n: int, k: int) -> None:
 
 @lru_cache(maxsize=8)
 def _perm_arrays(n: int):
-    p = np.array(list(permutations(range(n))), dtype=np.uint8)
+    """The n! permutations of range(n) in lexicographic order, the identity
+    first, and their inverses.  The permutations of m put each first entry
+    f ahead of those of m - 1, whose entries >= f are shifted up by 1."""
+    p = np.zeros((1, 0), dtype=np.uint8)
+    for m in range(1, n + 1):
+        p = np.concatenate([np.column_stack((np.full(len(p), f, np.uint8), p + (p >= f))) for f in range(m)])
     return p, np.argsort(p, axis=1).astype(np.uint8)
 
 

@@ -11,12 +11,12 @@ one whole symbol run for the minimal switch count.  The same level search
 serves the pair criterion (backward over state pairs), and over state
 pairs and sets the pair-increase bound and the lemma closures of
 `analysis`.  Optimal words and their counts come from one cost-ordered
-bucket queue over (state set, last symbol) nodes (`_Search`, Dial's
+bucket queue over (state set, last symbol) nodes (`_tight_dag`, Dial's
 algorithm with a heap of pending costs): the edge labeled s out of (V, t)
 leads to (Vs, s) and costs no switch if s == t, else one.  Each popped
 bucket is expanded once for all its tags, as one list of subsets with one
 image column per symbol.  Its tight-edge DAG is built once per (automaton,
-objective), and the last pair's is held (`_tight_search`).
+objective), the last pair's is held, and `_lex_words` walks it.
 """
 
 from __future__ import annotations
@@ -211,116 +211,104 @@ def _sync_level(dfa: Dfa, runs: bool) -> int:
 # nodes with a nonzero count and the tight edges between them form the DAG of
 # all optimal words.  The sweep skips every bucket whose successor buckets
 # hold no count, and pops each bucket off `order`, releasing its columns.
-# `_tight_search` holds the last (automaton, objective)'s DAG only: callers
+# `_tight_dag` holds the last (automaton, objective)'s DAG only: callers
 # ask for a word and a count of one pair back to back, and a larger cache
 # would hold memory no caller reads.
 # ---------------------------------------------------------------------------
 
 
-class _Search:
-    """Forward search from the full state set over the reachable nodes only.
+@lru_cache(maxsize=1)
+def _tight_dag(dfa: Dfa, objective: Objective) -> tuple:
+    """(ways, images, tags, big) of a forward search from the full set; the
+    last (dfa, objective)'s are held.  ways[cost, tag][V] is the nonzero
+    number of tight paths from node (V, tag), reached at that cost, to an
+    optimal singleton; images are the `subset_images`, tags[s] the tag of the nodes
+    symbol s leads to, and big the weight of a switch in a cost."""
+    n, k = dfa.n, dfa.k
+    images = subset_images(dfa)
+    big = (k + 1) << n
+    tags = [s + 1 if objective is Objective.SWITCH_THEN_LENGTH else 0 for s in range(k)]
+    singletons = {1 << q for q in range(n)}
+    seen: list[set[int]] = [set() for _ in range(k + 1)]  # seen[tag]: expanded subsets
+    # (cost, subsets tag-major, their (tag, lo, hi) spans, their images by
+    # symbol), in increasing cost
+    order: list[tuple[int, list[int], list[tuple[int, int, int]], list[list[int]]]] = []
+    buckets: dict[int, defaultdict[int, set[int]]] = {}  # cost -> tag -> candidate subsets
+    pending: list[int] = []  # the costs in `buckets`, a heap
 
-    After construction `best` is the encoded optimal cost, `sinks` the
-    optimal singletons by tag, and `order` the expanded buckets in
-    increasing cost, each as (cost, subsets, their spans, their images).
-    """
+    def bucket(cost: int) -> defaultdict[int, set[int]]:
+        if cost not in buckets:
+            buckets[cost] = defaultdict(set)
+            heappush(pending, cost)
+        return buckets[cost]
 
-    def __init__(self, dfa: Dfa, objective: Objective):
-        n, k = dfa.n, dfa.k
-        self.images = images = subset_images(dfa)
-        self.big = big = (k + 1) << n
-        # tags[s]: the tag of the nodes symbol s leads to
-        self.tags = tags = [s + 1 if objective is Objective.SWITCH_THEN_LENGTH else 0 for s in range(k)]
-        singletons = {1 << q for q in range(n)}
-        self.full = full_set(n)
-        seen: list[set[int]] = [set() for _ in range(k + 1)]  # seen[tag]: expanded subsets
-        # (cost, subsets tag-major, their (tag, lo, hi) spans, their images by
-        # symbol), in increasing cost
-        self.order: list[tuple[int, list[int], list[tuple[int, int, int]], list[list[int]]]] = []
-        buckets: dict[int, defaultdict[int, set[int]]] = {}  # cost -> tag -> candidate subsets
-        pending: list[int] = []  # the costs in `buckets`, a heap
-
-        def bucket(cost: int) -> defaultdict[int, set[int]]:
-            if cost not in buckets:
-                buckets[cost] = defaultdict(set)
-                heappush(pending, cost)
-            return buckets[cost]
-
-        bucket(0)[0].add(self.full)
-        while pending:
-            cost = heappop(pending)
-            vs: list[int] = []
-            spans: list[tuple[int, int, int]] = []
-            for tag, candidates in buckets.pop(cost).items():
-                fresh = candidates.difference(seen[tag])
-                if fresh:
-                    seen[tag] |= fresh
-                    spans.append((tag, len(vs), len(vs) + len(fresh)))
-                    vs += fresh
-            if not vs:  # push nothing: a non-synchronizing search must run dry
-                continue
-            if not singletons.isdisjoint(vs):
-                self.best = cost
-                self.sinks = [(tag, singletons.intersection(vs[lo:hi])) for tag, lo, hi in spans]
-                return
-            columns = [image(vs) for image in images]
-            self.order.append((cost, vs, spans, columns))
-            switched = bucket(cost + big + 1)
-            for t, ws in zip(tags, columns):
-                switched[t].update(ws)
-            runs = [(tag, lo, hi) for tag, lo, hi in spans if tag]
-            if runs:
-                ran = bucket(cost + 1)
-                for tag, lo, hi in runs:
-                    ran[tag].update(columns[tag - 1][lo:hi])
+    bucket(0)[0].add(full_set(n))
+    while pending:
+        cost = heappop(pending)
+        vs: list[int] = []
+        spans: list[tuple[int, int, int]] = []
+        for tag, candidates in buckets.pop(cost).items():
+            fresh = candidates.difference(seen[tag])
+            if fresh:
+                seen[tag] |= fresh
+                spans.append((tag, len(vs), len(vs) + len(fresh)))
+                vs += fresh
+        if not vs:  # push nothing: a non-synchronizing search must run dry
+            continue
+        if not singletons.isdisjoint(vs):
+            break
+        columns = [image(vs) for image in images]
+        order.append((cost, vs, spans, columns))
+        switched = bucket(cost + big + 1)
+        for t, ws in zip(tags, columns):
+            switched[t].update(ws)
+        runs = [(tag, lo, hi) for tag, lo, hi in spans if tag]
+        if runs:
+            ran = bucket(cost + 1)
+            for tag, lo, hi in runs:
+                ran[tag].update(columns[tag - 1][lo:hi])
+    else:
         raise NotSynchronizingError("no singleton reachable from the full state set")
 
-    def tight_dag(self) -> dict[tuple[int, int], dict[int, int]]:
-        """ways[cost, tag][V]: the number of tight paths from node (V, tag),
-        reached at that cost, to an optimal singleton; only nonzero counts
-        are kept.  Empties `order`: it runs once per search."""
-        ways = {(self.best, tag): dict.fromkeys(sinks, 1) for tag, sinks in self.sinks}
-        while self.order:
-            cost, vs, spans, columns = self.order.pop()
-            switches = [ways.get((cost + self.big + 1, t)) for t in self.tags]
-            runs = [ways.get((cost + 1, tag)) if tag else None for tag, _, _ in spans]
-            if not any(switches) and not any(runs):
-                continue
-            totals = [0] * len(vs)
-            for ws, into in zip(columns, switches):
-                if into:
-                    totals = list(map(add, totals, map(into.get, ws, repeat(0))))
-            for (tag, lo, hi), into in zip(spans, runs):
-                if into:
-                    totals[lo:hi] = map(add, totals[lo:hi], map(into.get, columns[tag - 1][lo:hi], repeat(0)))
-            for tag, lo, hi in spans:
-                counts = totals[lo:hi]
-                if any(counts):
-                    ways[cost, tag] = dict(compress(zip(vs[lo:hi], counts), counts))
-        return ways
-
-    def optimal_words(self, ways: dict[tuple[int, int], dict[int, int]]) -> Iterator[Word]:
-        """Every optimal word, in lexicographic order: a depth-first walk of
-        the tight DAG `ways` taking the symbols in increasing order."""
-        stack: list[tuple[int, int, int, list[int]]] = [(0, 0, self.full, [])]
-        while stack:
-            cost, tag, v, prefix = stack.pop()
-            if v & (v - 1) == 0:
-                yield Word(prefix)
-                continue
-            targets = [image([v])[0] for image in self.images]
-            for s in reversed(range(len(targets))):
-                reach = cost + (1 if tag == s + 1 else self.big + 1)
-                t, w = self.tags[s], targets[s]
-                if w in ways.get((reach, t), ()):
-                    stack.append((reach, t, w, prefix + [s]))
+    # the last popped bucket holds the optimal singletons
+    ways = {(cost, tag): dict.fromkeys(singletons.intersection(vs[lo:hi]), 1) for tag, lo, hi in spans}
+    while order:
+        cost, vs, spans, columns = order.pop()
+        switches = [ways.get((cost + big + 1, t)) for t in tags]
+        runs = [ways.get((cost + 1, tag)) if tag else None for tag, _, _ in spans]
+        if not any(switches) and not any(runs):
+            continue
+        totals = [0] * len(vs)
+        for ws, into in zip(columns, switches):
+            if into:
+                totals = list(map(add, totals, map(into.get, ws, repeat(0))))
+        for (tag, lo, hi), into in zip(spans, runs):
+            if into:
+                totals[lo:hi] = map(add, totals[lo:hi], map(into.get, columns[tag - 1][lo:hi], repeat(0)))
+        for tag, lo, hi in spans:
+            counts = totals[lo:hi]
+            if any(counts):
+                ways[cost, tag] = dict(compress(zip(vs[lo:hi], counts), counts))
+    return ways, images, tags, big
 
 
-@lru_cache(maxsize=1)
-def _tight_search(dfa: Dfa, objective: Objective) -> tuple[_Search, dict[tuple[int, int], dict[int, int]]]:
-    """The search of (dfa, objective) and its tight DAG; the last pair's are held."""
-    search = _Search(dfa, objective)
-    return search, search.tight_dag()
+def _lex_words(dag: tuple, start: int) -> Iterator[Word]:
+    """Every optimal word, in lexicographic order: a depth-first walk of the
+    tight DAG `dag` of `_tight_dag` from the full set `start`, taking the
+    symbols in increasing order."""
+    ways, images, tags, big = dag
+    stack: list[tuple[int, int, int, list[int]]] = [(0, 0, start, [])]
+    while stack:
+        cost, tag, v, prefix = stack.pop()
+        if v & (v - 1) == 0:
+            yield Word(prefix)
+            continue
+        targets = [image([v])[0] for image in images]
+        for s in reversed(range(len(targets))):
+            reach = cost + (1 if tag == s + 1 else big + 1)
+            t, w = tags[s], targets[s]
+            if w in ways.get((reach, t), ()):
+                stack.append((reach, t, w, prefix + [s]))
 
 
 def shortest_sync_length(dfa: Dfa) -> int:
@@ -345,15 +333,14 @@ def optimal_sync_word(dfa: Dfa, objective: Objective) -> SyncResult:
     lexicographically smallest word.  The tight DAG is built once per
     (automaton, objective) for this, `count_optimal_words` and `optimal_words`.
     """
-    search, ways = _tight_search(dfa, objective)
-    word = next(search.optimal_words(ways))
+    word = next(_lex_words(_tight_dag(dfa, objective), full_set(dfa.n)))
     return SyncResult(word, len(word), word.switch_count)
 
 
 def count_optimal_words(dfa: Dfa, objective: Objective) -> int:
     """Number of distinct words attaining the objective's optimum, read off
     the held tight DAG of (dfa, objective) or a new one."""
-    _, ways = _tight_search(dfa, objective)
+    ways = _tight_dag(dfa, objective)[0]
     return ways[0, 0][full_set(dfa.n)]  # the start node: cost 0, tag 0
 
 
@@ -365,5 +352,5 @@ def optimal_words(dfa: Dfa, objective: Objective, limit: int | None = None) -> l
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
-    search, ways = _tight_search(dfa, objective)
-    return list(islice(search.optimal_words(ways), limit))
+    dag = _tight_dag(dfa, objective)  # before the limit: a non-synchronizing dfa raises even at 0
+    return list(islice(_lex_words(dag, full_set(dfa.n)), limit))

@@ -62,9 +62,13 @@ def test_all_generators_round_trip(capsys):
         assert parse_dfa(out) == expected
 
 
-def test_non_synchronizing_exit(capsys, monkeypatch):
-    code, _, err = run_cli(capsys, "sw", "-", stdin="2 2\n0 0\n1 1\n", monkeypatch=monkeypatch)
-    assert code == 1 and "not synchronizing" in err
+@pytest.mark.parametrize("argv", [
+    ["ssl"], ["sw"],
+    *([cmd, "--objective", o.value] for cmd in ("opt", "count") for o in Objective),
+], ids=lambda argv: "-".join(a for a in argv if a != "--objective"))
+def test_non_synchronizing_exit(capsys, monkeypatch, argv):
+    code, out, err = run_cli(capsys, *argv, "-", stdin="2 2\n0 0\n1 1\n", monkeypatch=monkeypatch)
+    assert code == 1 and "not synchronizing" in err and out == ""
 
 
 def test_parse_error_exit(capsys, monkeypatch):

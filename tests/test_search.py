@@ -614,6 +614,15 @@ def test_canonical_key_blocks_match_reference(n, k, count):
         assert forms[conv] == {brute_canonical_form(d, conv).rows for d in dfas}
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_perm_arrays_are_lexicographic(n):
+    perms, ranks = search._perm_arrays(n)
+    assert perms.dtype == ranks.dtype == np.uint8
+    assert np.array_equal(perms, np.array(list(permutations(range(n)))))
+    assert perms[0].tolist() == list(range(n))
+    assert (np.take_along_axis(perms, ranks.astype(np.intp), axis=1) == np.arange(n)).all()
+
+
 def test_relabeling_bound(monkeypatch):
     # 9! 3! relabelings is the largest size canonicalized; 7! 7! is refused
     # before anything is built, by canonical_form and by both searches

@@ -122,6 +122,9 @@ def test_not_synchronizing_errors():
             for op in (optimal_sync_word, count_optimal_words, optimal_words):
                 with pytest.raises(NotSynchronizingError):
                     op(dfa, objective)
+            # the search runs before the limit is applied
+            with pytest.raises(NotSynchronizingError):
+                optimal_words(dfa, objective, limit=0)
 
 
 def test_single_state_results():
@@ -146,35 +149,23 @@ def test_optimal_word_objectives_on_t8a():
         assert len(res.word) == res.length
 
 
-def test_optimal_words_limit(monkeypatch):
+def test_optimal_words_limit():
     dfa = fixture("t7")  # three shortest words
     assert optimal_words(dfa, Objective.LENGTH, limit=0) == []
     assert optimal_words(dfa, Objective.LENGTH, limit=1) == optimal_words(dfa, Objective.LENGTH)[:1]
-
-    def no_search(*args):
-        raise AssertionError("a negative limit must be refused before the search")
-
-    # the memo holds (t7, LENGTH) from the calls above: patch it too, so a
-    # lookup before the refusal fails here
-    monkeypatch.setattr(synchro, "_Search", no_search)
-    monkeypatch.setattr(synchro, "_tight_search", no_search)
+    # the memo holds (t7, LENGTH) from the calls above: a lookup before the
+    # refusal would count a hit, a search a miss
+    memo = synchro._tight_dag.cache_info()
     with pytest.raises(ValueError, match=r"^limit must be at least 0, got -1$"):
         optimal_words(dfa, Objective.LENGTH, limit=-1)
+    assert synchro._tight_dag.cache_info() == memo
 
 
 @pytest.fixture
-def searches(monkeypatch):
-    """The (dfa, objective) of every `_Search` built, from an empty memo on."""
-    built = []
-    search = synchro._Search
-
-    def counting(dfa, objective):
-        built.append((dfa, objective))
-        return search(dfa, objective)
-
-    monkeypatch.setattr(synchro, "_Search", counting)
-    synchro._tight_search.cache_clear()
-    return built
+def searches():
+    """Reads the number of tight DAGs built since the memo was emptied."""
+    synchro._tight_dag.cache_clear()
+    return lambda: synchro._tight_dag.cache_info().misses
 
 
 def test_word_count_and_words_share_one_search(searches):
@@ -183,17 +174,18 @@ def test_word_count_and_words_share_one_search(searches):
     assert optimal_sync_word(dfa, Objective.LENGTH).word == words[0]
     assert count_optimal_words(dfa, Objective.LENGTH) == 3
     assert optimal_words(dfa, Objective.LENGTH) == words
-    assert searches == [(dfa, Objective.LENGTH)]
+    assert searches() == 1
     # a separately built automaton with equal rows reuses the held search
     assert count_optimal_words(Dfa([list(row) for row in dfa.rows]), Objective.LENGTH) == 3
-    assert len(searches) == 1
+    assert searches() == 1
     # another objective, or another automaton, builds a new one; only the
     # last pair is held
     optimal_sync_word(dfa, Objective.SWITCH_THEN_LENGTH)
+    assert searches() == 2
     optimal_sync_word(cerny(4), Objective.SWITCH_THEN_LENGTH)
+    assert searches() == 3
     count_optimal_words(dfa, Objective.SWITCH_THEN_LENGTH)
-    assert searches[1:] == [(dfa, Objective.SWITCH_THEN_LENGTH), (cerny(4), Objective.SWITCH_THEN_LENGTH),
-                            (dfa, Objective.SWITCH_THEN_LENGTH)]
+    assert searches() == 4
 
 
 def test_interleaved_objectives_on_r10(searches):
@@ -207,7 +199,7 @@ def test_interleaved_objectives_on_r10(searches):
     assert (shortest.length, shortest.switch) == (56, 56)
     assert best.word.letters() == "abcacabcacdabcacedabcacfedabcacgfedabcachgfedacbcaacabca"
     assert (best.length, best.switch) == (56, 55)
-    assert len(searches) == 4
+    assert searches() == 4
 
 
 def _brute_optimal_words(dfa, max_len):
