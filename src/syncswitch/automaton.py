@@ -154,10 +154,10 @@ def state_set(states: Iterable[int]) -> int:
 
 def union_table(bits: Iterable[int]) -> list[int]:
     """table[m] = the union of bits[i] over the set bits i of m, built by
-    doubling: [0] for no bits."""
+    doubling: [0] for no bits.  A zero bits[i] doubles the table as it is."""
     table = [0]
     for b in bits:
-        table += [u | b for u in table]
+        table += [u | b for u in table] if b else table
     return table
 
 

@@ -2,21 +2,25 @@
 length, minimal switch count, composite (switch, length) optimization, and
 optimal-word counting and enumeration.
 
-Every subset engine searches forward from the full state set and keeps
-state only for the subsets it reaches, computing their images from lookup
-tables (`subset_images`: one table a symbol up to 12 states, two 12-bit
-slices past that).  The two scalar optima are a level search over plain
-subsets (`_levels`): one level is one symbol for the shortest length and
-one whole symbol run for the minimal switch count.  The same level search
-serves the pair criterion (backward over state pairs), and over state
-pairs and sets the pair-increase bound and the lemma closures of
-`analysis`.  Optimal words and their counts come from one cost-ordered
-bucket queue over (state set, last symbol) nodes (`_tight_dag`, Dial's
-algorithm with a heap of pending costs): the edge labeled s out of (V, t)
-leads to (Vs, s) and costs no switch if s == t, else one.  Each popped
-bucket is expanded once for all its tags, as one list of subsets with one
-image column per symbol.  Its tight-edge DAG is built once per (automaton,
-objective), the last pair's is held, and `_lex_words` walks it.
+The subset engines map state sets through lookup tables (`_slice_maps`:
+one table a symbol up to 12 states, two 12-bit slices past that), images
+for the forward word engine (`subset_images`) and preimages for the scalar
+optima (`_preimage_maps`).  The two scalar optima are a level search over
+plain subsets (`_levels`) backward from the singletons, which stops at the
+first level that holds the full set: one level is one symbol for the
+shortest length and one whole symbol run for the minimal switch count.  On
+slowly synchronizing automata it reaches about n^2 sets where a forward
+search reaches nearly all 2^n.  The same level search serves the pair
+criterion (backward over state pairs), and over state pairs and sets the
+pair-increase bound and the lemma closures of `analysis`.  Optimal words
+and their counts come from one cost-ordered bucket queue forward from the
+full state set over (state set, last symbol) nodes (`_tight_dag`, Dial's
+algorithm with a heap of pending costs), which keeps state only for the
+subsets it reaches: the edge labeled s out of (V, t) leads to (Vs, s) and
+costs no switch if s == t, else one.  Each popped bucket is expanded once
+for all its tags, as one list of subsets with one image column per symbol.
+Its tight-edge DAG is built once per (automaton, objective), the last
+pair's is held, and `_lex_words` walks it.
 """
 
 from __future__ import annotations
@@ -51,33 +55,56 @@ class SyncResult:
     switch: int
 
 
-# The image tables cut a state set into two 12-bit slices; a subset search
-# past this size is hopeless anyway.
+# The lookup tables cut a state set into two 12-bit slices, so a subset
+# search takes at most 24 states.  Even backward, a dense automaton
+# (p_variant, r_family) reaches all 2^n sets.
 _MAX_SEARCH_STATES = 24
 
 
-def subset_images(dfa: Dfa) -> list[Callable[[Iterable[int]], list[int]]]:
-    """images[s](vs)[i] = the image under symbol s of the i-th state set in vs.
+def _slice_maps(n: int, bits: Iterable[list[int]]) -> list[Callable[[Iterable[int]], list[int]]]:
+    """maps[s](vs)[i] = the union of bits[s][q] over the states q of the
+    i-th state set in vs.
 
     States are cut into two slices of 12.  Per symbol and slice, a
     `union_table` of at most 4,096 entries maps the slice's bits of a set
-    to their image, and the image of the set is the union of its two
-    slices' images, two lookups a set.  Up to 12 states the low slice is
-    the whole set, and one lookup a set is about 3 times faster.
+    to their union, and the map of the set is the union of its two
+    slices' maps, two lookups a set.  Up to 12 states the low slice is the
+    whole set, and one lookup a set is about 3 times faster.  `bits` is
+    read only after the size check, so a refused size builds nothing.
     """
-    n = dfa.n
     if n > _MAX_SEARCH_STATES:
         raise ValueError(
             f"subset search over {n} states needs 2**{n} nodes; refusing"
         )
 
-    def by_slices(s: int) -> Callable[[Iterable[int]], list[int]]:
-        t0, t1 = (union_table(1 << row[s] for row in dfa.rows[lo:lo + 12]) for lo in (0, 12))
+    def by_slices(per_state: list[int]) -> Callable[[Iterable[int]], list[int]]:
+        t0, t1 = union_table(per_state[:12]), union_table(per_state[12:])
         if n <= 12:
             return lambda vs: list(map(t0.__getitem__, vs))
         return lambda vs: [t0[v & 4095] | t1[v >> 12] for v in vs]
 
-    return [by_slices(s) for s in range(dfa.k)]
+    return [by_slices(per_state) for per_state in bits]
+
+
+def subset_images(dfa: Dfa) -> list[Callable[[Iterable[int]], list[int]]]:
+    """images[s](vs)[i] = the image under symbol s of the i-th state set in
+    vs: state q contributes its target {q s}."""
+    return _slice_maps(dfa.n, ([1 << row[s] for row in dfa.rows] for s in range(dfa.k)))
+
+
+@lru_cache(maxsize=1)
+def _preimage_maps(dfa: Dfa) -> list[Callable[[Iterable[int]], list[int]]]:
+    """maps[s](vs)[i] = the preimage under symbol s of the i-th state set in
+    vs, the states that s maps into it: state t contributes the states s
+    maps to t.  The last automaton's maps are held, as callers ask for both
+    scalar optima of one automaton back to back."""
+    def preimage_bits(s: int) -> list[int]:
+        into = [0] * dfa.n
+        for p, row in enumerate(dfa.rows):
+            into[row[s]] |= 1 << p
+        return into
+
+    return _slice_maps(dfa.n, map(preimage_bits, range(dfa.k)))
 
 
 def is_synchronizing(dfa: Dfa) -> bool:
@@ -108,7 +135,9 @@ def is_synchronizing(dfa: Dfa) -> bool:
 # The minimal switch count is the number of runs in a reset word, so it is
 # a breadth-first distance over state subsets in which one step is one whole
 # run of one symbol; the shortest length is the same distance with one
-# letter a step.  The search runs over any hashable nodes with one image
+# letter a step.  `_sync_level` measures both from the singletons to the
+# full set over preimages, where a word is read from its end and keeps its
+# letters and runs.  The search runs over any hashable nodes with one image
 # function per symbol, so `is_synchronizing` walks state pairs backward and
 # `analysis` state pairs and lemma closures with it too.  Per level and
 # symbol, a run applies the symbol again and again and stops at a node seen
@@ -127,7 +156,7 @@ def _levels(
 ) -> Iterator[tuple[int, set]]:
     """Breadth-first levels from `starts`, a step one run of a symbol if
     `runs`, else one letter.  `images[s]` maps a batch of nodes to their
-    images under symbol s, like `subset_images`.
+    images under symbol s, like `subset_images` or `_preimage_maps`.
 
     Yields (level, nodes) once per level and symbol pass, counting levels
     from 1: the nodes of that level which this pass reached first.  Stops
@@ -158,13 +187,20 @@ def _levels(
 
 
 def _sync_level(dfa: Dfa, runs: bool) -> int:
-    """The first level, counted from the full state set, that holds a
-    singleton; a step is one symbol run if `runs`, else one letter."""
-    if dfa.n == 1:
+    """The first level, counted backward from the singletons over
+    preimages, that holds the full state set; a step is one symbol run if
+    `runs`, else one letter.
+
+    The sets of level L are the preimages pre_w({q}) under words w of L
+    letters (or runs), which the search builds from their last letter back.
+    A word w synchronizes iff pre_w({q}) is the full set for some state q.
+    """
+    n = dfa.n
+    if n == 1:
         return 0
-    singletons = {1 << q for q in range(dfa.n)}
-    for level, sets in _levels([full_set(dfa.n)], subset_images(dfa), runs):
-        if not singletons.isdisjoint(sets):
+    full = full_set(n)
+    for level, sets in _levels([1 << q for q in range(n)], _preimage_maps(dfa), runs):
+        if full in sets:
             return level
     raise NotSynchronizingError("no singleton reachable from the full state set")
 

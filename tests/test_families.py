@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -59,6 +60,25 @@ def test_a_family_small_values():
     assert min_switch_count(a_family(3)) == 1
     assert min_switch_count(a_family(7)) == 23
     assert min_switch_count(a_family(12)) == 79
+
+
+# The published formulas past the sizes of checks 1, 5 and 6, up to the
+# 24-state limit of the subset searches: the backward level search reaches
+# about n^2 subsets of these families.
+@pytest.mark.parametrize("n", range(17, 25))
+def test_cerny_formulas_to_24(n):
+    dfa = cerny(n)
+    assert (shortest_sync_length(dfa), min_switch_count(dfa)) == ((n - 1) ** 2, 2 * n - 3)
+
+
+@pytest.mark.parametrize("n", range(19, 25))
+def test_a_family_formula_to_24(n):
+    assert min_switch_count(a_family(n)) == math.ceil(2 * n * (n - 2) / 3 - 1)
+
+
+@pytest.mark.parametrize("n", range(18, 25, 2))
+def test_q_family_formula_to_24(n):
+    assert min_switch_count(q_family(n)) == (n * n - 6 * n + 10) // 2
 
 
 def test_a_family_last_state_targets():

@@ -59,6 +59,34 @@ def test_subset_images_match_apply_set(n, k):
         assert image(subsets) == [apply_set(dfa, v, [s]) for v in subsets]
 
 
+@pytest.mark.parametrize("n", [1, 7, 12, 13, 17, 24])
+@pytest.mark.parametrize("k", [1, 3])
+def test_preimage_maps_match_definition(n, k):
+    # the preimage of V under s is every state that s maps into V
+    rng = random.Random(1000 * n + k + 7)
+    dfa = random_dfa(rng, n, k)
+    subsets = range(1 << n) if n < 17 else [rng.getrandbits(n) for _ in range(4000)] + [(1 << n) - 1, 0]
+    maps = synchro._preimage_maps(dfa)
+    assert len(maps) == k
+    for s, preimage in enumerate(maps):
+        assert preimage(subsets) == [
+            sum(1 << p for p, row in enumerate(dfa.rows) if v >> row[s] & 1) for v in subsets
+        ]
+
+
+def test_scalar_optima_share_one_preimage_build():
+    # ssl and sw of one automaton back to back build its preimage maps once;
+    # only the last automaton's are held
+    synchro._preimage_maps.cache_clear()
+    builds = lambda: synchro._preimage_maps.cache_info().misses  # noqa: E731
+    shortest_sync_length(cerny(5))
+    min_switch_count(Dfa([list(row) for row in cerny(5).rows]))
+    assert builds() == 1
+    min_switch_count(cerny(6))
+    shortest_sync_length(cerny(5))
+    assert builds() == 3
+
+
 def test_is_synchronizing():
     assert is_synchronizing(cerny(4))
     assert not is_synchronizing(IDENTITY2)
@@ -293,6 +321,44 @@ def test_level_search_matches_bucket_search():
         assert (ssl is None) == (sw is None) == (not is_synchronizing(dfa))
         nonsync += ssl is None
     assert 50 <= nonsync < 600
+
+
+def _forward_level(dfa, runs):
+    """The forward level search: the first level, counted from the full
+    set over images, that holds a singleton."""
+    if dfa.n == 1:
+        return 0
+    singletons = {1 << q for q in range(dfa.n)}
+    for level, sets in synchro._levels([full_set(dfa.n)], subset_images(dfa), runs):
+        if not singletons.isdisjoint(sets):
+            return level
+    raise NotSynchronizingError("no singleton reachable from the full state set")
+
+
+def test_scalar_optima_match_forward_search_and_brute_force():
+    """ssl and sw (backward from the singletons) against the forward level
+    search on every automaton of a seeded corpus, n = 1..11 and k = 1..4,
+    and against brute force where its word or run enumeration is cheap."""
+    rng = random.Random(31)
+    corpus = [random_dfa(rng, n, k) for n in range(1, 12) for k in range(1, 5) for _ in range(4)]
+    corpus += [cerny(n) for n in range(2, 12)] + [a_family(n) for n in range(3, 12)]
+    corpus += [IDENTITY2, TWO_BLOCKS3, TWO_BLOCKS4]
+    nonsync = brute = 0
+    for dfa in corpus:
+        ssl, sw = _outcome(lambda: shortest_sync_length(dfa)), _outcome(lambda: min_switch_count(dfa))
+        assert ssl == _outcome(lambda: _forward_level(dfa, runs=False))
+        assert sw == _outcome(lambda: _forward_level(dfa, runs=True))
+        assert (ssl is None) == (sw is None) == (not is_synchronizing(dfa))
+        nonsync += ssl is None
+        if dfa.n > 5:
+            continue
+        # the run sequence of a fewest-run word passes no subset twice, so
+        # none synchronizing up to 2^n runs means none synchronizes at all
+        assert brute_min_switch_by_runs(dfa, 1 << dfa.n) == sw
+        if ssl is not None and dfa.k ** ssl <= 4096:
+            assert brute_shortest_length(dfa, ssl) == ssl
+            brute += 1
+    assert nonsync >= 30 and brute >= 60
 
 
 # ---------------------------------------------------------------------
