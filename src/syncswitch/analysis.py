@@ -22,10 +22,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, Iterable
 
 from .automaton import Dfa, Word, set_members, state_set, union_table
 from .families import b_family, negate_index, s_set, signed_to_index
-from .synchro import _levels
+from .synchro import _levels, _slice_maps, subset_images
 
 
 @dataclass
@@ -36,10 +37,9 @@ class DistanceContext:
     For i in S, pos[i] is the position on C of i(ab)^(n/3), numbered along
     the ab-cycle from state 2; for i in -S it is minus the position of -i.
     Then d(i, j) = (pos[j] - pos[i]) mod 2n/3, read as 2n/3 when 0, in both
-    classes.  `pos_masks` reads the positions of a whole set: for each 12-bit
-    slice of the 2n-bit state set, the width of `synchro.subset_images`, a
-    `union_table` from the slice's bits to the bit mask of its members'
-    positions mod 2n/3.
+    classes.  `positions` reads the positions of whole sets: a
+    `synchro._slice_maps` map from state sets to the bit masks of their
+    members' positions mod 2n/3.
     """
 
     n: int
@@ -49,7 +49,7 @@ class DistanceContext:
     neg_s_bits: int                # -S, the complement of S
     c_bits: int                    # C, the ab-cycle through state 2
     pos: list[int]                 # signed cycle position, per index
-    pos_masks: list[list[int]]     # per 12-bit slice: its bits -> position mask
+    positions: Callable[[Iterable[int]], list[int]]  # state sets -> position masks
 
     def distance_by_index(self, i: int, j: int) -> int:
         """Asymmetric distance d(i, j) of two states both in S or both in -S.
@@ -90,11 +90,9 @@ def distance_context(n: int) -> DistanceContext:
             cur = step_ab[cur]
         pos[i] = on_cycle[cur]
         pos[negate_index(i, n)] = -pos[i]
-    pos_masks = [union_table(1 << p % cycle_len for p in pos[lo:lo + 12])
-                 for lo in range(0, 2 * n, 12)]
     return DistanceContext(n=n, dfa=dfa, cycle_len=cycle_len, s_bits=s_bits,
                            neg_s_bits=_negate_bits(s_bits, n), c_bits=c_bits, pos=pos,
-                           pos_masks=pos_masks)
+                           positions=_slice_maps(2 * n, [[1 << p % cycle_len for p in pos]])[0])
 
 
 def _negate_bits(bits: int, n: int) -> int:
@@ -108,34 +106,31 @@ def measure(ctx: DistanceContext, bits: int) -> int:
     Computed as the largest cyclic gap of the members' positions mod 2n/3:
     the distance from a member to its nearest other member is the gap from
     its position to the next distinct one.  1 for S itself, 2n/3 when all
-    members share one position.  The positions come as one bit mask, the
-    union of the set's slices in `ctx.pos_masks`, and the largest gap is one
-    more than the longest run of unset bits around that cyclic mask.
+    members share one position.  The largest gap is one more than the
+    longest run of unset bits around the cyclic bit mask of the positions.
     """
-    if bits == 0:
-        raise ValueError("measure of the empty set is undefined")
-    if bits & ~ctx.s_bits and bits & ~ctx.neg_s_bits:
-        raise ValueError("measure needs a set inside S or inside -S")
+    return _measures(ctx, [bits])[0]
+
+
+def _measures(ctx: DistanceContext, sets: list[int]) -> list[int]:
+    """The `measure` of each set, their masks from one `ctx.positions` call."""
+    for bits in sets:
+        if bits == 0:
+            raise ValueError("measure of the empty set is undefined")
+        if bits & ~ctx.s_bits and bits & ~ctx.neg_s_bits:
+            raise ValueError("measure needs a set inside S or inside -S")
     cl = ctx.cycle_len
-    mask = _sliced_union(ctx.pos_masks, bits)
-    # the unset bits of the mask written twice: every cyclic run of them
-    # appears whole, and none is longer than it is around the cycle
-    gaps = ~(mask | mask << cl) & ((1 << 2 * cl) - 1)
-    gap = 1
-    while gaps:  # each pass shortens every run by one
-        gaps &= gaps >> 1
-        gap += 1
-    return gap
-
-
-def _sliced_union(tables: list[list[int]], bits: int) -> int:
-    """The union of tables[i][slice i of bits] over the 12-bit slices of a
-    state set: its image, or its position mask under `pos_masks`."""
-    union = 0
-    for table in tables:
-        union |= table[bits & 4095]
-        bits >>= 12
-    return union
+    mus = []
+    for mask in ctx.positions(sets):
+        # the unset bits of the mask written twice: every cyclic run of them
+        # appears whole, and none is longer than it is around the cycle
+        gaps = ~(mask | mask << cl) & ((1 << 2 * cl) - 1)
+        gap = 1
+        while gaps:  # each pass shortens every run by one
+            gaps &= gaps >> 1
+            gap += 1
+        mus.append(gap)
+    return mus
 
 
 def _pair_images(dfa: Dfa) -> list:
@@ -295,11 +290,8 @@ def verify_lemmas(n: int) -> LemmaReport:
     # L1: images of subsets of C that contain the top state stay inside C.
     c_members = set_members(ctx.c_bits)
     subset_pool = union_table(1 << q for q in c_members)[1:]
-    # per symbol and 12-bit slice of a set, its bits -> their image
-    slices = [[union_table(1 << row[s] for row in dfa.rows[lo:lo + 12]) for lo in range(0, 2 * n, 12)]
-              for s in range(dfa.k)]
-    images = _closure(subset_pool, [lambda sets, t=t: [_sliced_union(t, bits) for bits in sets]
-                                    for t in slices])
+    set_images = subset_images(dfa)
+    images = _closure(subset_pool, set_images)
     failures = 0
     for img in images:
         if (img >> n_idx) & 1 and img & ~ctx.c_bits:
@@ -343,11 +335,10 @@ def verify_lemmas(n: int) -> LemmaReport:
     else:
         s_subsets = _sampled([state_set(c) for size in (2, 3) for c in combinations(s_members, size)],
                              s_members, 1, rng)
-    for bits in s_subsets:
-        mu = measure(ctx, bits)
-        if measure(ctx, _sliced_union(slices[0], bits)) != mu:
+    columns = [s_subsets] + [image(s_subsets) for image in set_images]
+    for bits, mu, mu_a, mu_b in zip(s_subsets, *(_measures(ctx, sets) for sets in columns)):
+        if mu_a != mu:
             failures += 1
-        mu_b = measure(ctx, _sliced_union(slices[1], bits))
         if mu_b > mu + 1:
             failures += 1
         if not (bits >> n_idx) & 1 and mu_b != mu:
@@ -362,7 +353,7 @@ def verify_lemmas(n: int) -> LemmaReport:
     failures = 0
     raises_seen = 0
     for s in word:
-        nxt = _sliced_union(slices[s], bits)
+        [nxt] = set_images[s]([bits])
         mu_next = measure(ctx, nxt)
         if s == 1 and mu_next == mu + 1:
             raises_seen += 1
@@ -382,12 +373,9 @@ def verify_lemmas(n: int) -> LemmaReport:
     tables = [bytes(dfa.column(s)).ljust(256, b"\0") for s in range(dfa.k)]
     failures = 0
     pool = _sampled(subset_pool + [_negate_bits(bits, n) for bits in subset_pool], c_members, 2, rng)
-    for bits in pool:
-        wlen = rng.randint(1, 4 * n)
-        w = rng.choices((0, 1), k=wlen)
+    for bits, mu_a in zip(pool, _measures(ctx, pool)):
         members = set_members(bits)
-        targets = _walk(tables, bytes(members), w)
-        mu_a = measure(ctx, bits)
+        targets = _walk(tables, bytes(members), rng.choices((0, 1), k=rng.randint(1, 4 * n)))
         mu_w = measure(ctx, state_set(targets))
         ok = False
         for p, pw in zip(members, targets):

@@ -2,25 +2,24 @@
 length, minimal switch count, composite (switch, length) optimization, and
 optimal-word counting and enumeration.
 
-The subset engines map state sets through lookup tables (`_slice_maps`:
-one table a symbol up to 12 states, two 12-bit slices past that), images
-for the forward word engine (`subset_images`) and preimages for the scalar
-optima (`_preimage_maps`).  The two scalar optima are a level search over
-plain subsets (`_levels`) backward from the singletons, which stops at the
-first level that holds the full set: one level is one symbol for the
-shortest length and one whole symbol run for the minimal switch count.  On
-slowly synchronizing automata it reaches about n^2 sets where a forward
-search reaches nearly all 2^n.  The same level search serves the pair
-criterion (backward over state pairs), and over state pairs and sets the
-pair-increase bound and the lemma closures of `analysis`.  Optimal words
-and their counts come from one cost-ordered bucket queue forward from the
-full state set over (state set, last symbol) nodes (`_tight_dag`, Dial's
-algorithm with a heap of pending costs), which keeps state only for the
-subsets it reaches: the edge labeled s out of (V, t) leads to (Vs, s) and
-costs no switch if s == t, else one.  Each popped bucket is expanded once
-for all its tags, as one list of subsets with one image column per symbol.
-Its tight-edge DAG is built once per (automaton, objective), the last
-pair's is held, and `_lex_words` walks it.
+The subset engines map state sets through the tables of `_slice_maps`,
+images for the forward word engine (`subset_images`) and preimages for
+the scalar optima (`_preimage_maps`).  The two scalar optima are a level
+search over plain subsets (`_levels`) backward from the singletons, which
+stops at the first level that holds the full set: one level is one symbol
+for the shortest length and one whole symbol run for the minimal switch
+count.  On slowly synchronizing automata it reaches about n^2 sets where
+a forward search reaches nearly all 2^n.  The same level search serves
+the pair criterion (backward over state pairs), and over state pairs and
+sets the pair-increase bound and the lemma closures of `analysis`.
+Optimal words and their counts come from one cost-ordered bucket queue
+forward from the full state set over (state set, last symbol) nodes
+(`_tight_dag`, Dial's algorithm with a heap of pending costs), which
+keeps state only for the subsets it reaches: the edge labeled s out of
+(V, t) leads to (Vs, s) and costs no switch if s == t, else one.  Each
+popped bucket is expanded once for all its tags, as one list of subsets
+with one image column per symbol.  `_lex_words` walks the tight-edge DAG,
+built once per (automaton, objective); the last pair's is held.
 """
 
 from __future__ import annotations
@@ -55,33 +54,44 @@ class SyncResult:
     switch: int
 
 
-# The lookup tables cut a state set into two 12-bit slices, so a subset
-# search takes at most 24 states.  Even backward, a dense automaton
-# (p_variant, r_family) reaches all 2^n sets.
+# A dense automaton (p_variant, r_family) reaches all 2^n sets even backward,
+# so `_sync_level` and `_tight_dag` refuse n > 24 before they build a table.
 _MAX_SEARCH_STATES = 24
+
+
+def _refuse_past_search_cap(n: int) -> None:
+    if n > _MAX_SEARCH_STATES:
+        raise ValueError(f"subset search over {n} states needs 2**{n} nodes; refusing")
 
 
 def _slice_maps(n: int, bits: Iterable[list[int]]) -> list[Callable[[Iterable[int]], list[int]]]:
     """maps[s](vs)[i] = the union of bits[s][q] over the states q of the
-    i-th state set in vs.
+    i-th state set in vs, for any n.
 
-    States are cut into two slices of 12.  Per symbol and slice, a
+    States are cut into slices of 12.  Per symbol and slice, a
     `union_table` of at most 4,096 entries maps the slice's bits of a set
-    to their union, and the map of the set is the union of its two
-    slices' maps, two lookups a set.  Up to 12 states the low slice is the
-    whole set, and one lookup a set is about 3 times faster.  `bits` is
-    read only after the size check, so a refused size builds nothing.
+    to their union, and the map of the set is the union of its slices'
+    maps, one lookup a slice.  Up to 12 states one lookup a set is about 3
+    times faster than two, and up to 24 two written-out lookups are about
+    2.8 times faster than the loop that reads any number of slices past 24.
     """
-    if n > _MAX_SEARCH_STATES:
-        raise ValueError(
-            f"subset search over {n} states needs 2**{n} nodes; refusing"
-        )
-
     def by_slices(per_state: list[int]) -> Callable[[Iterable[int]], list[int]]:
-        t0, t1 = union_table(per_state[:12]), union_table(per_state[12:])
+        tables = [union_table(per_state[lo:lo + 12]) for lo in range(0, n, 12)]
+        t0 = tables[0]
         if n <= 12:
             return lambda vs: list(map(t0.__getitem__, vs))
-        return lambda vs: [t0[v & 4095] | t1[v >> 12] for v in vs]
+        if n <= 24:
+            t1 = tables[1]
+            return lambda vs: [t0[v & 4095] | t1[v >> 12] for v in vs]
+
+        def union(v: int) -> int:
+            u = 0
+            for table in tables:
+                u |= table[v & 4095]
+                v >>= 12
+            return u
+
+        return lambda vs: list(map(union, vs))
 
     return [by_slices(per_state) for per_state in bits]
 
@@ -196,6 +206,7 @@ def _sync_level(dfa: Dfa, runs: bool) -> int:
     A word w synchronizes iff pre_w({q}) is the full set for some state q.
     """
     n = dfa.n
+    _refuse_past_search_cap(n)
     if n == 1:
         return 0
     full = full_set(n)
@@ -261,6 +272,7 @@ def _tight_dag(dfa: Dfa, objective: Objective) -> tuple:
     optimal singleton; images are the `subset_images`, tags[s] the tag of the nodes
     symbol s leads to, and big the weight of a switch in a cost."""
     n, k = dfa.n, dfa.k
+    _refuse_past_search_cap(n)
     images = subset_images(dfa)
     big = (k + 1) << n
     tags = [s + 1 if objective is Objective.SWITCH_THEN_LENGTH else 0 for s in range(k)]

@@ -44,15 +44,17 @@ def random_dfa(rng, n, k=2):
     return Dfa([[rng.randrange(n) for _ in range(k)] for _ in range(n)])
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 12, 13, 16, 17, 24])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 12, 13, 16, 17, 24, 25, 36, 46])
 @pytest.mark.parametrize("k", [2, 3])
 def test_subset_images_match_apply_set(n, k):
     # 12 and 13 sit on each side of the 12-bit slice boundary (one table a
-    # symbol up to 12 states, two slices past it); the 2**24
-    # subsets of n = 24 are too many, so it takes a seeded sample
+    # symbol up to 12 states, two slices up to 24); 25, 36 and 46 take the
+    # loop over 3 and 4 slices, past the searches' bound.  From n = 24 on
+    # the 2**n subsets are too many, so it takes a seeded sample plus the
+    # full and empty sets
     rng = random.Random(1000 * n + k)
     dfa = random_dfa(rng, n, k)
-    subsets = range(1 << n) if n < 24 else [rng.getrandbits(n) for _ in range(4000)] + [(1 << n) - 1]
+    subsets = range(1 << n) if n < 24 else [rng.getrandbits(n) for _ in range(4000)] + [(1 << n) - 1, 0]
     images = subset_images(dfa)
     assert len(images) == k
     for s, image in enumerate(images):
@@ -85,6 +87,26 @@ def test_scalar_optima_share_one_preimage_build():
     min_switch_count(cerny(6))
     shortest_sync_length(cerny(5))
     assert builds() == 3
+
+
+def test_searches_refuse_past_24_states_before_building_tables(monkeypatch):
+    # the slices cover any n: 24 states is the subset searches' own bound,
+    # checked before a table is built
+    def no_tables(bits):
+        raise AssertionError("a refused search built a lookup table")
+
+    monkeypatch.setattr(synchro, "union_table", no_tables)
+    dfa = cerny(25)
+    calls = [shortest_sync_length, min_switch_count]
+    for objective in Objective:
+        calls += [lambda d, o=objective: optimal_sync_word(d, o),
+                  lambda d, o=objective: count_optimal_words(d, o),
+                  lambda d, o=objective: optimal_words(d, o, limit=1)]
+    for call in calls:
+        with pytest.raises(ValueError) as refused:
+            call(dfa)
+        assert str(refused.value) == "subset search over 25 states needs 2**25 nodes; refusing"
+    assert is_synchronizing(dfa)
 
 
 def test_is_synchronizing():
