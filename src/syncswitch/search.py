@@ -102,8 +102,8 @@ def format_report(report: ExtremalReport) -> str:
     """Summary header followed by the extremal automata as DFA blocks.
 
     The header ends with the call's wall time, `wall_s`, beside
-    `worker_s`, the shards' summed seconds, and `workers`, the processes
-    that scanned (1: no pool was started).
+    `worker_s`, the seconds of the shards and the canonicalization, and
+    `workers`, the processes that scanned (1: no pool was started).
     """
     lines = [
         f"n={report.n} k={report.k} scanned={report.scanned} "
@@ -265,7 +265,7 @@ def _scan_numpy(n: int, k: int, parts, ranked: bool = False):
 
     If `ranked`, a table is kept only if its symbol 1 (the leading digit,
     read before any decode) ranks no lower than its symbol 0
-    (`_class_rank`, built in this process), and counts twice where it
+    (`_class_rank`, built by `_search`), and counts twice where it
     ranks higher, for its skipped 0<->1 swap.  Only orbit representatives
     are scored: a table whose index is the least among its conjugates
     under the centralizer of its map.  The survivors of all parts are
@@ -523,8 +523,8 @@ def _class_rank(n: int) -> "np.ndarray":
     """The class rank of every map of [n]^n, indexed by its big-endian
     digits: its class's position in `_class_representatives`, so the
     identity and the constant maps come last.  A cached uint16 array:
-    each process builds it once, a forked worker from the class list it
-    inherits."""
+    `_search` builds it before any pool starts, and forked workers share
+    it (a worker under another start method builds its own)."""
     powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rank = np.empty(n ** n, dtype=np.uint16)
     for r, f in enumerate(_class_representatives(n)):
@@ -549,10 +549,10 @@ def _search(n, k, maps, workers, progress, ranked=False) -> ExtremalReport:
     `workers` is an upper bound on the worker processes.  A space of
     fewer than POOL_GRAIN tables runs in the calling process as one job
     with one part per map.  A larger one runs on a pool of `workers`
-    processes, at most one per job, 8 one-part jobs per worker, and the
-    final canonicalization runs in the same pool, one part per worker but
-    no empty part.  Each map's tables count `weight` times in `scanned`,
-    `injective` and `nonsync`.
+    processes, at most one per job, 8 one-part jobs per worker, that only
+    scan: this process builds the rank table before the pool starts, and
+    canonicalizes after the pool has closed.  Each map's tables count
+    `weight` times in `scanned`, `injective` and `nonsync`.
     """
     t0 = time.perf_counter()
     free = n ** (n * (k - 1))
@@ -564,6 +564,8 @@ def _search(n, k, maps, workers, progress, ranked=False) -> ExtremalReport:
     groups = [[part] for part in parts] if pooled else [parts]
     jobs = [(_scan_numpy, n, k, group, ranked) for group in groups]
     workers = min(workers, len(jobs)) if pooled else 1
+    if ranked:
+        _class_rank(n)  # built here once, so forked workers inherit it
     total, elapsed = _Tally(), 0.0
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         run = pool.imap_unordered if workers > 1 else map
@@ -577,16 +579,14 @@ def _search(n, k, maps, workers, progress, ranked=False) -> ExtremalReport:
                     progress(f"SHARD a={','.join(map(str, fixed))} [{lo},{hi}) DONE max={part.best} "
                              f"tables_per_s={rate:.0f} "
                              f"injective={part.injective * weight} nonsync={part.nonsync * weight}")
-        tables = np.concatenate([np.empty((0, n, k), dtype=np.uint8)] + total.found)
-        if ranked:
-            tables = np.concatenate((tables, tables[:, :, [1, 0, *range(2, k)]]))
-        parts = np.array_split(tables, max(1, min(workers, len(tables))))
-        parts = list(run(_timed, [(_canonical_tables, n, k, part) for part in parts]))
-    elapsed += sum(seconds for *_, seconds in parts)
+    tables = np.concatenate([np.empty((0, n, k), dtype=np.uint8)] + total.found)
+    if ranked:
+        tables = np.concatenate((tables, tables[:, :, [1, 0, *range(2, k)]]))
+    _, forms, seconds = _timed((_canonical_tables, n, k, tables))
     return ExtremalReport(
         n=n, k=k, max_sw=total.best if total.best >= 0 else None,
-        forms={c: frozenset(Dfa(rows) for _, forms, _ in parts for rows in forms[c]) for c in IsoConvention},
-        scanned=total.count, elapsed=elapsed, wall_s=time.perf_counter() - t0,
+        forms={c: frozenset(map(Dfa, forms[c])) for c in IsoConvention},
+        scanned=total.count, elapsed=elapsed + seconds, wall_s=time.perf_counter() - t0,
         complete=not total.truncated, workers=workers,
     )
 

@@ -353,26 +353,29 @@ def inline_pool(monkeypatch):
     return sizes, jobs_sent
 
 
-def test_pool_has_at_most_one_worker_per_job(inline_pool):
+def test_pool_has_at_most_one_worker_per_job(monkeypatch, inline_pool):
     # binary (5,2) is above the grain and makes 47 maps * 67 ranges = 3,149
     # jobs
     sizes, jobs = inline_pool
+    calls, canonical_tables = [], search._canonical_tables
+    monkeypatch.setattr(search, "_canonical_tables",
+                        lambda n, k, tables: calls.append(len(tables)) or canonical_tables(n, k, tables))
     lines = []
     report = extremal_search(5, 2, parallelism=5000, progress=lines.append)
     shards = sum(line.startswith("SHARD") for line in lines)
     assert shards == 3149
     assert sizes == [shards] and report.workers == shards
-    canonical = [job[-1] for job in jobs if job[0] is search._canonical_tables]
+    # the pool only scans: the caller canonicalizes the 12 kept rows (6
+    # tables and their swaps) in one call
+    assert not any(job[0] is search._canonical_tables for job in jobs)
+    assert calls == [12]
     assert _outcome(report) == _outcome(extremal_search(5, 2))
-    # 12 tables are kept for canonicalization: at most one part each, none empty
-    assert 0 < len(canonical) <= 12 and all(len(part) for part in canonical)
-    assert sum(map(len, canonical)) == 12
 
 
 @pytest.mark.parametrize("fn, ranked", [(extremal_search, True), (cyclic_extremal_search, False)])
 def test_scan_jobs_carry_no_array(monkeypatch, inline_pool, fn, ranked):
-    # a scan job is (n, k, parts, ranked): the scan reads the rank table in
-    # its own process, so no job pickles it
+    # a scan job is (n, k, parts, ranked): a worker reads the rank table
+    # the caller built before the pool started, so no job pickles it
     monkeypatch.setattr(search, "POOL_GRAIN", 0)
     fn(4, 2, parallelism=2)
     scans = [job[1:] for job in inline_pool[1] if job[0] is _scan_numpy]
@@ -434,6 +437,26 @@ def test_search_guards(monkeypatch):
     # a worker count below 1 is refused before the n=8 class list is made
     with pytest.raises(ValueError, match="at least one worker"):
         extremal_search(8, 1, parallelism=0)
+
+
+def test_rank_table_is_built_before_the_pool(monkeypatch, inline_pool):
+    # a ranked search builds _class_rank(n) in the caller before the pool
+    # starts, so forked workers inherit it; cyclic and k=1 never build it
+    monkeypatch.setattr(search, "POOL_GRAIN", 0)
+    rank, built = search._class_rank, []
+    rank.cache_clear()
+    imap_unordered = search.Pool.imap_unordered
+
+    def record(fn, jobs):
+        built.append(rank.cache_info().currsize)
+        return imap_unordered(fn, jobs)
+
+    monkeypatch.setattr(search.Pool, "imap_unordered", staticmethod(record))
+    assert extremal_search(4, 2, parallelism=2).workers == 2
+    assert built == [1] and rank.cache_info().misses == 1
+    monkeypatch.setattr(search, "_class_rank", lambda n: pytest.fail("rank made"))
+    assert cyclic_extremal_search(4, 2, parallelism=2).workers == 2
+    assert extremal_search(4, 1, parallelism=2).max_sw == 1
 
 
 def test_one_symbol_search_builds_no_rank(monkeypatch):
