@@ -2,24 +2,26 @@
 length, minimal switch count, composite (switch, length) optimization, and
 optimal-word counting and enumeration.
 
-The subset engines map state sets through the tables of `_slice_maps`,
-images for the forward word engine (`subset_images`) and preimages for
-the scalar optima (`_preimage_maps`).  The two scalar optima are a level
-search over plain subsets (`_levels`) backward from the singletons, which
-stops at the first level that holds the full set: one level is one symbol
-for the shortest length and one whole symbol run for the minimal switch
-count.  On slowly synchronizing automata it reaches about n^2 sets where
-a forward search reaches nearly all 2^n.  The same level search serves
-the pair criterion (backward over state pairs), and over state pairs and
-sets the pair-increase bound and the lemma closures of `analysis`.
-Optimal words and their counts come from one cost-ordered bucket queue
-forward from the full state set over (state set, last symbol) nodes
-(`_tight_dag`, Dial's algorithm with a heap of pending costs), which
-keeps state only for the subsets it reaches: the edge labeled s out of
-(V, t) leads to (Vs, s) and costs no switch if s == t, else one.  Each
-popped bucket is expanded once for all its tags, as one list of subsets
-with one image column per symbol.  `_lex_words` walks the tight-edge DAG,
-built once per (automaton, objective); the last pair's is held.
+The subset engines search backward from the singletons over the preimage
+tables of `_preimage_maps`, built by `_slice_maps` and held for the last
+automaton, and stop at the full set: a word w synchronizes iff
+pre_w({q}) is the full set for some state q, and read from its end w
+keeps its letters and runs.  On slowly synchronizing automata they reach
+about n^2 sets where a forward search reaches nearly all 2^n.  The two
+scalar optima are a level search over plain subsets (`_levels`): one level
+is one symbol for the shortest length and one whole symbol run for the
+minimal switch count.  The same level search serves the pair criterion
+(backward over state pairs), and over state pairs and sets the
+pair-increase bound and the lemma closures of `analysis`, which maps sets
+forward through `subset_images`.  Optimal words and their counts come from
+one cost-ordered bucket queue over (state set, first symbol) nodes
+(`_tight_dag`, Dial's algorithm with a heap of pending costs), which keeps
+state only for the sets it reaches: the edge labeled s out of (S, t)
+leads to (pre_s(S), s) and costs no switch if s == t, else one.  Each
+popped bucket is expanded once for all its tags, as one list of sets with
+one preimage column per symbol.  `_lex_words` walks the tight-edge DAG,
+built once per (automaton, objective), from the full set back to the
+singletons; the last pair's DAG is held.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ class SyncResult:
 
 
 # A dense automaton (p_variant, r_family) reaches all 2^n sets even backward,
-# so `_sync_level` and `_tight_dag` refuse n > 24 before they build a table.
+# so `_sync_level` and `_tight_dag` refuse n > 24 before they build a table:
+# a policy on the state count, until a budget on the nodes a search
+# reaches replaces it for both engines.
 _MAX_SEARCH_STATES = 24
 
 
@@ -107,7 +111,7 @@ def _preimage_maps(dfa: Dfa) -> list[Callable[[Iterable[int]], list[int]]]:
     """maps[s](vs)[i] = the preimage under symbol s of the i-th state set in
     vs, the states that s maps into it: state t contributes the states s
     maps to t.  The last automaton's maps are held, as callers ask for both
-    scalar optima of one automaton back to back."""
+    scalar optima, a word and a count of one automaton back to back."""
     def preimage_bits(s: int) -> list[int]:
         into = [0] * dfa.n
         for p, row in enumerate(dfa.rows):
@@ -217,71 +221,98 @@ def _sync_level(dfa: Dfa, runs: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Forward search and the tight-edge DAG
+# Backward search and the tight-edge DAG
 #
 # Dial's buckets serve the optimal words and their counts only
 # (`optimal_sync_word`, `count_optimal_words`, `optimal_words`); the scalar
-# optima need no last-symbol tag and take the level search above.  Both
-# objectives search one graph of (V, tag) nodes.  Under
-# SWITCH_THEN_LENGTH the tag is the last symbol applied (s + 1 after symbol
-# s, 0 before the first), and an edge costs (switches, length) = (0, 1) when
-# it repeats the last symbol and (1, 1) otherwise.  Under LENGTH the tag is
-# always 0 and every edge costs (1, 1), which orders nodes by length alone.
-# A cost (sw, len) is stored as the integer sw * big + len, where big exceeds
-# the length of every path the search keeps, so integer order is the
-# lexicographic order and `cost // big` is the optimal length or switch count.
+# optima need no tag and take the level search above.  Like it, the search
+# runs backward from the singletons over preimages: a node (S, tag) stands
+# for the suffixes v read so far with pre_v({q}) = S, and the edge labeled s
+# out of (S, tag) prepends s, leading to (pre_s(S), s + 1).  Both
+# objectives search one graph of (S, tag) nodes.  Under SWITCH_THEN_LENGTH
+# the tag is the first letter of the suffix (s + 1 for symbol s, 0 for the
+# empty suffix of the singletons), and an edge costs (switches, length) =
+# (0, 1) when it extends that letter's run and (1, 1) otherwise.  Under
+# LENGTH the tag is always 0 and every edge costs (1, 1), which orders nodes
+# by length alone.  Read from its end a word keeps its length and its runs,
+# so both costs are those of the word.  A cost (sw, len) is stored as the
+# integer sw * big + len, where big exceeds the length of every path the
+# search keeps, so integer order is the lexicographic order and
+# `cost // big` is the optimal length or switch count.  The empty set is a
+# preimage but no node: no word leads from it to the full set.
 #
 # The search is Dial's algorithm: one bucket of candidate nodes per pending
 # cost, a heap of those costs, and each step pops the least.  An edge of
 # cost (0, 1) adds 1, less than `big`, so it stays in the level of
 # `cost // big`; an edge of cost (1, 1) adds big + 1 and leads to the next
-# level.  A popped bucket drops the subsets already expanded under the same
-# tag at a lower cost, and the search stops at the first bucket that holds a
-# singleton: its cost is optimal.  Otherwise the bucket is expanded as a
-# whole.  Its subsets form one tag-major list with a (tag, lo, hi) span per
-# tag, and each symbol's images of the whole list form one column.  The
+# level.  A popped bucket drops the sets already expanded under the same
+# tag at a lower cost, and the search stops at the first bucket that holds
+# the full set: its cost is optimal.  Otherwise the bucket is expanded as a
+# whole.  Its sets form one tag-major list with a (tag, lo, hi) span per
+# tag, and each symbol's preimages of the whole list form one column.  The
 # column of symbol s goes to bucket cost + big + 1 under the tag symbol s
 # leads to (switch edges), and under SWITCH_THEN_LENGTH the column's slice
 # over the span of tag s + 1 also to bucket cost + 1 (run edges).
-# The switch edge out of a subset V tagged s + 1 is not in the graph, and it
-# adds nothing: its target (Vs, s + 1) is also the target of the run edge,
-# at cost + 1, so it is expanded at cost + 1 or lower, and the bucket of
-# cost + big + 1 drops it if it is ever popped.  Every node is expanded at
-# one cost only, so the count sweep below reads no path through that edge
-# either.  A bucket with nothing left to expand pushes nothing, so the
+# The switch edge out of a set S tagged s + 1 is not in the graph, and it
+# adds nothing: its target (pre_s(S), s + 1) is also the target of the run
+# edge, at cost + 1, so it is expanded at cost + 1 or lower, and the bucket
+# of cost + big + 1 drops it if it is ever popped.  Every node is expanded
+# at one cost only, so the count sweep below reads no path through that
+# edge either.  A bucket with nothing left to expand pushes nothing, so the
 # search of a non-synchronizing automaton runs out of buckets.
 #
 # An edge u -> w is tight when cost(u) + c(u, w) = cost(w).  Every optimal
 # word follows tight edges only, and tight edges raise the cost, so the
 # expansion order is a topological order of the tight edges.  A reverse sweep
-# over it counts the tight paths from each node to an optimal singleton; the
-# nodes with a nonzero count and the tight edges between them form the DAG of
-# all optimal words.  The sweep skips every bucket whose successor buckets
-# hold no count, and pops each bucket off `order`, releasing its columns.
-# `_tight_dag` holds the last (automaton, objective)'s DAG only: callers
-# ask for a word and a count of one pair back to back, and a larger cache
-# would hold memory no caller reads.
+# over it counts the tight paths from each node to the full set; the nodes
+# with a nonzero count and the tight edges between them form the DAG of all
+# optimal words.  A synchronizing word w has pre_w({q}) = Q for exactly one
+# state q, so each optimal word is one tight path from one singleton, and
+# the count of optimal words is the sum of the singletons' counts.  The
+# sweep skips every bucket whose successor buckets hold no count, and pops
+# each bucket off `order`, releasing its columns.  `_tight_dag` holds the
+# last (automaton, objective)'s DAG only: callers ask for a word and a count
+# of one pair back to back, and a larger cache would hold memory no caller
+# reads.
+#
+# The first letter of a word is the last edge of its path, into the full
+# set, so `_lex_words` walks the DAG against its edges, from the full set
+# toward the singletons, and reads each word from its first letter.  The
+# tight in-edges of a node (X, s + 1) under s come from the DAG nodes Y of
+# the buckets one run edge or one switch edge below it with pre_s(Y) = X.
+# The walk maps a bucket's DAG nodes to their preimages under s the first
+# time it reads that bucket and symbol, and keeps that column with its
+# set, which skips a bucket with no in-edge at once.  One prefix can lead
+# to several nodes (other singletons, other suffix sets), so the walk
+# carries a frontier of nodes per prefix; under SWITCH_THEN_LENGTH a node's
+# tag is its next letter.  Every DAG node has a tight path from a
+# singleton, so every frontier leads to a word and the walk never
+# backtracks to find the next one; every word is one path, so no frontier
+# holds a node twice.  The singletons are the only nodes at cost 0, and a
+# frontier that holds one holds nothing else (its words would be longer
+# at the same cost): its prefix is a whole optimal word.
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=1)
 def _tight_dag(dfa: Dfa, objective: Objective) -> tuple:
-    """(ways, images, tags, big) of a forward search from the full set; the
-    last (dfa, objective)'s are held.  ways[cost, tag][V] is the nonzero
-    number of tight paths from node (V, tag), reached at that cost, to an
-    optimal singleton; images are the `subset_images`, tags[s] the tag of the nodes
-    symbol s leads to, and big the weight of a switch in a cost."""
+    """(ways, preimages, tags, big) of a backward search from the
+    singletons; the last (dfa, objective)'s are held.  ways[cost, tag][S]
+    is the nonzero number of tight paths from node (S, tag), reached at
+    that cost, to the full set, whose nodes hold the greatest cost;
+    preimages are the `_preimage_maps`, tags[s] the tag of the nodes symbol
+    s leads to, and big the weight of a switch in a cost."""
     n, k = dfa.n, dfa.k
     _refuse_past_search_cap(n)
-    images = subset_images(dfa)
+    preimages = _preimage_maps(dfa)
     big = (k + 1) << n
     tags = [s + 1 if objective is Objective.SWITCH_THEN_LENGTH else 0 for s in range(k)]
-    singletons = {1 << q for q in range(n)}
-    seen: list[set[int]] = [set() for _ in range(k + 1)]  # seen[tag]: expanded subsets
-    # (cost, subsets tag-major, their (tag, lo, hi) spans, their images by
+    full = full_set(n)
+    seen: list[set[int]] = [{0} for _ in range(k + 1)]  # seen[tag]: expanded sets, and the empty set
+    # (cost, sets tag-major, their (tag, lo, hi) spans, their preimages by
     # symbol), in increasing cost
     order: list[tuple[int, list[int], list[tuple[int, int, int]], list[list[int]]]] = []
-    buckets: dict[int, defaultdict[int, set[int]]] = {}  # cost -> tag -> candidate subsets
+    buckets: dict[int, defaultdict[int, set[int]]] = {}  # cost -> tag -> candidate sets
     pending: list[int] = []  # the costs in `buckets`, a heap
 
     def bucket(cost: int) -> defaultdict[int, set[int]]:
@@ -290,7 +321,7 @@ def _tight_dag(dfa: Dfa, objective: Objective) -> tuple:
             heappush(pending, cost)
         return buckets[cost]
 
-    bucket(0)[0].add(full_set(n))
+    bucket(0)[0].update(1 << q for q in range(n))
     while pending:
         cost = heappop(pending)
         vs: list[int] = []
@@ -303,9 +334,9 @@ def _tight_dag(dfa: Dfa, objective: Objective) -> tuple:
                 vs += fresh
         if not vs:  # push nothing: a non-synchronizing search must run dry
             continue
-        if not singletons.isdisjoint(vs):
+        if full in vs:
             break
-        columns = [image(vs) for image in images]
+        columns = [preimage(vs) for preimage in preimages]
         order.append((cost, vs, spans, columns))
         switched = bucket(cost + big + 1)
         for t, ws in zip(tags, columns):
@@ -318,8 +349,8 @@ def _tight_dag(dfa: Dfa, objective: Objective) -> tuple:
     else:
         raise NotSynchronizingError("no singleton reachable from the full state set")
 
-    # the last popped bucket holds the optimal singletons
-    ways = {(cost, tag): dict.fromkeys(singletons.intersection(vs[lo:hi]), 1) for tag, lo, hi in spans}
+    # the last popped bucket holds the full set, under one tag or more
+    ways = {(cost, tag): {full: 1} for tag, lo, hi in spans if full in vs[lo:hi]}
     while order:
         cost, vs, spans, columns = order.pop()
         switches = [ways.get((cost + big + 1, t)) for t in tags]
@@ -337,26 +368,66 @@ def _tight_dag(dfa: Dfa, objective: Objective) -> tuple:
             counts = totals[lo:hi]
             if any(counts):
                 ways[cost, tag] = dict(compress(zip(vs[lo:hi], counts), counts))
-    return ways, images, tags, big
+    return ways, preimages, tags, big
 
 
-def _lex_words(dag: tuple, start: int) -> Iterator[Word]:
+def _lex_words(dag: tuple) -> Iterator[Word]:
     """Every optimal word, in lexicographic order: a depth-first walk of the
-    tight DAG `dag` of `_tight_dag` from the full set `start`, taking the
-    symbols in increasing order."""
-    ways, images, tags, big = dag
-    stack: list[tuple[int, int, int, list[int]]] = [(0, 0, start, [])]
+    tight DAG `dag` of `_tight_dag` from the full set's nodes back to the
+    singletons, reading the letters of a word from its first and taking
+    them in increasing order."""
+    ways, preimages, tags, big = dag
+    goal = max(ways)[0]  # the optimal cost, that of the full set's nodes
+    # per symbol s, the (cost drop, tag) of the buckets whose tight edges
+    # under s lead into a node: one run edge, or one switch edge from any
+    # other tag
+    sources = [([(1, s + 1)] if tags[s] else []) + [(big + 1, t) for t in sorted({0, *tags}) if t != s + 1]
+               for s in range(len(tags))]
+    columns: dict[tuple[int, int, int], tuple[list[int], set[int]]] = {}
+
+    def column(cost: int, tag: int, s: int) -> tuple[list[int], set[int]]:
+        """The preimages under s of the DAG nodes of bucket (cost, tag), in
+        the order of ways[cost, tag] and as a set, mapped the first time
+        the walk reads them."""
+        if (cost, tag, s) not in columns:
+            xs = preimages[s](ways[cost, tag])
+            columns[cost, tag, s] = xs, set(xs)
+        return columns[cost, tag, s]
+
+    def steps(frontier: dict[tuple[int, int], set[int]]) -> Iterator[tuple[int, dict]]:
+        """(s, the frontier of prefix + s) for every letter s that extends
+        the prefix of `frontier`, {(cost, tag): DAG nodes}, in increasing
+        order."""
+        for s, below in enumerate(sources):
+            after = {}
+            for (cost, tag), xs in frontier.items():
+                if tag != tags[s]:
+                    continue
+                for drop, t in below:
+                    if (cost - drop, t) in ways:
+                        pres, present = column(cost - drop, t, s)
+                        if not present.isdisjoint(xs):
+                            after[cost - drop, t] = set(compress(ways[cost - drop, t], map(xs.__contains__, pres)))
+            if after:
+                yield s, after
+
+    if goal == 0:  # one state: the full set is the singleton
+        yield Word()
+        return
+    word: list[int] = []
+    stack = [steps({(goal, tag): set(sets) for (cost, tag), sets in ways.items() if cost == goal})]
     while stack:
-        cost, tag, v, prefix = stack.pop()
-        if v & (v - 1) == 0:
-            yield Word(prefix)
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
             continue
-        targets = [image([v])[0] for image in images]
-        for s in reversed(range(len(targets))):
-            reach = cost + (1 if tag == s + 1 else big + 1)
-            t, w = tags[s], targets[s]
-            if w in ways.get((reach, t), ()):
-                stack.append((reach, t, w, prefix + [s]))
+        del word[len(stack) - 1:]
+        s, frontier = step
+        word.append(s)
+        if (0, 0) in frontier:
+            yield Word(word)
+        else:
+            stack.append(steps(frontier))
 
 
 def shortest_sync_length(dfa: Dfa) -> int:
@@ -381,7 +452,7 @@ def optimal_sync_word(dfa: Dfa, objective: Objective) -> SyncResult:
     lexicographically smallest word.  The tight DAG is built once per
     (automaton, objective) for this, `count_optimal_words` and `optimal_words`.
     """
-    word = next(_lex_words(_tight_dag(dfa, objective), full_set(dfa.n)))
+    word = next(_lex_words(_tight_dag(dfa, objective)))
     return SyncResult(word, len(word), word.switch_count)
 
 
@@ -389,7 +460,7 @@ def count_optimal_words(dfa: Dfa, objective: Objective) -> int:
     """Number of distinct words attaining the objective's optimum, read off
     the held tight DAG of (dfa, objective) or a new one."""
     ways = _tight_dag(dfa, objective)[0]
-    return ways[0, 0][full_set(dfa.n)]  # the start node: cost 0, tag 0
+    return sum(ways[0, 0].values())  # the singletons: cost 0, tag 0
 
 
 def optimal_words(dfa: Dfa, objective: Objective, limit: int | None = None) -> list[Word]:
@@ -401,4 +472,4 @@ def optimal_words(dfa: Dfa, objective: Objective, limit: int | None = None) -> l
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
     dag = _tight_dag(dfa, objective)  # before the limit: a non-synchronizing dfa raises even at 0
-    return list(islice(_lex_words(dag, full_set(dfa.n)), limit))
+    return list(islice(_lex_words(dag), limit))

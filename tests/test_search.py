@@ -1,7 +1,10 @@
+import multiprocessing
+import os
 import pickle
 import random
 import time
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 from operator import attrgetter
@@ -457,6 +460,51 @@ def test_rank_table_is_built_before_the_pool(monkeypatch, inline_pool):
     monkeypatch.setattr(search, "_class_rank", lambda n: pytest.fail("rank made"))
     assert cyclic_extremal_search(4, 2, parallelism=2).workers == 2
     assert extremal_search(4, 1, parallelism=2).max_sw == 1
+
+
+_TIMED = search._timed
+
+
+def _timed_logging_rank(job):
+    """`search._timed`, first logging the job's function, this process's
+    pid and whether it holds a rank table (pickled by reference, so a
+    pool job logs in its worker)."""
+    with open(os.environ["RANK_LOG"], "a") as log:
+        log.write(f"{job[0].__name__} {os.getpid()} {search._class_rank.cache_info().currsize}\n")
+    return _TIMED(job)
+
+
+def test_pool_workers_inherit_the_rank_table(monkeypatch, tmp_path):
+    # forkserver, the default start method on Linux from Python 3.14, makes
+    # every worker import the package afresh and rebuild the rank table;
+    # the pool forks where the platform can, whatever the default, so only
+    # the caller builds it
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method on this platform")
+    log = tmp_path / "ranks.log"
+    rank = search._class_rank
+
+    @lru_cache(maxsize=8)
+    def logged_rank(n):
+        with open(log, "a") as out:
+            out.write(f"build {os.getpid()} 0\n")
+        return rank.__wrapped__(n)
+
+    monkeypatch.setenv("RANK_LOG", str(log))
+    monkeypatch.setattr(search, "_class_rank", logged_rank)
+    monkeypatch.setattr(search, "_timed", _timed_logging_rank)
+    monkeypatch.setattr(search, "POOL_GRAIN", 0)
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("forkserver", force=True)
+    try:
+        report = extremal_search(4, 2, parallelism=2)
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    assert report.workers == 2 and report.max_sw == 7
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert [pid for what, pid, _ in lines if what == "build"] == [str(os.getpid())]
+    scans = [(pid, held) for what, pid, held in lines if what == "_scan_numpy"]
+    assert scans and all(pid != str(os.getpid()) and held == "1" for pid, held in scans)
 
 
 def test_one_symbol_search_builds_no_rank(monkeypatch):

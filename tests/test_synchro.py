@@ -77,12 +77,15 @@ def test_preimage_maps_match_definition(n, k):
 
 
 def test_scalar_optima_share_one_preimage_build():
-    # ssl and sw of one automaton back to back build its preimage maps once;
-    # only the last automaton's are held
+    # ssl, sw, a word and a count of one automaton back to back build its
+    # preimage maps once, both engines searching backward over them; only
+    # the last automaton's are held
     synchro._preimage_maps.cache_clear()
     builds = lambda: synchro._preimage_maps.cache_info().misses  # noqa: E731
     shortest_sync_length(cerny(5))
     min_switch_count(Dfa([list(row) for row in cerny(5).rows]))
+    optimal_sync_word(cerny(5), Objective.SWITCH_THEN_LENGTH)
+    count_optimal_words(cerny(5), Objective.LENGTH)
     assert builds() == 1
     min_switch_count(cerny(6))
     shortest_sync_length(cerny(5))
@@ -97,6 +100,7 @@ def test_searches_refuse_past_24_states_before_building_tables(monkeypatch):
 
     monkeypatch.setattr(synchro, "union_table", no_tables)
     dfa = cerny(25)
+    maps = synchro._preimage_maps.cache_info()
     calls = [shortest_sync_length, min_switch_count]
     for objective in Objective:
         calls += [lambda d, o=objective: optimal_sync_word(d, o),
@@ -106,6 +110,7 @@ def test_searches_refuse_past_24_states_before_building_tables(monkeypatch):
         with pytest.raises(ValueError) as refused:
             call(dfa)
         assert str(refused.value) == "subset search over 25 states needs 2**25 nodes; refusing"
+    assert synchro._preimage_maps.cache_info() == maps
     assert is_synchronizing(dfa)
 
 
@@ -173,7 +178,7 @@ def test_not_synchronizing_errors():
                 with pytest.raises(NotSynchronizingError):
                     op(dfa, objective)
             # the search runs before the limit is applied
-            with pytest.raises(NotSynchronizingError):
+            with pytest.raises(NotSynchronizingError, match=r"^no singleton reachable from the full state set$"):
                 optimal_words(dfa, objective, limit=0)
 
 
@@ -329,7 +334,8 @@ def _outcome(value):
 
 def test_level_search_matches_bucket_search():
     """The scalar optima (level search) against the optimal words of the
-    bucket search, which tracks the last symbol instead of closing runs."""
+    bucket search, which tracks the first symbol of a suffix instead of
+    closing runs."""
     rng = random.Random(29)
     subjects = [random_dfa(rng, rng.randint(1, 10), rng.choice((2, 3))) for _ in range(600)]
     for family, lo, step in ((cerny, 2, 1), (p_variant, 2, 1), (r_family, 5, 1), (q_family, 4, 2), (a_family, 3, 1)):
@@ -437,11 +443,27 @@ def test_brute_force_count_switch_then_length():
     assert len(synchronizing) >= 40
 
 
-def test_canonical_word_is_unique_optimum_at_18():
-    dfa = a_family(18)
+# Backward from the singletons the word engine reaches about n^2 sets on
+# A_n and C_n, where a search forward from the full set reaches nearly all
+# 2^n: the time limit makes such a search a failure.  Check 12 covers
+# canonical_word at 6 and 12 only.
+@pytest.mark.parametrize("n", [18, 24])
+@time_limit(5)
+def test_canonical_word_is_unique_optimum(n):
+    dfa = a_family(n)
     best = optimal_sync_word(dfa, Objective.SWITCH_THEN_LENGTH)
-    assert best.word == canonical_word(18)
+    assert best.word == canonical_word(n)
     assert count_optimal_words(dfa, Objective.SWITCH_THEN_LENGTH) == 1
+
+
+@pytest.mark.parametrize("n", [20, 24])
+@pytest.mark.parametrize("objective", Objective)
+@time_limit(5)
+def test_cerny_word_and_count_at_20_and_24(n, objective):
+    # one word of length (n-1)^2 and 2n-3 runs is optimal under both objectives
+    best = optimal_sync_word(cerny(n), objective)
+    assert (best.length, best.switch) == ((n - 1) ** 2, 2 * n - 3)
+    assert count_optimal_words(cerny(n), objective) == 1
 
 
 # ---------------------------------------------------------------------
