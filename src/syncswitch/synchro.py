@@ -19,9 +19,11 @@ one cost-ordered bucket queue over (state set, first symbol) nodes
 state only for the sets it reaches: the edge labeled s out of (S, t)
 leads to (pre_s(S), s) and costs no switch if s == t, else one.  Each
 popped bucket is expanded once for all its tags, as one list of sets with
-one preimage column per symbol.  `_lex_words` walks the tight-edge DAG,
-built once per (automaton, objective), from the full set back to the
-singletons; the last pair's DAG is held.
+one preimage column per symbol.  The count sweep over the buckets keeps
+each tight edge as an in-edge of its target, and `_lex_words` walks those
+in-edges from the full set back to the singletons, a word's first letter
+first; the DAG is built once per (automaton, objective), and the last
+pair's is held.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import compress, islice, repeat
-from operator import add
+from itertools import compress, islice
 from typing import Callable, Iterable, Iterator
 
 from .automaton import Dfa, Word, full_set, union_table
@@ -269,39 +270,40 @@ def _sync_level(dfa: Dfa, runs: bool) -> int:
 # optimal words.  A synchronizing word w has pre_w({q}) = Q for exactly one
 # state q, so each optimal word is one tight path from one singleton, and
 # the count of optimal words is the sum of the singletons' counts.  The
-# sweep skips every bucket whose successor buckets hold no count, and pops
-# each bucket off `order`, releasing its columns.  `_tight_dag` holds the
-# last (automaton, objective)'s DAG only: callers ask for a word and a count
-# of one pair back to back, and a larger cache would hold memory no caller
-# reads.
+# sweep tests each set of a bucket, under each symbol s, against the counts
+# of the bucket one switch edge above it and of the bucket one run edge
+# above it.  Each hit is a tight edge: the sweep adds its count and keeps it
+# as an in-edge (s, source node) of its target node.  The sweep skips every
+# bucket whose successor buckets hold no count, and pops each bucket off
+# `order`, releasing its columns.  `_tight_dag` holds the last (automaton,
+# objective)'s DAG only: callers ask for a word and a count of one pair back
+# to back, and a larger cache would hold memory no caller reads.
 #
 # The first letter of a word is the last edge of its path, into the full
 # set, so `_lex_words` walks the DAG against its edges, from the full set
-# toward the singletons, and reads each word from its first letter.  The
-# tight in-edges of a node (X, s + 1) under s come from the DAG nodes Y of
-# the buckets one run edge or one switch edge below it with pre_s(Y) = X.
-# The walk maps a bucket's DAG nodes to their preimages under s the first
-# time it reads that bucket and symbol, and keeps that column with its
-# set, which skips a bucket with no in-edge at once.  One prefix can lead
-# to several nodes (other singletons, other suffix sets), so the walk
-# carries a frontier of nodes per prefix; under SWITCH_THEN_LENGTH a node's
-# tag is its next letter.  Every DAG node has a tight path from a
-# singleton, so every frontier leads to a word and the walk never
-# backtracks to find the next one; every word is one path, so no frontier
-# holds a node twice.  The singletons are the only nodes at cost 0, and a
-# frontier that holds one holds nothing else (its words would be longer
-# at the same cost): its prefix is a whole optimal word.
+# toward the singletons, and reads each word from its first letter.  One
+# prefix can lead to several nodes (other singletons, other suffix sets),
+# so the walk carries a frontier of nodes per prefix.  A step groups the
+# in-edges of the frontier's nodes by letter and takes the letters in
+# increasing order; the sources under a letter are the frontier of the
+# longer prefix.  Every DAG node has a tight path from a singleton, so
+# every frontier leads to a word and the walk never backtracks to find the
+# next one; every word is one path, so no frontier holds a node twice.  The
+# singletons are the only nodes at cost 0, and a frontier that holds one
+# holds nothing else (its words would be longer at the same cost): its
+# prefix is a whole optimal word.
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=1)
 def _tight_dag(dfa: Dfa, objective: Objective) -> tuple:
-    """(ways, preimages, tags, big) of a backward search from the
-    singletons; the last (dfa, objective)'s are held.  ways[cost, tag][S]
-    is the nonzero number of tight paths from node (S, tag), reached at
-    that cost, to the full set, whose nodes hold the greatest cost;
-    preimages are the `_preimage_maps`, tags[s] the tag of the nodes symbol
-    s leads to, and big the weight of a switch in a cost."""
+    """(ways, edges, goals) of a backward search from the singletons; the
+    last (dfa, objective)'s are held.  A node (cost, tag, S) is the set S
+    reached under that tag at that cost.  ways[cost, tag][S] is the nonzero
+    number of tight paths from the node to the full set; edges[node] lists
+    its tight in-edges (s, source), one for each DAG node (cost', tag', Y)
+    with pre_s(Y) = S; goals are the full set's nodes, which hold the
+    greatest cost."""
     n, k = dfa.n, dfa.k
     _refuse_past_search_cap(n)
     preimages = _preimage_maps(dfa)
@@ -350,72 +352,54 @@ def _tight_dag(dfa: Dfa, objective: Objective) -> tuple:
         raise NotSynchronizingError("no singleton reachable from the full state set")
 
     # the last popped bucket holds the full set, under one tag or more
-    ways = {(cost, tag): {full: 1} for tag, lo, hi in spans if full in vs[lo:hi]}
+    goals = [(cost, tag, full) for tag, lo, hi in spans if full in vs[lo:hi]]
+    ways = {(cost, tag): {full: 1} for cost, tag, _ in goals}
+    # node -> its tight in-edges (s, source node)
+    edges: defaultdict[tuple[int, int, int], list[tuple[int, tuple[int, int, int]]]] = defaultdict(list)
     while order:
         cost, vs, spans, columns = order.pop()
-        switches = [ways.get((cost + big + 1, t)) for t in tags]
-        runs = [ways.get((cost + 1, tag)) if tag else None for tag, _, _ in spans]
-        if not any(switches) and not any(runs):
+        # (s, lo, hi, bucket above): one switch edge under every symbol, one
+        # run edge under the symbol of each tag
+        above = [(s, 0, len(vs), (cost + big + 1, t)) for s, t in enumerate(tags)]
+        above += [(tag - 1, lo, hi, (cost + 1, tag)) for tag, lo, hi in spans if tag]
+        above = [(s, lo, hi, target) for s, lo, hi, target in above if target in ways]
+        if not above:
             continue
+        nodes = [(cost, tag, v) for tag, lo, hi in spans for v in vs[lo:hi]]
         totals = [0] * len(vs)
-        for ws, into in zip(columns, switches):
-            if into:
-                totals = list(map(add, totals, map(into.get, ws, repeat(0))))
-        for (tag, lo, hi), into in zip(spans, runs):
-            if into:
-                totals[lo:hi] = map(add, totals[lo:hi], map(into.get, columns[tag - 1][lo:hi], repeat(0)))
+        for s, lo, hi, target in above:
+            into, xs = ways[target], columns[s]
+            for i in compress(range(lo, hi), map(into.__contains__, xs[lo:hi])):
+                totals[i] += into[xs[i]]
+                edges[(*target, xs[i])].append((s, nodes[i]))
         for tag, lo, hi in spans:
             counts = totals[lo:hi]
             if any(counts):
                 ways[cost, tag] = dict(compress(zip(vs[lo:hi], counts), counts))
-    return ways, preimages, tags, big
+    return ways, edges, goals
 
 
 def _lex_words(dag: tuple) -> Iterator[Word]:
     """Every optimal word, in lexicographic order: a depth-first walk of the
-    tight DAG `dag` of `_tight_dag` from the full set's nodes back to the
-    singletons, reading the letters of a word from its first and taking
-    them in increasing order."""
-    ways, preimages, tags, big = dag
-    goal = max(ways)[0]  # the optimal cost, that of the full set's nodes
-    # per symbol s, the (cost drop, tag) of the buckets whose tight edges
-    # under s lead into a node: one run edge, or one switch edge from any
-    # other tag
-    sources = [([(1, s + 1)] if tags[s] else []) + [(big + 1, t) for t in sorted({0, *tags}) if t != s + 1]
-               for s in range(len(tags))]
-    columns: dict[tuple[int, int, int], tuple[list[int], set[int]]] = {}
+    tight DAG `dag` of `_tight_dag` against its edges, from the full set's
+    nodes back to the singletons, reading the letters of a word from its
+    first and taking them in increasing order."""
+    _, edges, goals = dag
 
-    def column(cost: int, tag: int, s: int) -> tuple[list[int], set[int]]:
-        """The preimages under s of the DAG nodes of bucket (cost, tag), in
-        the order of ways[cost, tag] and as a set, mapped the first time
-        the walk reads them."""
-        if (cost, tag, s) not in columns:
-            xs = preimages[s](ways[cost, tag])
-            columns[cost, tag, s] = xs, set(xs)
-        return columns[cost, tag, s]
-
-    def steps(frontier: dict[tuple[int, int], set[int]]) -> Iterator[tuple[int, dict]]:
+    def steps(frontier: list[tuple[int, int, int]]) -> Iterator[tuple[int, list]]:
         """(s, the frontier of prefix + s) for every letter s that extends
-        the prefix of `frontier`, {(cost, tag): DAG nodes}, in increasing
-        order."""
-        for s, below in enumerate(sources):
-            after = {}
-            for (cost, tag), xs in frontier.items():
-                if tag != tags[s]:
-                    continue
-                for drop, t in below:
-                    if (cost - drop, t) in ways:
-                        pres, present = column(cost - drop, t, s)
-                        if not present.isdisjoint(xs):
-                            after[cost - drop, t] = set(compress(ways[cost - drop, t], map(xs.__contains__, pres)))
-            if after:
-                yield s, after
+        the prefix of `frontier`, its DAG nodes, in increasing order."""
+        after: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
+        for node in frontier:
+            for s, source in edges[node]:
+                after[s].append(source)
+        return iter(sorted(after.items()))
 
-    if goal == 0:  # one state: the full set is the singleton
+    if goals[0][0] == 0:  # one state: the full set is the singleton
         yield Word()
         return
     word: list[int] = []
-    stack = [steps({(goal, tag): set(sets) for (cost, tag), sets in ways.items() if cost == goal})]
+    stack = [steps(goals)]
     while stack:
         step = next(stack[-1], None)
         if step is None:
@@ -424,7 +408,7 @@ def _lex_words(dag: tuple) -> Iterator[Word]:
         del word[len(stack) - 1:]
         s, frontier = step
         word.append(s)
-        if (0, 0) in frontier:
+        if frontier[0][0] == 0:  # a singleton, cost 0: the prefix is a whole word
             yield Word(word)
         else:
             stack.append(steps(frontier))

@@ -2,6 +2,7 @@ import ast
 import inspect
 import random
 import signal
+from collections import defaultdict
 from contextlib import contextmanager
 
 import pytest
@@ -283,13 +284,50 @@ def test_optimal_words_match_brute_force():
         dfa = random_dfa(rng, rng.choice((2, 3, 4, 4)), rng.choice((2, 3, 4)))
         if is_synchronizing(dfa):
             cases.append(dfa)
+    # k = 5 over 2 or 3 states, no one letter a reset word: at most steps of
+    # the walk most letters have no in-edge
+    while len(cases) < 46:
+        dfa = random_dfa(rng, rng.choice((2, 3)), 5)
+        if is_synchronizing(dfa) and shortest_sync_length(dfa) >= 2:
+            cases.append(dfa)
     checked = 0
     for dfa in cases:
         # k = 4 fills the buckets of SWITCH_THEN_LENGTH with many tags at once
-        for objective, expected in _brute_optimal_words(dfa, {2: 9, 3: 7, 4: 6}[dfa.k]).items():
+        for objective, expected in _brute_optimal_words(dfa, {2: 9, 3: 7, 4: 6, 5: 6}[dfa.k]).items():
             assert [w.symbols for w in optimal_words(dfa, objective)] == expected
             checked += 1
-    assert checked >= 70
+    assert checked >= 82
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_tight_dag_in_edges(objective):
+    """Every kept in-edge (s, Y) of a node X has pre_s(Y) = X and leads to
+    the tag of s; every DAG node's count is the sum of its out-edge
+    targets' counts (1 at the full set's nodes); and the singletons' counts
+    sum to the count of optimal words."""
+    rng = random.Random(31)
+    subjects = [r_family(8), p_variant(8)]
+    while len(subjects) < 62:
+        dfa = random_dfa(rng, rng.randint(1, 8), rng.randint(1, 4))
+        if is_synchronizing(dfa):
+            subjects.append(dfa)
+    for dfa in subjects:
+        ways, edges, goals = synchro._tight_dag(dfa, objective)
+        preimages = synchro._preimage_maps(dfa)
+        nodes = {(cost, tag, v): count for (cost, tag), sets in ways.items() for v, count in sets.items()}
+        below = defaultdict(int)  # node -> the counts of its out-edge targets, summed
+        for (cost, tag, x), inbound in edges.items():
+            assert (cost, tag, x) in nodes
+            for s, source in inbound:
+                assert preimages[s]([source[2]]) == [x]
+                assert tag == (s + 1 if objective is Objective.SWITCH_THEN_LENGTH else 0)
+                below[source] += nodes[cost, tag, x]
+        assert set(below) <= set(nodes)
+        for node, count in nodes.items():
+            assert count == (1 if node in goals else below[node])
+        singletons = [(v, count) for (cost, _, v), count in nodes.items() if cost == 0]
+        assert all(is_singleton(v) for v, _ in singletons)
+        assert sum(count for _, count in singletons) == count_optimal_words(dfa, objective)
 
 
 def test_optimal_words_enumeration_matches_count():
