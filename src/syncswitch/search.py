@@ -5,8 +5,9 @@ k-1 free columns, one base-n^n digit per column, symbol 1 leading.  The
 cyclic search fixes the n-cycle.  The binary (and k-ary) search fixes one
 map per conjugacy class of [n]^n, weighted by the class size, and keeps
 only the tables whose symbol 1 (the leading digit) ranks no lower, the
-classes ranked by decreasing size; a table ranked higher counts twice, for
-its 0<->1 symbol swap.  Of these the scan keeps one table per orbit under
+classes ranked by decreasing size (one walk over [n]^n, 3 bytes a map,
+lists the classes and ranks every map); a table ranked higher counts twice,
+for its 0<->1 symbol swap.  Of these the scan keeps one table per orbit under
 the centralizer of the map, the least index, and one numpy kernel scores
 the survivors of many parts in batches of whole tables.  The parent keeps
 the tables at the running maximum and canonicalizes them, with their
@@ -34,8 +35,8 @@ from .automaton import Dfa, IsoConvention, serialize_dfa
 
 # Pool workers fork where the platform offers it, so they inherit the class
 # list and the rank table the caller built.  Under forkserver (Linux's
-# default from Python 3.14) or spawn each worker would rebuild both: about
-# 6.4 s and 50 MB a worker at n = 8 on a 2-vCPU host.  Elsewhere the
+# default from Python 3.14) or spawn each worker would walk [n]^n again:
+# about 4-6 s and 50 MB a worker at n = 8 on a 2-vCPU host.  Elsewhere the
 # default start method stays.
 Pool = get_context("fork" if "fork" in get_all_start_methods() else None).Pool
 
@@ -270,12 +271,13 @@ def _scan_numpy(n: int, k: int, parts, ranked: bool = False):
     per column, symbol 1 leading.
 
     If `ranked`, a table is kept only if its symbol 1 (the leading digit,
-    read before any decode) ranks no lower than its symbol 0
-    (`_class_rank`, built by `_search`), and counts twice where it
-    ranks higher, for its skipped 0<->1 swap.  Only orbit representatives
-    are scored: a table whose index is the least among its conjugates
-    under the centralizer of its map.  The survivors of all parts are
-    packed into kernel batches of min(32768, _SCAN_ENTRIES >> n) tables.
+    read before any decode) ranks no lower than its symbol 0 (the rank
+    table of `_classes`, which `extremal_search` builds before any pool
+    starts), and counts twice where it ranks higher, for its skipped 0<->1
+    swap.  Only orbit representatives are scored: a table whose index is
+    the least among its conjugates under the centralizer of its map.  The
+    survivors of all parts are packed into kernel batches of min(32768,
+    _SCAN_ENTRIES >> n) tables.
 
     Returns one `_Tally` per part: the maximum (-1 if none synchronizes), the
     representatives at it as uint8 arrays (m, n, k) in index order, and the
@@ -286,7 +288,7 @@ def _scan_numpy(n: int, k: int, parts, ranked: bool = False):
     width = n * (k - 1)
     powers = np.array([n ** e for e in range(width - 1, -1, -1)], dtype=np.int64)
     perms, ranks = _perm_arrays(n)
-    rank = _class_rank(n) if ranked else None
+    rank = _classes(n)[1] if ranked else None
     tallies = [_Tally() for _ in parts]
 
     def pieces():
@@ -499,43 +501,38 @@ def canonical_form(dfa: Dfa) -> Dfa:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _class_representatives(n: int) -> dict[tuple[int, ...], int]:
-    """One transformation of [n] per conjugacy class under relabeling, in
-    canonical form, mapped to its class size n!/|C(map)|, in rank order
-    (`_class_rank`): decreasing size, then decreasing map.  So the pool
-    starts first the scans that keep the most tables.  The dict is cached,
-    so callers only read it.
+def _classes(n: int) -> tuple[dict[tuple[int, ...], int], "np.ndarray"]:
+    """The class list of [n]^n under relabeling and the rank table, cached:
+    one canonical map per class mapped to its class size n!/|C(map)|, in
+    rank order (decreasing size, then decreasing map, so the pool starts
+    first the scans that keep the most tables), and every map's rank, a
+    uint16 indexed by its big-endian digits as the scan reads them.
 
-    The maps are walked in index order (big-endian digits, as the scan
-    reads them), holding one flag per map of [n]^n: the first unmarked
-    map is the least of its class, so its canonical form, and all its
-    conjugates are marked at once.
+    One walk visits the maps in index order with one flag per map: the
+    first unmarked map is the least of its class, so its canonical form,
+    and its conjugates, computed once, are marked and take the class's
+    discovery number (3 bytes a map in all).  The flags are then freed
+    and the numbers turned into ranks in place, a slice at a time.
     """
     total = n ** n
     powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     unmarked = np.ones(total + 1, dtype=bool)  # the last flag ends the walk
-    sizes, i = {}, 0
+    rank = np.empty(total, dtype=np.uint16)
+    found, i = [], 0
     while i < total:
         f = i // powers % n
         conj = _conjugates(n, f) @ powers
         unmarked[conj] = False
-        sizes[tuple(f.tolist())] = factorial(n) // int(np.count_nonzero(conj == i))
+        rank[conj] = len(found)
+        found.append((factorial(n) // int(np.count_nonzero(conj == i)), tuple(f.tolist())))
         i += int(unmarked[i:].argmax())
-    return dict(sorted(sizes.items(), key=lambda item: (item[1], item[0]), reverse=True))
-
-
-@lru_cache(maxsize=8)
-def _class_rank(n: int) -> "np.ndarray":
-    """The class rank of every map of [n]^n, indexed by its big-endian
-    digits: its class's position in `_class_representatives`, so the
-    identity and the constant maps come last.  A cached uint16 array:
-    `_search` builds it before any pool starts, and forked workers share
-    it (on a platform without fork each worker builds its own)."""
-    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    rank = np.empty(n ** n, dtype=np.uint16)
-    for r, f in enumerate(_class_representatives(n)):
-        rank[_conjugates(n, f) @ powers] = r
-    return rank
+    del unmarked
+    order = sorted(range(len(found)), key=found.__getitem__, reverse=True)
+    rank_of = np.argsort(order).astype(np.uint16)
+    for lo in range(0, total, 1 << 16):  # one call would index with n^n intps
+        part = rank[lo:lo + (1 << 16)]
+        part[:] = rank_of[part]
+    return {found[d][1]: found[d][0] for d in order}, rank
 
 
 def _timed(job):
@@ -556,9 +553,9 @@ def _search(n, k, maps, workers, progress, ranked=False) -> ExtremalReport:
     fewer than POOL_GRAIN tables runs in the calling process as one job
     with one part per map.  A larger one runs on a pool of `workers`
     processes, at most one per job, 8 one-part jobs per worker, that only
-    scan: this process builds the rank table before the pool starts, and
-    canonicalizes after the pool has closed.  Each map's tables count
-    `weight` times in `scanned`, `injective` and `nonsync`.
+    scan: this process canonicalizes after the pool has closed.  Each
+    map's tables count `weight` times in `scanned`, `injective` and
+    `nonsync`.
     """
     t0 = time.perf_counter()
     free = n ** (n * (k - 1))
@@ -570,8 +567,6 @@ def _search(n, k, maps, workers, progress, ranked=False) -> ExtremalReport:
     groups = [[part] for part in parts] if pooled else [parts]
     jobs = [(_scan_numpy, n, k, group, ranked) for group in groups]
     workers = min(workers, len(jobs)) if pooled else 1
-    if ranked:
-        _class_rank(n)  # built here once, so forked workers inherit it
     total, elapsed = _Tally(), 0.0
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         run = pool.imap_unordered if workers > 1 else map
@@ -609,8 +604,10 @@ def extremal_search(
 
     Symbol 0 runs over one map per conjugacy class of [n]^n, weighted by
     the class size, and for k >= 2 symbol 1 only over the maps whose class
-    ranks no lower (`_class_rank`), the tables ranked higher counting
-    twice, so `scanned` still counts all n^(nk) tables.  Spaces past
+    ranks no lower, the tables ranked higher counting twice, so `scanned`
+    still counts all n^(nk) tables.  The class list and the rank table
+    come from one walk over [n]^n (`_classes`), made in this process after
+    every refusal, so forked pool workers inherit both.  Spaces past
     LONG_THRESHOLD need long=True, the one size confirmation of every
     search; it counts n^(n(k-1)) tables per class for ceil(n^n / n!)
     classes, a lower bound on their number, and the n^n maps that the
@@ -632,7 +629,7 @@ def extremal_search(
     # ceil(n^n / n!) classes, a lower bound on their number
     _refuse_past_threshold(n ** (n * (k - 1)) * -(-n ** n // factorial(n)), "tables", long)
     _refuse_many_relabelings(n, k)
-    return _search(n, k, _class_representatives(n), parallelism, progress, k > 1)
+    return _search(n, k, _classes(n)[0], parallelism, progress, k > 1)
 
 
 def cyclic_extremal_search(

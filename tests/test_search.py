@@ -119,19 +119,25 @@ def test_search_needs_a_worker():
 def test_class_representatives():
     # OEIS A001372: the transformations of [n] up to relabeling
     for n, classes in enumerate([1, 3, 7, 19, 47, 130, 343], start=1):
-        reps = search._class_representatives(n)
+        reps, rank = search._classes(n)
         assert len(reps) == classes and sum(reps.values()) == n ** n
         # each class size is n! over the map's centralizer, and the
         # dict is in rank order: decreasing (size, map), position r of the
         # list being rank r of the table
         assert all(size * len(search._centralizer(n, f)) == factorial(n) for f, size in reps.items())
         assert list(reps.items()) == sorted(reps.items(), key=lambda item: (item[1], item[0]), reverse=True)
+        assert rank.dtype == np.uint16 and rank.shape == (n ** n,)
         if n <= 6:
             index = {f: i for i, f in enumerate(product(range(n), repeat=n))}
-            assert search._class_rank(n)[[index[f] for f in reps]].tolist() == list(range(len(reps)))
+            assert rank[[index[f] for f in reps]].tolist() == list(range(len(reps)))
+            # every map of a class has its rank: rank r holds class r's size
+            assert np.bincount(rank).tolist() == list(reps.values())
         if n <= 5:
-            forms = Counter(canonical_form(Dfa([(t,) for t in f])).rows for f in product(range(n), repeat=n))
-            assert dict(forms) == {tuple((t,) for t in f): size for f, size in reps.items()}
+            # maps in index order, each map's rank the position of its form's class
+            forms = [canonical_form(Dfa([(t,) for t in f])).rows for f in product(range(n), repeat=n)]
+            assert dict(Counter(forms)) == {tuple((t,) for t in f): size for f, size in reps.items()}
+            position = {tuple((t,) for t in f): r for r, f in enumerate(reps)}
+            assert rank.tolist() == [position[form] for form in forms]
 
 
 def test_engines_agree_exhaustively_small():
@@ -221,7 +227,7 @@ def test_driver_completeness_follows_the_winner(monkeypatch):
     # one shard per map: at n=3 the maps reaching the maximum 3 keep at
     # most 3 orbit representatives each under the symbol order, and losing
     # maps keep more
-    kept = [(t.best, _found(t)) for f in search._class_representatives(3)
+    kept = [(t.best, _found(t)) for f in search._classes(3)[0]
             for t in _scan_numpy(3, 2, [(f, 0, 27)], True)]
     assert max(len(t) for sw, t in kept if sw == 3) == 3
     assert max(len(t) for sw, t in kept if sw < 3) > 3
@@ -251,7 +257,7 @@ def test_packed_batches_match_parts_alone(monkeypatch):
     # in batches of 5 tables (40 >> 3) one kernel call holds the end of one
     # part and the start of the next; the identity's range [0, 5) holds no
     # symbol 1 ranked at or above the identity, so the mask empties it
-    parts = [((0, 1, 2), 0, 5)] + [(f, 2, 25) for f in search._class_representatives(3)]
+    parts = [((0, 1, 2), 0, 5)] + [(f, 2, 25) for f in search._classes(3)[0]]
     alone = [_scan_numpy(3, 2, [part], True)[0] for part in parts]
     assert (alone[0].best, alone[0].injective, alone[0].nonsync, alone[0].count) == (-1, 0, 0, 0)
     sizes = []
@@ -392,9 +398,9 @@ def test_rank_mask_reads_the_leading_digit():
     # [27m, 27m + 27) holds every table whose symbol 1 is map m.  The scan
     # keeps none of them iff m ranks below symbol 0, or the orbit filter
     # moves them all to a conjugate of m with a lower index
-    rank = search._class_rank(3)
+    reps, rank = search._classes(3)
     index = {f: i for i, f in enumerate(product(range(3), repeat=3))}
-    for fixed in search._class_representatives(3):
+    for fixed in reps:
         for f, m in index.items():
             conjugates = _conjugates(tuple(zip(fixed, f)), fixed)
             least = min(index[tuple(row[1] for row in rows)] for rows in conjugates) == m
@@ -411,10 +417,9 @@ def test_cyclic_forms_recheck():
 
 
 def test_search_guards(monkeypatch):
-    # each call is refused by its own guard, before any class
-    # representative is made: five need long=True
-    monkeypatch.setattr(search, "_class_representatives", lambda n: pytest.fail("representatives made"))
-    monkeypatch.setattr(search, "_class_rank", lambda n: pytest.fail("rank made"))
+    # each call is refused by its own guard, before the class walk: five
+    # need long=True
+    monkeypatch.setattr(search, "_classes", lambda n: pytest.fail("classes made"))
     threshold = "exceed the quick-search threshold"
     with pytest.raises(ValueError, match=threshold):
         extremal_search(7, 2)
@@ -443,23 +448,22 @@ def test_search_guards(monkeypatch):
 
 
 def test_rank_table_is_built_before_the_pool(monkeypatch, inline_pool):
-    # a ranked search builds _class_rank(n) in the caller before the pool
-    # starts, so forked workers inherit it; cyclic and k=1 never build it
+    # the class walk runs once, in the caller before the pool starts, so
+    # forked workers inherit the rank table; the cyclic search never walks
     monkeypatch.setattr(search, "POOL_GRAIN", 0)
-    rank, built = search._class_rank, []
-    rank.cache_clear()
+    classes, built = search._classes, []
+    classes.cache_clear()
     imap_unordered = search.Pool.imap_unordered
 
     def record(fn, jobs):
-        built.append(rank.cache_info().currsize)
+        built.append(classes.cache_info().currsize)
         return imap_unordered(fn, jobs)
 
     monkeypatch.setattr(search.Pool, "imap_unordered", staticmethod(record))
     assert extremal_search(4, 2, parallelism=2).workers == 2
-    assert built == [1] and rank.cache_info().misses == 1
-    monkeypatch.setattr(search, "_class_rank", lambda n: pytest.fail("rank made"))
+    assert built == [1] and classes.cache_info().misses == 1
+    monkeypatch.setattr(search, "_classes", lambda n: pytest.fail("classes made"))
     assert cyclic_extremal_search(4, 2, parallelism=2).workers == 2
-    assert extremal_search(4, 1, parallelism=2).max_sw == 1
 
 
 _TIMED = search._timed
@@ -467,31 +471,31 @@ _TIMED = search._timed
 
 def _timed_logging_rank(job):
     """`search._timed`, first logging the job's function, this process's
-    pid and whether it holds a rank table (pickled by reference, so a
+    pid and whether it holds the class tables (pickled by reference, so a
     pool job logs in its worker)."""
     with open(os.environ["RANK_LOG"], "a") as log:
-        log.write(f"{job[0].__name__} {os.getpid()} {search._class_rank.cache_info().currsize}\n")
+        log.write(f"{job[0].__name__} {os.getpid()} {search._classes.cache_info().currsize}\n")
     return _TIMED(job)
 
 
 def test_pool_workers_inherit_the_rank_table(monkeypatch, tmp_path):
     # forkserver, the default start method on Linux from Python 3.14, makes
-    # every worker import the package afresh and rebuild the rank table;
-    # the pool forks where the platform can, whatever the default, so only
-    # the caller builds it
+    # every worker import the package afresh and redo the class walk; the
+    # pool forks where the platform can, whatever the default, so only the
+    # caller walks
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method on this platform")
     log = tmp_path / "ranks.log"
-    rank = search._class_rank
+    classes = search._classes
 
     @lru_cache(maxsize=8)
-    def logged_rank(n):
+    def logged_classes(n):
         with open(log, "a") as out:
             out.write(f"build {os.getpid()} 0\n")
-        return rank.__wrapped__(n)
+        return classes.__wrapped__(n)
 
     monkeypatch.setenv("RANK_LOG", str(log))
-    monkeypatch.setattr(search, "_class_rank", logged_rank)
+    monkeypatch.setattr(search, "_classes", logged_classes)
     monkeypatch.setattr(search, "_timed", _timed_logging_rank)
     monkeypatch.setattr(search, "POOL_GRAIN", 0)
     previous = multiprocessing.get_start_method(allow_none=True)
@@ -505,13 +509,6 @@ def test_pool_workers_inherit_the_rank_table(monkeypatch, tmp_path):
     assert [pid for what, pid, _ in lines if what == "build"] == [str(os.getpid())]
     scans = [(pid, held) for what, pid, held in lines if what == "_scan_numpy"]
     assert scans and all(pid != str(os.getpid()) and held == "1" for pid, held in scans)
-
-
-def test_one_symbol_search_builds_no_rank(monkeypatch):
-    # the rank orders symbol 1 against symbol 0, so k=1 never builds it
-    # (9^9 ranks take 775 MB)
-    monkeypatch.setattr(search, "_class_rank", lambda n: pytest.fail("rank made"))
-    assert extremal_search(4, 1).max_sw == 1
 
 
 def test_format_report():
@@ -545,7 +542,7 @@ def test_progress_lines():
     lines = []
     extremal_search(3, progress=lines.append)
     # one shard for each of the 7 symbol-0 maps, named on its line
-    reps = search._class_representatives(3)
+    reps = search._classes(3)[0]
     assert sorted(line.split()[1] for line in lines) == sorted("a=" + ",".join(map(str, f)) for f in reps)
     assert all(line.startswith("SHARD a=") and " [0,27) DONE max=" in line for line in lines)
     fields = [dict(f.split("=") for f in line.split() if "=" in f) for line in lines]
@@ -697,7 +694,7 @@ def test_perm_arrays_are_lexicographic(n):
 def test_relabeling_bound(monkeypatch):
     # 9! 3! relabelings is the largest size canonicalized; 7! 7! is refused
     # before anything is built, by canonical_form and by both searches
-    for name in ("_perm_arrays", "_class_representatives", "_search"):
+    for name in ("_perm_arrays", "_classes", "_search"):
         monkeypatch.setattr(search, name, lambda *args, name=name: pytest.fail(f"{name} called"))
     search._refuse_many_relabelings(9, 3)
     search._refuse_many_relabelings(3, 9)
