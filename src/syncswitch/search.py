@@ -6,16 +6,16 @@ cyclic search fixes the n-cycle.  The binary (and k-ary) search fixes one
 map per conjugacy class of [n]^n, weighted by the class size, and keeps
 only the tables whose symbol 1 (the leading digit) ranks no lower, the
 classes ranked by decreasing size (one walk over [n]^n, 3 bytes a map,
-lists the classes and ranks every map); a table ranked higher counts twice,
-for its 0<->1 symbol swap.  Of these the scan keeps one table per orbit under
-the centralizer of the map, the least index, and one numpy kernel scores
-the survivors of many parts in batches of whole tables.  The parent keeps
-the tables at the running maximum and canonicalizes them, with their
-swaps, once, after the last shard; `canonical_form` is the one-table
-call.  It reads every relabeled table as a base-n number and takes the
-least, the keys of a whole batch under all n! k! relabelings coming from
-one float64 matrix product, so every entry point refuses n > 9 and more
-than 9! 3! relabelings.
+lists the classes and ranks every map); a table ranked higher counts
+twice, for its 0<->1 symbol swap.  Of these the scan keeps one table per
+orbit under the centralizer of the map, the least index, and one numpy
+kernel scores the survivors of many parts in batches of whole tables.
+The parent canonicalizes the tables at the maximum once, after the last
+shard, the ranked search's forms up to renaming states under all k!
+column orders; `canonical_form` is the one-table call.  A relabeled table
+is a base-n number, the least one the form, and one float64 matrix
+product keys a whole batch under all n! k! relabelings, so every entry
+point refuses n > 9 and more than 9! 3! relabelings.
 """
 
 from __future__ import annotations
@@ -152,10 +152,9 @@ def _switch_counts_batch(n: int, tables: "np.ndarray"):
     """
     b, _, k = tables.shape
     full = (1 << n) - 1
-    # a column is injective iff its n target bits cover every state
-    bits = np.left_shift(1, tables.astype(np.int32))
-    injective = (np.bitwise_or.reduce(bits, axis=1) == full).all(axis=1)
     maps = [_image_maps(n, tables[:, :, s]).reshape(-1) for s in range(k)]
+    # a column is injective iff it maps the full set onto itself
+    injective = np.all([img[full::1 << n] == full for img in maps], axis=0)
 
     # The frontier is flat, entries table * 2^n + subset, and a table leaves
     # it once it is done.  mark[entry] is the stamp of the (level, symbol)
@@ -407,11 +406,13 @@ def _least(keys: "np.ndarray") -> "np.ndarray":
     return keys.min(axis=-2)
 
 
-def _canonical_tables(n: int, k: int, tables) -> dict[IsoConvention, set[tuple]]:
+def _canonical_tables(n: int, k: int, tables, ranked: bool = False) -> dict[IsoConvention, set[tuple]]:
     """Canonical forms of many n-state k-symbol tables under both conventions.
 
     A form is the lexicographically minimal table over all state
     relabelings, and under STATES_AND_SYMBOLS over all symbol orders too.
+    STATES_ONLY takes the forms of the tables as given, or if `ranked` of
+    every symbol order scored, so of all k! column orders of each table.
     Each relabeled table is a key, its entries row by row as base-n digits,
     in blocks of candidate rows whose keys stay below 2^53; each block's
     keys for a batch of (table, symbol order) rows and a slice of the
@@ -459,7 +460,8 @@ def _canonical_tables(n: int, k: int, tables) -> dict[IsoConvention, set[tuple]]
             best = found if best is None else _least(np.stack((best, found), axis=1))
         return best
 
-    def forms(keys):
+    def forms(keys):  # the tables of the distinct keys
+        keys = np.array(list(set(map(tuple, keys.tolist()))))
         digits = keys.astype(np.int64)[:, block] // place % n
         return (tuple(map(tuple, t)) for t in digits.reshape(-1, n, k).tolist())
 
@@ -471,8 +473,8 @@ def _canonical_tables(n: int, k: int, tables) -> dict[IsoConvention, set[tuple]]
             cols = sub[:, :, orders].transpose(0, 2, 3, 1)  # (tables, orders, k, n)
             onehot = (cols[..., None] == np.arange(n)).reshape(-1, width).astype(np.float64)
             keys = least_keys(onehot).reshape(len(sub), -1, len(weights))
-            if best is None:  # the identity symbol order comes first
-                out[IsoConvention.STATES_ONLY].update(forms(keys[:, 0]))
+            if ranked or best is None:  # every order if ranked, else the identity, which comes first
+                out[IsoConvention.STATES_ONLY].update(forms(keys.reshape(-1, len(weights)) if ranked else keys[:, 0]))
             keys = _least(keys)
             best = keys if best is None else _least(np.stack((best, keys), axis=1))
         out[IsoConvention.STATES_AND_SYMBOLS].update(forms(best))
@@ -500,13 +502,13 @@ def canonical_form(dfa: Dfa) -> Dfa:
 # Drivers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _classes(n: int) -> tuple[dict[tuple[int, ...], int], "np.ndarray"]:
-    """The class list of [n]^n under relabeling and the rank table, cached:
-    one canonical map per class mapped to its class size n!/|C(map)|, in
-    rank order (decreasing size, then decreasing map, so the pool starts
-    first the scans that keep the most tables), and every map's rank, a
-    uint16 indexed by its big-endian digits as the scan reads them.
+    """The class list of [n]^n under relabeling and the rank table, cached
+    for one n: one canonical map per class mapped to its class size
+    n!/|C(map)|, in rank order (decreasing size, then decreasing map, so the
+    pool starts first the scans that keep the most tables), and every map's
+    rank, a uint16 indexed by its big-endian digits as the scan reads them.
 
     One walk visits the maps in index order with one flag per map: the
     first unmarked map is the least of its class, so its canonical form,
@@ -546,8 +548,8 @@ def _search(n, k, maps, workers, progress, ranked=False) -> ExtremalReport:
     {map: weight}, keep the tables at the running maximum and canonicalize
     them once.  The entry points refuse every bad argument before `maps`
     is made.  If `ranked`, the scan orders symbol 1 against symbol 0 (see
-    `_scan_numpy`), and the kept tables are canonicalized together with
-    their 0<->1 swaps, so the STATES_ONLY forms hold the skipped tables.
+    `_scan_numpy`), and the STATES_ONLY forms are those of the kept tables
+    under all k! column orders, every extremal table up to relabeling.
 
     `workers` is an upper bound on the worker processes.  A space of
     fewer than POOL_GRAIN tables runs in the calling process as one job
@@ -581,9 +583,7 @@ def _search(n, k, maps, workers, progress, ranked=False) -> ExtremalReport:
                              f"tables_per_s={rate:.0f} "
                              f"injective={part.injective * weight} nonsync={part.nonsync * weight}")
     tables = np.concatenate([np.empty((0, n, k), dtype=np.uint8)] + total.found)
-    if ranked:
-        tables = np.concatenate((tables, tables[:, :, [1, 0, *range(2, k)]]))
-    _, forms, seconds = _timed((_canonical_tables, n, k, tables))
+    _, forms, seconds = _timed((_canonical_tables, n, k, tables, ranked))
     return ExtremalReport(
         n=n, k=k, max_sw=total.best if total.best >= 0 else None,
         forms={c: frozenset(map(Dfa, forms[c])) for c in IsoConvention},
